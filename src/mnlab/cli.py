@@ -3,7 +3,7 @@
 Exit status: 0 on success, 1 on a validation error (bad flags, malformed
 input files), 2 on an invariant violation (e.g. a sandwich breach in an
 operator-norm report).  Every run is reproducible from its flags plus input
-files; the MNL_THREADS environment variable caps worker parallelism.
+files.
 
 Exponents are accepted either as Lebesgue values (--p 2 --q inf ...) or as
 reciprocals (--alpha 0.5 --beta 0 ...); unspecified slots default to
@@ -225,8 +225,10 @@ def _cmd_chirp_check(args) -> int:
 
 def _cmd_opnorm(args) -> int:
     e = _exponents_from_args(args)
+    if (args.Kx is None) != (args.Ky is None):
+        raise ValueError("give --Kx and --Ky together, or neither")
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, step=args.step,
-                       seed=args.seed, grid=(args.Kx, args.Ky) if args.Kx and args.Ky else None,
+                       seed=args.seed, grid=None if args.Kx is None else (args.Kx, args.Ky),
                        tol=args.tol, real_only=args.real_only)
     report = estimate(args.M, args.N, e, cfg)
     if args.jsonl:
@@ -265,6 +267,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_nonortho_check(args) -> int:
     from .norms import CoefficientMatrix
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sizes = _parse_ladder(args.sizes)
     e22 = MixedExponents(0.5, 0.5, 0.5, 0.5)
     rng = np.random.default_rng(args.seed)
@@ -354,8 +358,8 @@ def main(argv=None) -> int:
     p_op.add_argument("--max-iters", type=int, default=60)
     p_op.add_argument("--step", type=float, default=0.25)
     p_op.add_argument("--tol", type=float, default=1e-9)
-    p_op.add_argument("--Kx", type=int, default=0)
-    p_op.add_argument("--Ky", type=int, default=0)
+    p_op.add_argument("--Kx", type=int, default=None)
+    p_op.add_argument("--Ky", type=int, default=None)
     p_op.add_argument("--real-only", action="store_true")
     p_op.add_argument("--jsonl")
     p_op.add_argument("--csv")

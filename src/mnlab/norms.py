@@ -14,6 +14,7 @@ like p = 1000 neither overflow nor underflow.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
     "QuadratureWarning",
     "lpq_norm",
     "lrs_norm",
+    "mixed_norm_gradient",
     "holder_matrix_chain",
     "matrix_to_json",
     "matrix_from_json",
@@ -123,36 +125,13 @@ class QuadratureSpec:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
-def _power_reduce(a: np.ndarray, expo: float, axis: int, mean: bool) -> np.ndarray:
-    """(sum_or_mean of a**expo)**(1/expo) along `axis`, with max factored out.
-
-    `a` must be non-negative real.  expo = inf (encoded by the callers as
-    reciprocal 0) is handled by the callers via nanmax; here expo is finite
-    and >= 1.
-    """
-    top = np.max(a, axis=axis)
-    # Avoid 0/0 where a whole slice vanishes; those slices contribute 0.
-    safe = np.where(top > 0.0, top, 1.0)
-    scaled = a / np.expand_dims(safe, axis)
-    acc = scaled**expo
-    body = acc.mean(axis=axis) if mean else acc.sum(axis=axis)
-    return top * body ** (1.0 / expo)
-
-
 def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     """The discrete mixed norm: p-norm over rows m per column, q-norm across columns.
 
     Only e.alpha and e.beta are consulted.  Exactly zero iff A is the zero
     matrix.
     """
-    a = np.abs(A.entries)
-    if e.alpha == 0.0:  # p = inf
-        col = a.max(axis=0)
-    else:
-        col = _power_reduce(a, 1.0 / e.alpha, axis=0, mean=False)
-    if e.beta == 0.0:  # q = inf
-        return float(col.max())
-    return float(_power_reduce(col, 1.0 / e.beta, axis=0, mean=False))
+    return float(_reduce(_reduce(np.abs(A.entries), e.alpha, False), e.beta, False))
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -184,14 +163,60 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
 
 
 def _lrs_on_samples(samples: np.ndarray, e: MixedExponents) -> float:
-    a = np.abs(samples)
-    if e.gamma == 0.0:  # r = inf
-        row = a.max(axis=0)
-    else:
-        row = _power_reduce(a, 1.0 / e.gamma, axis=0, mean=True)
-    if e.delta == 0.0:  # s = inf
-        return float(row.max())
-    return float(_power_reduce(row, 1.0 / e.delta, axis=0, mean=True))
+    return float(_reduce(_reduce(np.abs(samples), e.gamma, True), e.delta, True))
+
+
+def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
+    """The norm with reciprocal exponent `recip` (0 = infinite) down axis 0.
+
+    `a` must be non-negative real.  Sums of powers (rectangle-rule means when
+    `mean` is set) are accumulated with each slice's largest entry factored
+    out, so large exponents neither overflow nor underflow.
+    """
+    top = a.max(axis=0)
+    if recip == 0.0:
+        return top
+    expo = 1.0 / recip
+    # Avoid 0/0 where a whole slice vanishes; those slices contribute 0.
+    safe = np.where(top > 0.0, top, 1.0)
+    acc = (a / safe) ** expo
+    body = acc.mean(axis=0) if mean else acc.sum(axis=0)
+    return top * body ** (1.0 / expo)
+
+
+def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool) -> np.ndarray:
+    """d value / d a for value = _reduce(a, recip, mean), broadcast to a's shape.
+
+    An infinite exponent takes the one-hot subgradient at the first argmax.
+    Slices that vanish get weight 0 (for exponent one, the caller's phase
+    factor supplies that zero).
+    """
+    if recip == 0.0:
+        grad = np.zeros_like(a)
+        np.put_along_axis(grad, np.expand_dims(np.argmax(a, axis=0), 0), 1.0, axis=0)
+        return grad
+    safe = np.where(value > 0.0, value, 1.0)
+    grad = (a / safe) ** (1.0 / recip - 1.0)
+    return grad / a.shape[0] if mean else grad
+
+
+def mixed_norm_gradient(
+    a: np.ndarray, inner: float, outer: float, mean: bool
+) -> tuple[float, np.ndarray]:
+    """A mixed norm of the non-negative 2-D array `a` and its gradient in `a`.
+
+    The norm with reciprocal exponent `inner` runs down axis 0, then `outer`
+    across axis 1; `mean` selects the rectangle-rule means of lrs_norm over
+    the plain sums of lpq_norm.  Returns the same value as those functions
+    and the array of partial derivatives (a subgradient where an exponent is
+    infinite: one-hot at the first argmax).
+    """
+    inner_values = _reduce(a, inner, mean)
+    value = _reduce(inner_values, outer, mean)
+    grad = _reduce_gradient(a, inner_values, inner, mean) * _reduce_gradient(
+        inner_values, value, outer, mean
+    )
+    return float(value), grad
 
 
 def holder_matrix_chain(
@@ -234,14 +259,33 @@ def _pairs(flat: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _unpairs(pairs: list, count: int, what: str) -> np.ndarray:
-    if len(pairs) != count:
-        raise ValueError(f"{what}: expected {count} [re, im] pairs, got {len(pairs)}")
-    out = np.empty(count, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        re, im = pair
-        out[i] = complex(re, im)
-    return out
+def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
+    """(rows, cols, complex rows x cols array) from a matrix or grid document.
+
+    Every malformed document raises ValueError: a non-object, a missing key,
+    a non-integer or non-positive size, values that are not numbers (numeric
+    strings included), or pairs of the wrong count or length.
+    """
+    keys = (*size_keys, data_key)
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        raise ValueError(f"{what} JSON must be an object with keys {', '.join(keys)}")
+    try:
+        rows, cols = (operator.index(doc[key]) for key in size_keys)
+        pairs = np.asarray(doc[data_key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} JSON: {exc}") from exc
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError(f"{what} JSON: {data_key} must hold numbers only")
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{what} JSON: sizes must be positive, got {rows} x {cols}")
+    if pairs.shape != (rows * cols, 2):
+        raise ValueError(
+            f"{what} JSON: expected {rows * cols} [re, im] pairs for {rows} x {cols}, "
+            f"got an array of shape {pairs.shape}"
+        )
+    # Reinterpreting the (re, im) float pairs keeps every bit, signed zeros included.
+    flat = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)
+    return rows, cols, flat.reshape(rows, cols)
 
 
 def matrix_to_json(A: CoefficientMatrix) -> dict:
@@ -249,9 +293,8 @@ def matrix_to_json(A: CoefficientMatrix) -> dict:
 
 
 def matrix_from_json(doc: dict) -> CoefficientMatrix:
-    M, N = int(doc["M"]), int(doc["N"])
-    flat = _unpairs(doc["entries"], M * N, "matrix entries")
-    return CoefficientMatrix(M=M, N=N, entries=flat.reshape(M, N))
+    M, N, entries = _document_array(doc, ("M", "N"), "entries", "matrix")
+    return CoefficientMatrix(M=M, N=N, entries=entries)
 
 
 def grid_to_json(f: GridFunction) -> dict:
@@ -259,9 +302,8 @@ def grid_to_json(f: GridFunction) -> dict:
 
 
 def grid_from_json(doc: dict) -> GridFunction:
-    Kx, Ky = int(doc["Kx"]), int(doc["Ky"])
-    flat = _unpairs(doc["samples"], Kx * Ky, "grid samples")
-    return GridFunction(Kx=Kx, Ky=Ky, samples=flat.reshape(Kx, Ky))
+    Kx, Ky, samples = _document_array(doc, ("Kx", "Ky"), "samples", "grid")
+    return GridFunction(Kx=Kx, Ky=Ky, samples=samples)
 
 
 def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:

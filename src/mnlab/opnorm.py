@@ -1,10 +1,28 @@
 """Bracketing the operator norm sup ||T A||_{L^{r,s}} / ||A||_{l^{p,q}}.
 
 The true value is squeezed between the best certified extremizer lower bound
-and the growth-bound upper bound; a multi-start finite-difference ascent over
-the 2MN real parameters of A reports the best ratio it can actually reach.
-The searched value is a lower bound for the sup by construction and is never
+and the growth-bound upper bound; a multi-start gradient ascent over the 2MN
+real parameters of A reports the best ratio it can actually reach.  The
+searched value is a lower bound for the sup by construction and is never
 claimed exact.
+
+The ascent uses the closed-form (adjoint) gradient of f(A) = L(TA) / P(A),
+with L the grid L^{r,s} norm and P the l^{p,q} norm:
+
+    grad f = (T*(dL/d|S| * S/|S|) - f * dP/d|A| * A/|A|) / P(A),
+
+where S = TA is the zero-padded inverse FFT of A and the adjoint T* is the
+forward FFT cropped to the first M x N frequencies.  One gradient costs two
+FFTs.  Infinite exponents take the one-hot subgradient at the first argmax,
+and zero entries get weight 0, which is what central differences give there.
+
+Depending on the exponents and the size, the unit, ones, column and row warm
+starts can be exact critical points of f, where the gradient vanishes to
+roundoff (for example the unit start whenever r and s are finite).  Where
+its norm is at most SADDLE_TOL the ascent tries a fixed, seed-independent
+direction instead, less its components along A and iA, which never change f.
+The line search still accepts only strict improvements, so a start that is a
+local maximum stays put.
 
 Every estimate emits a BoundReport; batches serialize to JSON lines and an
 aggregate CSV with the frozen column order
@@ -15,8 +33,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,7 +49,7 @@ from .extremizers import (
     build,
     certified_lower_bound,
 )
-from .norms import CoefficientMatrix, QuadratureSpec, lpq_norm, lrs_norm
+from .norms import CoefficientMatrix, QuadratureSpec, lpq_norm, lrs_norm, mixed_norm_gradient
 from .trigsum import EvalPath, EvalPlan, eval_sum
 
 __all__ = [
@@ -52,6 +68,10 @@ __all__ = [
 # Relative tolerance attributed to grid quadrature when comparing searched
 # values against certified bounds; the sandwich checks allow 3x this slack.
 GRID_TOL = 1e-4
+
+# Gradient norm (at unit Frobenius norm of A) below which an iterate counts as
+# a critical point; roundoff leaves about 1e-16 at the critical warm starts.
+SADDLE_TOL = 1e-10
 
 CSV_COLUMNS = [
     "M", "N", "alpha", "beta", "gamma", "delta", "theta", "phi_or_blank",
@@ -159,22 +179,33 @@ def objective(A: CoefficientMatrix, e: MixedExponents, grid: tuple[int, int]) ->
 # ----------------------------------------------------------------------------
 
 
-def _gradient(entries: np.ndarray, e: MixedExponents, grid: tuple[int, int]) -> np.ndarray:
-    """Central finite differences on the 2MN real parameters of the matrix."""
-    h = 1e-5 * float(np.linalg.norm(entries))
+def _phase(z: np.ndarray) -> np.ndarray:
+    """z / |z|, and 0 where z = 0."""
+    modulus = np.abs(z)
+    return np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0.0)
+
+
+def _adjoint_gradient(entries: np.ndarray, e: MixedExponents, grid: tuple[int, int]) -> np.ndarray:
+    """Gradient of the objective in the 2MN real parameters of A, as d/dRe + i d/dIm."""
     M, N = entries.shape
-    grad = np.zeros((M, N, 2))
-    for m in range(M):
-        for n in range(N):
-            for part, bump in ((0, h), (1, 1j * h)):
-                plus = entries.copy()
-                plus[m, n] += bump
-                minus = entries.copy()
-                minus[m, n] -= bump
-                f_plus = objective(CoefficientMatrix(M, N, plus), e, grid)
-                f_minus = objective(CoefficientMatrix(M, N, minus), e, grid)
-                grad[m, n, part] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    samples = eval_sum(CoefficientMatrix(M, N, entries), EvalPlan(Kx=grid[0], Ky=grid[1])).samples
+    lrs, lrs_weights = mixed_norm_gradient(np.abs(samples), e.gamma, e.delta, mean=True)
+    lpq, lpq_weights = mixed_norm_gradient(np.abs(entries), e.alpha, e.beta, mean=False)
+    pulled_back = np.fft.fft2(lrs_weights * _phase(samples))[:M, :N]
+    return (pulled_back - (lrs / lpq) * lpq_weights * _phase(entries)) / lpq
+
+
+def _escape_direction(entries: np.ndarray) -> np.ndarray:
+    """The fixed direction tried at a critical point; it does not depend on any seed.
+
+    Its components along `entries` (of unit Frobenius norm) and i * `entries`
+    are removed: the objective is invariant under scaling and a global phase,
+    so those never change it.  For a 1 x 1 matrix nothing is left, and the
+    ascent stops.
+    """
+    parts = np.random.default_rng(0).standard_normal((*entries.shape, 2))
+    direction = parts[:, :, 0] + 1j * parts[:, :, 1]
+    return direction - np.vdot(entries, direction) * entries
 
 
 def _ascend(
@@ -191,11 +222,14 @@ def _ascend(
     value = objective(CoefficientMatrix(*entries.shape, entries), e, grid)
     history = [value]
     for _ in range(cfg.max_iters):
-        grad = _gradient(entries, e, grid)
+        grad = _adjoint_gradient(entries, e, grid)
         norm = float(np.linalg.norm(grad))
-        if norm == 0.0:
-            break
-        direction = (grad[:, :, 0] + 1j * grad[:, :, 1]) / norm
+        if norm <= SADDLE_TOL:
+            grad = _escape_direction(entries)
+            norm = float(np.linalg.norm(grad))
+            if norm <= SADDLE_TOL:
+                break
+        direction = grad / norm
         if cfg.real_only:
             direction = direction.real.astype(np.complex128)
         step = cfg.step
@@ -213,14 +247,6 @@ def _ascend(
         if not accepted:
             break
     return value, history
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MNL_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _start_matrices(M: int, N: int, cfg: SearchConfig) -> list[np.ndarray]:
@@ -246,19 +272,10 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
 
     Runs ascents from the extremizer warm starts plus cfg.restarts random
     starts (deterministically spawned from cfg.seed) and reduces to the best
-    value in start order, so reports are reproducible bit-for-bit.  The
-    MNL_THREADS environment variable caps concurrent ascents; the reduction
-    order does not depend on it.
+    value in start order, so reports are reproducible bit-for-bit.
     """
     grid = cfg.grid if cfg.grid is not None else _default_grid(M, N)
-    starts = _start_matrices(M, N, cfg)
-    workers = min(_worker_count(), len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: _ascend(s, e, grid, cfg), starts))
-    else:
-        outcomes = [_ascend(s, e, grid, cfg) for s in starts]
-    searched = max(value for value, _ in outcomes)
+    searched = max(_ascend(start, e, grid, cfg)[0] for start in _start_matrices(M, N, cfg))
 
     candidates = [("unit", 1.0)]
     for kind_label, kind in (("column", ColumnC()), ("row", RowR()), ("ones", OnesD())):

@@ -216,6 +216,41 @@ def test_undersized_transform_grid_fails(matrix_file, capsys):
     assert "zero-pad transform needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--Kx", "--Ky"])
+def test_opnorm_grid_flag_without_its_partner_fails(flag, capsys):
+    assert main(["opnorm", "--M", "2", "--N", "2", flag, "32"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "error: give --Kx and --Ky together, or neither"
+
+
+def test_opnorm_grid_flags_set_the_grid(capsys):
+    assert main(["opnorm", "--M", "2", "--N", "2", "--restarts", "1", "--max-iters", "1",
+                 "--Kx", "24", "--Ky", "40"]) == 0
+    assert json.loads(capsys.readouterr().out)["grid"] == [24, 40]
+
+
+def test_nonortho_check_without_trials_fails(capsys):
+    assert main(["nonortho-check", "--sizes", "2,4", "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: --trials must be >= 1, got 0"
+
+
+@pytest.mark.parametrize("document", [
+    "[1, 2]",
+    '{"M": 2, "N": 1}',
+    '{"M": 2, "N": 1, "entries": [[1.0], [2.0]]}',
+    '{"M": 2, "N": 1, "entries": [[1.0, "x"], [2.0, 0.0]]}',
+    '{"M": 2, "N": 1, "entries": [1.0, 2.0]}',
+])
+def test_malformed_matrix_file_fails_with_one_line(tmp_path, document, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(document)
+    assert main(["norm", "--matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix JSON") and err.count("\n") == 1
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["bound", "--M", "4", "--N", "4", "--bogus", "1"])

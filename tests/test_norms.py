@@ -282,6 +282,39 @@ def test_matrix_json_rejects_wrong_entry_count():
         matrix_from_json({"M": 2, "N": 2, "entries": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize("doc", [
+    [[1.0, 0.0]],
+    "M=1",
+    None,
+    {"M": 1, "entries": [[1.0, 0.0]]},
+    {"M": "one", "N": 1, "entries": [[1.0, 0.0]]},
+    {"M": 1.5, "N": 1, "entries": [[1.0, 0.0]]},
+    {"M": 0, "N": 1, "entries": []},
+    {"M": 1, "N": 2, "entries": [[1.0], [2.0]]},
+    {"M": 1, "N": 2, "entries": [[1.0, 0.0], [2.0]]},
+    {"M": 1, "N": 2, "entries": [[1.0, 0.0], [2.0, 0.0, 3.0]]},
+    {"M": 1, "N": 2, "entries": [1.0, 2.0]},
+    {"M": 1, "N": 2, "entries": [[1.0, "re"], [2.0, 0.0]]},
+    {"M": 1, "N": 2, "entries": [[1.0, {}], [2.0, 0.0]]},
+    {"M": 1, "N": 2, "entries": [["1.0", "0.0"], ["2.0", "0.0"]]},
+    {"M": 1, "N": 2, "entries": [[True, False], [False, True]]},
+    {"M": 1, "N": 2, "entries": 7},
+])
+def test_json_loaders_reject_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        matrix_from_json(doc)
+    if isinstance(doc, dict):
+        renamed = {{"M": "Kx", "N": "Ky", "entries": "samples"}[key]: value for key, value in doc.items()}
+        with pytest.raises(ValueError):
+            grid_from_json(renamed)
+
+
+def test_json_round_trip_keeps_signed_zeros():
+    entries = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-1.5, -0.0), 2.0]])
+    back = matrix_from_json(json.loads(json.dumps(matrix_to_json(CoefficientMatrix(2, 2, entries)))))
+    assert back.entries.tobytes() == entries.tobytes()
+
+
 def test_row_major_entry_order():
     # Column index n varies fastest in the flat entry list.
     A = CoefficientMatrix(2, 2, np.array([[1, 2], [3, 4]], dtype=complex))

@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
+from mnlab.extremizers import RowR, UnitE, build
 from mnlab.norms import CoefficientMatrix
 from mnlab.opnorm import (
     CSV_COLUMNS,
     BoundReport,
     SearchConfig,
+    _adjoint_gradient,
     _ascend,
+    _default_grid,
+    _escape_direction,
     estimate,
     ladder_diagnostics,
     objective,
@@ -23,6 +27,8 @@ from mnlab.opnorm import (
 
 E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 SUP_OVER_L1 = MixedExponents(1.0, 1.0, 0.0, 0.0)
+INTERIOR = MixedExponents(0.25, 0.5, 0.75, 0.5)
+COLUMN_EQUALITY = MixedExponents(0.5, 0.75, 0.25, 0.5)
 
 
 def random_matrix(rng, M, N):
@@ -106,14 +112,82 @@ def test_estimate_is_deterministic():
     assert first.to_json_dict() == second.to_json_dict()
 
 
-def test_thread_count_does_not_change_the_report(monkeypatch):
+def test_search_report_repeats_bit_for_bit():
+    # The same config twice gives the same report, also where the unit and
+    # row starts leave their critical points along the escape direction.
     e = MixedExponents(0.5, 0.5, 0.25, 0.25)
-    cfg = SearchConfig(restarts=2, max_iters=2, seed=3)
-    monkeypatch.delenv("MNL_THREADS", raising=False)
-    serial = estimate(2, 2, e, cfg)
-    monkeypatch.setenv("MNL_THREADS", "4")
-    threaded = estimate(2, 2, e, cfg)
-    assert serial.to_json_dict() == threaded.to_json_dict()
+    cfg = SearchConfig(restarts=2, max_iters=4, seed=3)
+    first = estimate(3, 2, e, cfg)
+    second = estimate(3, 2, e, cfg)
+    assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(second.to_json_dict(), sort_keys=True)
+
+
+def fd_gradient(entries, e, grid):
+    """Central finite differences on the 2MN real parameters: the gradient oracle."""
+    h = 1e-5 * float(np.linalg.norm(entries))
+    M, N = entries.shape
+    grad = np.zeros((M, N), dtype=complex)
+    for m in range(M):
+        for n in range(N):
+            for bump in (h, 1j * h):
+                plus = entries.copy()
+                plus[m, n] += bump
+                minus = entries.copy()
+                minus[m, n] -= bump
+                slope = (objective(CoefficientMatrix(M, N, plus), e, grid)
+                         - objective(CoefficientMatrix(M, N, minus), e, grid)) / (2.0 * h)
+                grad[m, n] += slope * bump / h
+    return grad
+
+
+@pytest.mark.parametrize("e", [
+    COLUMN_EQUALITY,
+    SUP_OVER_L1,
+    INTERIOR,
+    MixedExponents(0.0, 0.6, 0.3, 0.7),  # p = inf
+    MixedExponents(0.4, 0.6, 0.0, 0.7),  # r = inf
+], ids=["column-equality", "sup-l1", "interior", "p-inf", "r-inf"])
+@pytest.mark.parametrize("M,N", [(2, 3), (3, 4), (4, 2)])
+def test_adjoint_gradient_matches_central_differences(e, M, N):
+    rng = np.random.default_rng([M, N])
+    for _ in range(2):
+        entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        entries /= np.linalg.norm(entries)
+        grid = _default_grid(M, N)
+        oracle = fd_gradient(entries, e, grid)
+        assert np.linalg.norm(oracle) > 1e-3  # a non-stationary point
+        error = np.linalg.norm(_adjoint_gradient(entries, e, grid) - oracle)
+        assert error <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_adjoint_gradient_matches_central_differences_at_zero_entries_for_p_one():
+    # |a| has a kink at 0 when p = 1: central differences see no l^{p,q}
+    # slope there, and the adjoint gradient gives those entries weight 0.
+    rng = np.random.default_rng(9)
+    entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    entries[[0, 1, 2], [1, 3, 0]] = 0.0
+    e = MixedExponents(1.0, 0.5, 0.25, 0.5)
+    oracle = fd_gradient(entries, e, (24, 32))
+    error = np.linalg.norm(_adjoint_gradient(entries, e, (24, 32)) - oracle)
+    assert error <= 1e-6 * np.linalg.norm(oracle)
+
+
+def test_ascent_leaves_the_unit_saddle():
+    # The unit matrix is an exact critical point, where the gradient is
+    # roundoff; the fixed escape direction must still find an improvement.
+    start = build(UnitE(), 4, 4).entries
+    grid = _default_grid(4, 4)
+    assert np.linalg.norm(_adjoint_gradient(start, INTERIOR, grid)) < 1e-12
+    value, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=5))
+    assert value > history[0]
+
+
+def test_escape_direction_skips_scaling_and_phase():
+    # Neither direction changes the objective; a 1 x 1 matrix has no other.
+    entries = build(RowR(), 3, 2).entries
+    entries = entries / np.linalg.norm(entries)
+    assert abs(np.vdot(entries, _escape_direction(entries))) < 1e-12
+    assert np.linalg.norm(_escape_direction(np.array([[0.6 - 0.8j]]))) < 1e-12
 
 
 def test_ascent_history_is_monotone():
