@@ -27,7 +27,7 @@ from .norms import (
     lpq_norm,
     lrs_norm,
 )
-from .trigsum import EvalPath, EvalPlan, FrequencyScale, eval_nonortho, eval_sum, eval_sum_at
+from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum, eval_sum_at
 
 __all__ = [
     "Branch",
@@ -45,9 +45,8 @@ __all__ = [
     "holder_matrix_chain",
     "lpq_norm",
     "lrs_norm",
-    "EvalPath",
     "EvalPlan",
-    "FrequencyScale",
+    "default_grid",
     "eval_nonortho",
     "eval_sum",
     "eval_sum_at",

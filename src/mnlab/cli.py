@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .exponents import MixedExponents, phi, theta, upper_bound_magnitude
+from .exponents import MixedExponents, _reciprocal, phi, theta, upper_bound_magnitude
 from .extremizers import (
     ChirpB,
     ColumnC,
@@ -33,6 +33,7 @@ from .extremizers import (
     verify_dirichlet_lower,
 )
 from .norms import (
+    CoefficientMatrix,
     QuadratureSpec,
     grid_to_json,
     load_grid,
@@ -49,7 +50,7 @@ from .opnorm import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from .trigsum import EvalPath, EvalPlan, FrequencyScale, eval_nonortho, eval_sum
+from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum
 
 __all__ = ["main"]
 
@@ -89,17 +90,20 @@ def _exponents_from_args(args) -> MixedExponents:
         recip = getattr(args, recip_name)
         if value is not None and recip is not None:
             raise ValueError(f"give --{value_name} or --{recip_name}, not both")
-        if recip is not None:
-            recips.append(recip)
-        elif value is not None:
-            recips.append(0.0 if value == math.inf else 1.0 / value if value >= 1.0 else _bad(value_name, value))
-        else:
-            recips.append(0.5)  # default exponent 2
+        if value is not None:
+            recip = _reciprocal(value, f"--{value_name}")
+        recips.append(0.5 if recip is None else recip)  # default exponent 2
     return MixedExponents(*recips)
 
 
-def _bad(name: str, value) -> float:
-    raise ValueError(f"--{name} must lie in [1, inf], got {value}")
+def _grid_from_args(args) -> "tuple[int, int] | None":
+    """(Kx, Ky) from --Kx/--Ky, both positive, or None when neither is given."""
+    if (args.Kx is None) != (args.Ky is None):
+        raise ValueError("give --Kx and --Ky together, or neither")
+    if args.Kx is None:
+        return None
+    EvalPlan(args.Kx, args.Ky)  # rejects sizes below one
+    return (args.Kx, args.Ky)
 
 
 def _parse_ladder(text: str) -> list[int]:
@@ -150,8 +154,7 @@ def _cmd_norm(args) -> int:
     if args.matrix:
         out["lpq"] = lpq_norm(load_matrix(args.matrix), e)
     if args.grid:
-        out["lrs"] = lrs_norm(load_grid(args.grid), e,
-                              QuadratureSpec(oversample=args.oversample, refine_check=args.refine_check))
+        out["lrs"] = lrs_norm(load_grid(args.grid), e, QuadratureSpec(refine_check=args.refine_check))
     if not out:
         raise ValueError("give --matrix and/or --grid")
     _emit(out, args.out)
@@ -159,15 +162,10 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    grid = _grid_from_args(args)
     A = load_matrix(args.matrix)
-    Kx = args.Kx if args.Kx else args.oversample * A.M
-    Ky = args.Ky if args.Ky else args.oversample * A.N
-    if args.scale == "one":
-        plan = EvalPlan(Kx=Kx, Ky=Ky, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE)
-        f = eval_nonortho(A, plan)
-    else:
-        path = EvalPath.DIRECT if args.path == "direct" else EvalPath.ZERO_PAD_TRANSFORM
-        f = eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky, path=path))
+    evaluate = eval_nonortho if args.scale == "one" else eval_sum
+    f = evaluate(A, EvalPlan(*(grid or default_grid(A.M, A.N, args.oversample))))
     if args.out:
         save_grid(args.out, f)
     else:
@@ -193,17 +191,17 @@ def _cmd_bound(args) -> int:
 
 def _cmd_extremal(args) -> int:
     e = _exponents_from_args(args)
-    quad = QuadratureSpec(oversample=args.oversample)
     if args.kind == "chirp":
         report = verify_chirp_lower(args.M, args.N, eta=args.eta, grid_points=args.grid_points)
     elif args.kind in {"column", "row", "ones"}:
         kind = {"column": ColumnC(col=args.col, value=args.value),
                 "row": RowR(row=args.row, value=args.value),
                 "ones": OnesD(value=args.value)}[args.kind]
-        report = verify_dirichlet_lower(kind, args.M, args.N, e, samples=args.samples, quad=quad)
+        report = verify_dirichlet_lower(kind, args.M, args.N, e, samples=args.samples,
+                                        oversample=args.oversample)
     else:
         report = unit_sharpness(UnitE(row=args.row, col=args.col, value=args.value),
-                                args.M, args.N, e, quad=quad)
+                                args.M, args.N, e, oversample=args.oversample)
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -225,11 +223,8 @@ def _cmd_chirp_check(args) -> int:
 
 def _cmd_opnorm(args) -> int:
     e = _exponents_from_args(args)
-    if (args.Kx is None) != (args.Ky is None):
-        raise ValueError("give --Kx and --Ky together, or neither")
-    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, step=args.step,
-                       seed=args.seed, grid=None if args.Kx is None else (args.Kx, args.Ky),
-                       tol=args.tol, real_only=args.real_only)
+    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, step=args.step, seed=args.seed,
+                       grid=_grid_from_args(args), tol=args.tol, real_only=args.real_only)
     report = estimate(args.M, args.N, e, cfg)
     if args.jsonl:
         write_reports_jsonl(args.jsonl, [report])
@@ -265,8 +260,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_nonortho_check(args) -> int:
-    from .norms import CoefficientMatrix
-
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sizes = _parse_ladder(args.sizes)
@@ -274,8 +267,7 @@ def _cmd_nonortho_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_ratios = []
     for size in sizes:
-        K = max(args.oversample * size, 64)
-        plan = EvalPlan(Kx=K, Ky=K, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE)
+        plan = EvalPlan(*default_grid(size, size, args.oversample, floor=64))
         worst = 0.0
         for _ in range(args.trials):
             entries = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -305,7 +297,6 @@ def main(argv=None) -> int:
     p_norm = sub.add_parser("norm", help="print mixed norms of a matrix and/or grid file")
     p_norm.add_argument("--matrix")
     p_norm.add_argument("--grid")
-    p_norm.add_argument("--oversample", type=int, default=8)
     p_norm.add_argument("--refine-check", action="store_true")
     p_norm.add_argument("--out")
     _add_exponent_flags(p_norm)
@@ -314,10 +305,9 @@ def main(argv=None) -> int:
     p_eval = sub.add_parser("eval", help="sample the double sum (or its unit-frequency variant) to a grid file")
     p_eval.add_argument("--matrix", required=True)
     p_eval.add_argument("--out")
-    p_eval.add_argument("--Kx", type=int, default=0)
-    p_eval.add_argument("--Ky", type=int, default=0)
+    p_eval.add_argument("--Kx", type=int, default=None)
+    p_eval.add_argument("--Ky", type=int, default=None)
     p_eval.add_argument("--oversample", type=int, default=8)
-    p_eval.add_argument("--path", choices=["direct", "transform"], default="transform")
     p_eval.add_argument("--scale", choices=["two-pi", "one"], default="two-pi")
     p_eval.set_defaults(func=_cmd_eval)
 

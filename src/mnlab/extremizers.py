@@ -30,8 +30,8 @@ from typing import Union
 import numpy as np
 
 from .exponents import MixedExponents, upper_bound_magnitude
-from .norms import CoefficientMatrix, GridFunction, QuadratureSpec, lpq_norm, lrs_norm
-from .trigsum import EvalPath, EvalPlan, eval_sum
+from .norms import CoefficientMatrix, lpq_norm, lrs_norm
+from .trigsum import EvalPlan, default_grid, eval_sum
 
 __all__ = [
     "ChirpB",
@@ -40,10 +40,7 @@ __all__ = [
     "OnesD",
     "UnitE",
     "ExtremizerKind",
-    "ChirpParams",
     "build",
-    "chirp_sum",
-    "chirp_main_term",
     "quadratic_phase_sum",
     "quadratic_phase_main_term",
     "chirp_residual_sweep",
@@ -162,40 +159,15 @@ def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChirpParams:
-    """Evaluation point for the chirp sum, constrained to the central window.
+def quadratic_phase_sum(M: int, eta: float, xs: "float | np.ndarray") -> "complex | np.ndarray":
+    """sum_{m=0}^{M-1} e^{2 pi i m (x - (eta/4) m / M)} for a scalar x or each x of an array.
 
-    The window is eta <= x <= 1 - eta for 0 < eta < 1.  (The quality of the
-    closed-form approximation inside this window is measured, not assumed;
-    see `chirp_residual_sweep`.)
-    """
-
-    M: int
-    eta: float
-    x: float
-
-    def __post_init__(self) -> None:
-        if self.M < 1:
-            raise ValueError(f"M must be positive, got {self.M}")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
-        if not self.eta <= self.x <= 1.0 - self.eta:
-            raise ValueError(
-                f"x must lie in the window [eta, 1-eta] = [{self.eta}, {1.0 - self.eta}], got {self.x}"
-            )
-
-
-def quadratic_phase_sum(M: int, eta: float, x: float) -> complex:
-    """sum_{m=0}^{M-1} e^{2 pi i m (x - (eta/4) m / M)}, compensated accumulation.
-
-    Valid for any real x; phases are reduced mod 1 before exponentiation and
-    the real and imaginary parts are accumulated with exact (fsum) summation.
+    Valid for any real x; phases are reduced mod 1 before exponentiation.
     """
     m = np.arange(M, dtype=np.float64)
-    t = np.mod(m * x - (eta / 4.0) * (m * m) / M, 1.0)
-    z = np.exp(2j * np.pi * t)
-    return complex(math.fsum(z.real), math.fsum(z.imag))
+    t = np.mod(np.multiply.outer(xs, m) - (eta / 4.0) * (m * m) / M, 1.0)
+    sums = np.exp(2j * np.pi * t).sum(axis=-1)
+    return complex(sums) if np.ndim(xs) == 0 else sums
 
 
 def quadratic_phase_main_term(M: int, eta: float, x: float) -> complex:
@@ -213,23 +185,6 @@ def quadratic_phase_main_term(M: int, eta: float, x: float) -> complex:
         * cmath.exp(2j * math.pi * phase)
         * math.sqrt(M)
     )
-
-
-def chirp_sum(params: ChirpParams) -> complex:
-    """The chirp sum at a window-validated evaluation point."""
-    return quadratic_phase_sum(params.M, params.eta, params.x)
-
-
-def chirp_main_term(params: ChirpParams) -> complex:
-    """The stationary-phase closed form at a window-validated evaluation point."""
-    return quadratic_phase_main_term(params.M, params.eta, params.x)
-
-
-def _phase_sums_on_points(count: int, eta: float, xs: np.ndarray) -> np.ndarray:
-    """Vectorized quadratic-phase sums for a 1-D array of x values."""
-    m = np.arange(count, dtype=np.float64)
-    t = np.mod(np.outer(xs, m) - (eta / 4.0) * (m * m) / count, 1.0)
-    return np.exp(2j * np.pi * t).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -269,17 +224,21 @@ def chirp_residual_sweep(
     eta: float, Ms: "list[int] | tuple[int, ...]", xs: "list[float] | tuple[float, ...]"
 ) -> ChirpResidualReport:
     """Measure |chirp sum - main term| over an (M, x) grid and fit its growth."""
-    if len(Ms) < 2:
-        raise ValueError("need at least two M values to fit a slope")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    if any(M < 1 for M in Ms):
+        raise ValueError(f"every M must be >= 1, got {list(Ms)}")
+    if len(set(Ms)) < 2:
+        raise ValueError("need at least two distinct M values to fit a slope")
     xs_arr = np.asarray(xs, dtype=np.float64)
     max_residuals = []
     for M in Ms:
-        sums = _phase_sums_on_points(M, eta, xs_arr)
+        sums = quadratic_phase_sum(M, eta, xs_arr)
         mains = np.array([quadratic_phase_main_term(M, eta, float(x)) for x in xs_arr])
         max_residuals.append(float(np.max(np.abs(sums - mains))))
     slope = float(np.polyfit(np.log(np.asarray(Ms, dtype=float)), np.log(max_residuals), 1)[0])
     largest = max(Ms)
-    amp = float(np.max(np.abs(_phase_sums_on_points(largest, eta, xs_arr)))) / math.sqrt(largest)
+    amp = float(np.max(np.abs(quadratic_phase_sum(largest, eta, xs_arr)))) / math.sqrt(largest)
     return ChirpResidualReport(
         eta=float(eta),
         Ms=tuple(int(M) for M in Ms),
@@ -337,8 +296,8 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) 
     if grid_points < 2:
         raise ValueError(f"need at least two grid points, got {grid_points}")
     xs = np.linspace(eta, 1.0 - eta, grid_points)
-    fx = np.abs(_phase_sums_on_points(M, eta, xs))
-    fy = np.abs(_phase_sums_on_points(N, eta, xs))
+    fx = np.abs(quadratic_phase_sum(M, eta, xs))
+    fy = np.abs(quadratic_phase_sum(N, eta, xs))
     ix = int(np.argmin(fx))
     iy = int(np.argmin(fy))
     min_modulus = float(fx[ix] * fy[iy])
@@ -460,7 +419,7 @@ def verify_dirichlet_lower(
     N: int,
     e: MixedExponents,
     samples: int = 64,
-    quad: QuadratureSpec = QuadratureSpec(),
+    oversample: int = 8,
 ) -> DirichletLowerReport:
     """Check the kernel inequality pointwise, then certify the closed-form lower bound.
 
@@ -468,8 +427,12 @@ def verify_dirichlet_lower(
     for the kinds extending in that direction) at `samples` equispaced points
     plus both endpoints, comparing against sin(1) * dimension exactly — a
     failure raises, since the inequality is theorem-backed.  The certified
-    ratio is then compared against the growth bound constant.
+    ratio is then compared against the growth bound constant, and the
+    observed ratio is measured on the oversampled grid (at least 8 per side).
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     if isinstance(kind, ColumnC):
         margin = _check_dirichlet_pointwise(M, samples)
     elif isinstance(kind, RowR):
@@ -486,9 +449,7 @@ def verify_dirichlet_lower(
             f"at M={M}, N={N}, exponents {e.as_tuple()} — implementation bug"
         )
     A = build(kind, M, N)
-    grid = EvalPlan(Kx=max(quad.oversample * M, 8), Ky=max(quad.oversample * N, 8),
-                    path=EvalPath.ZERO_PAD_TRANSFORM)
-    observed = lrs_norm(eval_sum(A, grid), e, quad) / lpq_norm(A, e)
+    observed = lrs_norm(eval_sum(A, grid), e) / lpq_norm(A, e)
     return DirichletLowerReport(
         kind=kind_name(kind),
         M=M,
@@ -531,7 +492,7 @@ class UnitSharpnessReport:
 
 
 def unit_sharpness(
-    kind: UnitE, M: int, N: int, e: MixedExponents, quad: QuadratureSpec = QuadratureSpec()
+    kind: UnitE, M: int, N: int, e: MixedExponents, oversample: int = 8
 ) -> UnitSharpnessReport:
     """Confirm that a single-entry matrix gives operator ratio exactly one.
 
@@ -539,10 +500,9 @@ def unit_sharpness(
     norm is exact regardless of resolution and the ratio is 1 up to roundoff
     for every exponent tuple and entry position.
     """
+    grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     A = build(kind, M, N)
-    grid = EvalPlan(Kx=max(quad.oversample * M, 8), Ky=max(quad.oversample * N, 8),
-                    path=EvalPath.ZERO_PAD_TRANSFORM)
-    lhs = lrs_norm(eval_sum(A, grid), e, quad)
+    lhs = lrs_norm(eval_sum(A, grid), e)
     rhs = lpq_norm(A, e)
     return UnitSharpnessReport(M=M, N=N, exponents=e, lhs=float(lhs), rhs=float(rhs),
                                ratio=float(lhs / rhs))

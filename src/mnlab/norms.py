@@ -106,21 +106,16 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid-quadrature policy: oversampling factor and optional refinement check.
+    """Grid-quadrature policy: the optional refinement check of lrs_norm.
 
-    `oversample` scales the default grid relative to the matrix dimensions
-    (callers build grids of size oversample*M by oversample*N).  With
-    `refine_check` set, lrs_norm recomputes on the half-coarse grid and warns
-    when the two values disagree by more than `rel_tol` relatively.
+    With `refine_check` set, lrs_norm recomputes on the half-coarse grid and
+    warns when the two values disagree by more than `rel_tol` relatively.
     """
 
-    oversample: int = 8
     refine_check: bool = False
     rel_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.oversample < 2:
-            raise ValueError(f"oversample must be >= 2, got {self.oversample}")
         if not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 

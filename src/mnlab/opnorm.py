@@ -49,8 +49,8 @@ from .extremizers import (
     build,
     certified_lower_bound,
 )
-from .norms import CoefficientMatrix, QuadratureSpec, lpq_norm, lrs_norm, mixed_norm_gradient
-from .trigsum import EvalPath, EvalPlan, eval_sum
+from .norms import CoefficientMatrix, lpq_norm, lrs_norm, mixed_norm_gradient
+from .trigsum import EvalPlan, default_grid, eval_sum
 
 __all__ = [
     "GRID_TOL",
@@ -84,9 +84,9 @@ class SearchConfig:
     """Multi-start ascent configuration; identical configs give identical reports.
 
     `grid` fixes the quadrature grid (Kx, Ky) for the objective; None selects
-    8x oversampling of the matrix dimensions.  `step` is the initial ascent
-    step, halved on rejection down to `tol`, at which point the restart is
-    considered stagnant.
+    8x oversampling of the matrix dimensions, at least 16 per side.  `step`
+    is the initial ascent step, halved on rejection down to `tol`, at which
+    point the restart is considered stagnant.
     """
 
     restarts: int = 8
@@ -161,17 +161,12 @@ class BoundReport:
         ]
 
 
-def _default_grid(M: int, N: int) -> tuple[int, int]:
-    return (max(8 * M, 16), max(8 * N, 16))
-
-
 def objective(A: CoefficientMatrix, e: MixedExponents, grid: tuple[int, int]) -> float:
     """||T A||_{L^{r,s}} on the grid divided by ||A||_{l^{p,q}}."""
     denom = lpq_norm(A, e)
     if denom == 0.0:
         raise ValueError("objective undefined for the zero matrix")
-    plan = EvalPlan(Kx=grid[0], Ky=grid[1], path=EvalPath.ZERO_PAD_TRANSFORM)
-    return lrs_norm(eval_sum(A, plan), e, QuadratureSpec(oversample=8)) / denom
+    return lrs_norm(eval_sum(A, EvalPlan(*grid)), e) / denom
 
 
 # ----------------------------------------------------------------------------
@@ -188,7 +183,7 @@ def _phase(z: np.ndarray) -> np.ndarray:
 def _adjoint_gradient(entries: np.ndarray, e: MixedExponents, grid: tuple[int, int]) -> np.ndarray:
     """Gradient of the objective in the 2MN real parameters of A, as d/dRe + i d/dIm."""
     M, N = entries.shape
-    samples = eval_sum(CoefficientMatrix(M, N, entries), EvalPlan(Kx=grid[0], Ky=grid[1])).samples
+    samples = eval_sum(CoefficientMatrix(M, N, entries), EvalPlan(*grid)).samples
     lrs, lrs_weights = mixed_norm_gradient(np.abs(samples), e.gamma, e.delta, mean=True)
     lpq, lpq_weights = mixed_norm_gradient(np.abs(entries), e.alpha, e.beta, mean=False)
     pulled_back = np.fft.fft2(lrs_weights * _phase(samples))[:M, :N]
@@ -274,7 +269,7 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     starts (deterministically spawned from cfg.seed) and reduces to the best
     value in start order, so reports are reproducible bit-for-bit.
     """
-    grid = cfg.grid if cfg.grid is not None else _default_grid(M, N)
+    grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
     searched = max(_ascend(start, e, grid, cfg)[0] for start in _start_matrices(M, N, cfg))
 
     candidates = [("unit", 1.0)]

@@ -2,123 +2,91 @@
 
 S_{M,N}(x, y) = sum_{n=1}^{N} sum_{m=1}^{M} a_{mn} e^{2 pi i ((m-1)x + (n-1)y)}
 
-is a trigonometric polynomial with nonnegative frequencies, so it can be
-sampled either directly (two small matrix products) or by zero-padding the
-coefficient matrix into a Kx x Ky array and applying an inverse FFT; the two
-paths agree to near machine precision and the transform convention is pinned
-by that agreement.
+is a trigonometric polynomial with nonnegative frequencies, so `eval_sum`
+samples it on the unit-periodic grid by zero-padding the coefficient matrix
+into a Kx x Ky array and applying an inverse FFT.  The direct double sum
+(two small matrix products) is the independent oracle: `eval_sum_at` uses it
+at any point, and the tests pin the transform convention against it.
 
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
 commensurate with the unit-periodic grid — V is 2 pi -periodic, not
-1-periodic — so only the direct path applies and no periodicity in the unit
-cell may be assumed.
+1-periodic — so `eval_nonortho` uses the direct sum and no periodicity in
+the unit cell may be assumed.  `default_grid` is the one grid-size rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .norms import CoefficientMatrix, GridFunction
 
 __all__ = [
-    "EvalPath",
-    "FrequencyScale",
     "EvalPlan",
+    "default_grid",
     "eval_sum",
     "eval_sum_at",
     "eval_nonortho",
 ]
 
 
-class EvalPath(Enum):
-    DIRECT = "direct"
-    ZERO_PAD_TRANSFORM = "zero_pad_transform"
-
-
-class FrequencyScale(Enum):
-    TWO_PI = "two_pi"  # e^{2 pi i ((m-1)x + (n-1)y)}
-    ONE = "one"        # e^{i((m-1)x + (n-1)y)}
-
-
 @dataclass(frozen=True)
 class EvalPlan:
-    """Output grid sizes plus the evaluation path and frequency scale."""
+    """Output grid sizes Kx x Ky, both positive."""
 
     Kx: int
     Ky: int
-    path: EvalPath = EvalPath.ZERO_PAD_TRANSFORM
-    frequency_scale: FrequencyScale = FrequencyScale.TWO_PI
 
     def __post_init__(self) -> None:
         if self.Kx < 1 or self.Ky < 1:
             raise ValueError(f"grid sizes must be positive, got Kx={self.Kx}, Ky={self.Ky}")
 
 
-def _phase_matrix(points: np.ndarray, count: int, scale: float) -> np.ndarray:
-    """exp(i * scale * x_j * f) for the frequency row f = 0..count-1."""
-    return np.exp(1j * scale * np.outer(points, np.arange(count)))
+def default_grid(M: int, N: int, oversample: int = 8, floor: int = 1) -> tuple[int, int]:
+    """(max(oversample * M, floor), max(oversample * N, floor)); oversample must be >= 2."""
+    if oversample < 2:
+        raise ValueError(f"oversample must be >= 2, got {oversample}")
+    return (max(oversample * M, floor), max(oversample * N, floor))
+
+
+def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) -> np.ndarray:
+    """The literal double sum at the points xs x ys, with frequencies scaled by `scale`."""
+    ex = np.exp(1j * scale * np.outer(xs, np.arange(A.M)))
+    ey = np.exp(1j * scale * np.outer(ys, np.arange(A.N)))
+    return ex @ A.entries @ ey.T
 
 
 def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
     """Sample S_{M,N} on the plan's grid (frequency scale 2 pi).
 
-    The zero-pad path embeds A at nonnegative frequencies (m-1, n-1) of a
-    Kx x Ky array P and returns ifft2(P) * Kx * Ky, which reproduces the
-    literal double sum; it requires Kx >= M and Ky >= N.
+    A is embedded at the nonnegative frequencies (m-1, n-1) of a Kx x Ky
+    array P, and ifft2(P) * Kx * Ky reproduces the literal double sum; this
+    requires Kx >= M and Ky >= N.
     """
-    if plan.frequency_scale is not FrequencyScale.TWO_PI:
-        raise ValueError("eval_sum is the 2-pi-frequency evaluator; use eval_nonortho for scale one")
     M, N = A.M, A.N
-    if plan.path is EvalPath.ZERO_PAD_TRANSFORM:
-        if plan.Kx < M or plan.Ky < N:
-            raise ValueError(
-                f"zero-pad transform needs Kx >= M and Ky >= N, got ({plan.Kx}, {plan.Ky}) for ({M}, {N})"
-            )
-        padded = np.zeros((plan.Kx, plan.Ky), dtype=np.complex128)
-        padded[:M, :N] = A.entries
-        samples = np.fft.ifft2(padded) * (plan.Kx * plan.Ky)
-    else:
-        x = np.arange(plan.Kx) / plan.Kx
-        y = np.arange(plan.Ky) / plan.Ky
-        ex = _phase_matrix(x, M, 2.0 * np.pi)
-        ey = _phase_matrix(y, N, 2.0 * np.pi)
-        samples = ex @ A.entries @ ey.T
+    if plan.Kx < M or plan.Ky < N:
+        raise ValueError(
+            f"zero-pad transform needs Kx >= M and Ky >= N, got ({plan.Kx}, {plan.Ky}) for ({M}, {N})"
+        )
+    padded = np.zeros((plan.Kx, plan.Ky), dtype=np.complex128)
+    padded[:M, :N] = A.entries
+    samples = np.fft.ifft2(padded) * (plan.Kx * plan.Ky)
     return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=samples)
 
 
-def eval_sum_at(
-    A: CoefficientMatrix,
-    x: float,
-    y: float,
-    frequency_scale: FrequencyScale = FrequencyScale.TWO_PI,
-) -> complex:
+def eval_sum_at(A: CoefficientMatrix, x: float, y: float, scale: float = 2.0 * np.pi) -> complex:
     """Direct double-sum evaluation at a single (possibly off-grid) point.
 
-    The canonical domain is the unit square, but any real (x, y) is accepted;
-    with the 2-pi scale the value is 1-periodic in each variable.
+    `scale` multiplies the frequencies: 2 pi for S (1-periodic in each
+    variable), 1 for V.  Any real (x, y) is accepted.
     """
-    scale = 2.0 * np.pi if frequency_scale is FrequencyScale.TWO_PI else 1.0
-    ex = np.exp(1j * scale * x * np.arange(A.M))
-    ey = np.exp(1j * scale * y * np.arange(A.N))
-    return complex(ex @ A.entries @ ey)
+    return complex(_direct(A, np.array([x]), np.array([y]), scale)[0, 0])
 
 
 def eval_nonortho(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
-    """Sample V_{M,N} (frequency scale one) on the plan's grid over the unit square.
-
-    Only the direct path applies: the unit-frequency exponentials do not lie
-    on any 1-periodic transform grid.
-    """
-    if plan.frequency_scale is not FrequencyScale.ONE:
-        raise ValueError("eval_nonortho requires frequency scale one")
-    if plan.path is not EvalPath.DIRECT:
-        raise ValueError("the non-orthogonal sum supports only the direct path")
+    """Sample V_{M,N} (frequency scale one) on the plan's grid over the unit square."""
     x = np.arange(plan.Kx) / plan.Kx
     y = np.arange(plan.Ky) / plan.Ky
-    ex = _phase_matrix(x, A.M, 1.0)
-    ey = _phase_matrix(y, A.N, 1.0)
-    return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=ex @ A.entries @ ey.T)
+    return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=_direct(A, x, y, 1.0))

@@ -27,7 +27,7 @@ from mnlab.extremizers import (
 )
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import SearchConfig, estimate, sharpness_sweep
-from mnlab.trigsum import EvalPath, EvalPlan, FrequencyScale, eval_nonortho, eval_sum
+from mnlab.trigsum import EvalPlan, eval_nonortho, eval_sum
 
 E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 
@@ -55,7 +55,7 @@ def test_criterion_1_parseval_identity():
     for _ in range(100):
         M, N = int(rng.integers(1, 33)), int(rng.integers(1, 33))
         A = _random_matrix(rng, M, N)
-        f = eval_sum(A, EvalPlan(Kx=2 * M, Ky=2 * N, path=EvalPath.ZERO_PAD_TRANSFORM))
+        f = eval_sum(A, EvalPlan(Kx=2 * M, Ky=2 * N))
         lhs = lrs_norm(f, E2222)
         rhs = lpq_norm(A, E2222)
         worst = max(worst, abs(lhs - rhs) / rhs)
@@ -196,7 +196,7 @@ def test_criterion_9_unit_frequency_boundedness():
     max_ratios = []
     for size in sizes:
         K = max(8 * size, 64)
-        plan = EvalPlan(Kx=K, Ky=K, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE)
+        plan = EvalPlan(Kx=K, Ky=K)
         worst = 0.0
         for _ in range(50):
             A = _random_matrix(rng, size, size)

@@ -236,6 +236,44 @@ def test_nonortho_check_without_trials_fails(capsys):
     assert captured.err.strip() == "error: --trials must be >= 1, got 0"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["chirp-check", "--eta", "0", "--M-ladder", "8:16"], "eta must lie in (0, 1), got 0.0"),
+    (["chirp-check", "--eta", "-0.2", "--M-ladder", "8:16"], "eta must lie in (0, 1), got -0.2"),
+    (["chirp-check", "--M-ladder", "0,16"], "every M must be >= 1, got [0, 16]"),
+    (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
+    (["eval", "--Kx", "0", "--Ky", "0"], "grid sizes must be positive, got Kx=0, Ky=0"),
+    (["eval", "--Kx", "16"], "give --Kx and --Ky together, or neither"),
+    (["eval", "--oversample", "1"], "oversample must be >= 2, got 1"),
+    (["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "-5"],
+     "oversample must be >= 2, got -5"),
+    (["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "0"],
+     "oversample must be >= 2, got 0"),
+    (["extremal", "--kind", "column", "--M", "3", "--N", "2", "--oversample", "1"],
+     "oversample must be >= 2, got 1"),
+    (["extremal", "--kind", "unit", "--M", "3", "--N", "2", "--oversample", "1"],
+     "oversample must be >= 2, got 1"),
+    (["extremal", "--kind", "column", "--M", "3", "--N", "2", "--samples", "-2"],
+     "samples must be >= 0, got -2"),
+], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
+        "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
+        "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
+        "extremal-negative-samples"])
+def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
+    if argv[0] == "eval":
+        argv = [*argv, "--matrix", str(matrix_file[0])]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_eval_default_grid_is_oversample_times_the_matrix(matrix_file, capsys):
+    path, A = matrix_file
+    assert main(["eval", "--matrix", str(path), "--oversample", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["Kx"], doc["Ky"]) == (3 * A.M, 3 * A.N)
+
+
 @pytest.mark.parametrize("document", [
     "[1, 2]",
     '{"M": 2, "N": 1}',

@@ -10,16 +10,13 @@ from mnlab.exponents import MixedExponents, upper_bound_magnitude
 from mnlab.extremizers import (
     SIN1,
     ChirpB,
-    ChirpParams,
     ColumnC,
     OnesD,
     RowR,
     UnitE,
     build,
     certified_lower_bound,
-    chirp_main_term,
     chirp_residual_sweep,
-    chirp_sum,
     dirichlet_quotient,
     kind_name,
     quadratic_phase_main_term,
@@ -96,21 +93,18 @@ def test_kind_names():
 # ----------------------------------------------------------------------------
 
 
-def test_chirp_params_window():
-    ChirpParams(M=8, eta=0.2, x=0.2)
-    ChirpParams(M=8, eta=0.2, x=0.8)
-    with pytest.raises(ValueError):
-        ChirpParams(M=8, eta=0.2, x=0.1)
-    with pytest.raises(ValueError):
-        ChirpParams(M=8, eta=0.2, x=0.85)
-    with pytest.raises(ValueError):
-        ChirpParams(M=0, eta=0.2, x=0.5)
-    with pytest.raises(ValueError):
-        ChirpParams(M=8, eta=0.0, x=0.5)
-
-
 def test_single_term_chirp_sum_is_one():
-    assert chirp_sum(ChirpParams(M=1, eta=0.2, x=0.4)) == pytest.approx(1.0 + 0j, abs=1e-15)
+    assert quadratic_phase_sum(1, 0.2, 0.4) == pytest.approx(1.0 + 0j, abs=1e-15)
+
+
+def test_chirp_sum_takes_a_scalar_or_an_array():
+    xs = np.array([0.02, 0.3, 0.77])
+    sums = quadratic_phase_sum(64, 0.2, xs)
+    assert sums.shape == (3,)
+    for x, total in zip(xs, sums):
+        value = quadratic_phase_sum(64, 0.2, float(x))
+        assert isinstance(value, complex)
+        assert value == total
 
 
 def test_two_term_chirp_sum_by_hand():
@@ -127,8 +121,6 @@ def test_main_term_modulus_law():
                 assert abs(quadratic_phase_main_term(M, eta, x)) == pytest.approx(
                     math.sqrt(2.0 * M / eta), rel=1e-13
                 )
-    params = ChirpParams(M=16, eta=0.2, x=0.5)
-    assert abs(chirp_main_term(params)) == pytest.approx(math.sqrt(2.0 * 16 / 0.2), rel=1e-13)
 
 
 def test_chirp_image_factorizes_into_axis_sums():

@@ -23,7 +23,7 @@ from mnlab.norms import (
     matrix_from_json,
     matrix_to_json,
 )
-from mnlab.trigsum import EvalPath, EvalPlan, eval_sum
+from mnlab.trigsum import EvalPlan, eval_sum
 
 
 def random_matrix(rng, M, N):
@@ -193,7 +193,7 @@ def test_parseval_on_the_smallest_exact_grid():
         M, N = int(rng.integers(1, 33)), int(rng.integers(1, 33))
         A = random_matrix(rng, M, N)
         for Kx, Ky in [(2 * M - 1 if M > 1 else 1, 2 * N - 1 if N > 1 else 1), (2 * M, 2 * N)]:
-            f = eval_sum(A, EvalPlan(Kx=max(Kx, M), Ky=max(Ky, N), path=EvalPath.ZERO_PAD_TRANSFORM))
+            f = eval_sum(A, EvalPlan(Kx=max(Kx, M), Ky=max(Ky, N)))
             assert lrs_norm(f, e22) == pytest.approx(lpq_norm(A, e22), rel=1e-9)
 
 
@@ -243,7 +243,7 @@ def test_refine_check_warns_on_under_resolved_grid():
     f = eval_sum(A, EvalPlan(Kx=8, Ky=8))
     e = MixedExponents(0.5, 0.5, 0.25, 0.25)  # r = s = 4: |S|^4 needs a finer grid
     with pytest.warns(QuadratureWarning):
-        lrs_norm(f, e, QuadratureSpec(oversample=2, refine_check=True, rel_tol=1e-12))
+        lrs_norm(f, e, QuadratureSpec(refine_check=True, rel_tol=1e-12))
 
 
 def test_refine_check_quiet_on_resolved_grid():
@@ -253,7 +253,7 @@ def test_refine_check_quiet_on_resolved_grid():
     e = MixedExponents(0.5, 0.5, 0.25, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lrs_norm(f, e, QuadratureSpec(oversample=8, refine_check=True, rel_tol=1e-3))
+        lrs_norm(f, e, QuadratureSpec(refine_check=True, rel_tol=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,5 @@ def test_construction_validation():
         CoefficientMatrix(2, 2, np.array([[1, 2], [3, np.nan]], dtype=complex))
     with pytest.raises(ValueError):
         GridFunction(0, 4, np.zeros((0, 4), dtype=complex))
-    with pytest.raises(ValueError):
-        QuadratureSpec(oversample=1)
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)

@@ -15,7 +15,6 @@ from mnlab.opnorm import (
     SearchConfig,
     _adjoint_gradient,
     _ascend,
-    _default_grid,
     _escape_direction,
     estimate,
     ladder_diagnostics,
@@ -24,6 +23,7 @@ from mnlab.opnorm import (
     write_reports_csv,
     write_reports_jsonl,
 )
+from mnlab.trigsum import default_grid
 
 E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 SUP_OVER_L1 = MixedExponents(1.0, 1.0, 0.0, 0.0)
@@ -153,7 +153,7 @@ def test_adjoint_gradient_matches_central_differences(e, M, N):
     for _ in range(2):
         entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
         entries /= np.linalg.norm(entries)
-        grid = _default_grid(M, N)
+        grid = default_grid(M, N, floor=16)
         oracle = fd_gradient(entries, e, grid)
         assert np.linalg.norm(oracle) > 1e-3  # a non-stationary point
         error = np.linalg.norm(_adjoint_gradient(entries, e, grid) - oracle)
@@ -176,7 +176,7 @@ def test_ascent_leaves_the_unit_saddle():
     # The unit matrix is an exact critical point, where the gradient is
     # roundoff; the fixed escape direction must still find an improvement.
     start = build(UnitE(), 4, 4).entries
-    grid = _default_grid(4, 4)
+    grid = default_grid(4, 4, floor=16)
     assert np.linalg.norm(_adjoint_gradient(start, INTERIOR, grid)) < 1e-12
     value, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=5))
     assert value > history[0]

@@ -8,14 +8,7 @@ import pytest
 
 from mnlab.exponents import MixedExponents
 from mnlab.norms import CoefficientMatrix, lpq_norm
-from mnlab.trigsum import (
-    EvalPath,
-    EvalPlan,
-    FrequencyScale,
-    eval_nonortho,
-    eval_sum,
-    eval_sum_at,
-)
+from mnlab.trigsum import EvalPlan, _direct, default_grid, eval_nonortho, eval_sum, eval_sum_at
 
 
 def random_matrix(rng, M, N):
@@ -25,10 +18,11 @@ def random_matrix(rng, M, N):
 def test_direct_and_transform_paths_agree():
     rng = np.random.default_rng(0)
     A = random_matrix(rng, 64, 64)
-    f_fft = eval_sum(A, EvalPlan(Kx=512, Ky=512, path=EvalPath.ZERO_PAD_TRANSFORM))
-    f_dir = eval_sum(A, EvalPlan(Kx=512, Ky=512, path=EvalPath.DIRECT))
+    f_fft = eval_sum(A, EvalPlan(Kx=512, Ky=512))
+    nodes = np.arange(512) / 512
+    direct = _direct(A, nodes, nodes, 2.0 * np.pi)
     scale = np.max(np.abs(f_fft.samples))
-    assert np.max(np.abs(f_fft.samples - f_dir.samples)) <= 1e-10 * scale
+    assert np.max(np.abs(f_fft.samples - direct)) <= 1e-10 * scale
 
 
 def test_transform_convention_matches_pointwise_sum():
@@ -36,7 +30,7 @@ def test_transform_convention_matches_pointwise_sum():
     # literal double sum at grid nodes.
     rng = np.random.default_rng(1)
     A = random_matrix(rng, 5, 3)
-    f = eval_sum(A, EvalPlan(Kx=12, Ky=7, path=EvalPath.ZERO_PAD_TRANSFORM))
+    f = eval_sum(A, EvalPlan(Kx=12, Ky=7))
     for j, k in [(0, 0), (3, 2), (11, 6), (7, 1)]:
         direct = eval_sum_at(A, j / 12, k / 7)
         assert abs(f.samples[j, k] - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -66,8 +60,8 @@ def test_unit_periodicity_of_the_two_pi_sum():
 def test_unit_frequency_sum_is_not_unit_periodic():
     # V has period 2*pi, not 1; shifting x by 1 must change the value.
     A = CoefficientMatrix(2, 2, np.ones((2, 2), dtype=complex))
-    v0 = eval_sum_at(A, 0.3, 0.2, FrequencyScale.ONE)
-    v1 = eval_sum_at(A, 1.3, 0.2, FrequencyScale.ONE)
+    v0 = eval_sum_at(A, 0.3, 0.2, scale=1.0)
+    v1 = eval_sum_at(A, 1.3, 0.2, scale=1.0)
     assert abs(v1 - v0) > 0.05
 
 
@@ -127,32 +121,60 @@ def test_column_matrix_matches_dirichlet_closed_form():
 def test_nonortho_value_and_trivial_cases():
     # 1x1: V is the constant a_11.
     A = CoefficientMatrix(1, 1, np.array([[0.5 + 2j]]))
-    plan = EvalPlan(Kx=8, Ky=8, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE)
-    f = eval_nonortho(A, plan)
+    f = eval_nonortho(A, EvalPlan(Kx=8, Ky=8))
     assert np.max(np.abs(f.samples - (0.5 + 2j))) <= 1e-14
     # Single unit entry: |V| = 1 everywhere.
     entries = np.zeros((3, 3), dtype=complex)
     entries[2, 1] = 1.0
     E = CoefficientMatrix(3, 3, entries)
-    g = eval_nonortho(E, EvalPlan(Kx=16, Ky=16, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE))
+    g = eval_nonortho(E, EvalPlan(Kx=16, Ky=16))
     assert np.max(np.abs(np.abs(g.samples) - 1.0)) <= 1e-12
     # Grid values match the pointwise evaluator.
     rng = np.random.default_rng(6)
     B = random_matrix(rng, 3, 2)
-    h = eval_nonortho(B, EvalPlan(Kx=4, Ky=4, path=EvalPath.DIRECT, frequency_scale=FrequencyScale.ONE))
-    assert h.samples[1, 3] == pytest.approx(eval_sum_at(B, 1 / 4, 3 / 4, FrequencyScale.ONE), rel=1e-12)
+    h = eval_nonortho(B, EvalPlan(Kx=4, Ky=4))
+    assert h.samples[1, 3] == pytest.approx(eval_sum_at(B, 1 / 4, 3 / 4, scale=1.0), rel=1e-12)
 
 
 def test_plan_validation():
     rng = np.random.default_rng(7)
     A = random_matrix(rng, 4, 4)
-    with pytest.raises(ValueError):
-        eval_sum(A, EvalPlan(Kx=2, Ky=8, path=EvalPath.ZERO_PAD_TRANSFORM))
-    with pytest.raises(ValueError):
-        eval_sum(A, EvalPlan(Kx=8, Ky=8, frequency_scale=FrequencyScale.ONE))
-    with pytest.raises(ValueError):
-        eval_nonortho(A, EvalPlan(Kx=8, Ky=8, path=EvalPath.DIRECT))
-    with pytest.raises(ValueError):
-        eval_nonortho(A, EvalPlan(Kx=8, Ky=8, frequency_scale=FrequencyScale.ONE))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero-pad transform needs"):
+        eval_sum(A, EvalPlan(Kx=2, Ky=8))
+    with pytest.raises(ValueError, match="grid sizes must be positive"):
         EvalPlan(Kx=0, Ky=4)
+    for oversample in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"oversample must be >= 2, got {oversample}"):
+            default_grid(4, 4, oversample)
+
+
+# Each grid-size rule that default_grid replaced, as a function of
+# (M, N, oversample), next to the call its caller now makes.
+LEGACY_GRIDS = {
+    "opnorm": (
+        lambda M, N, k: (max(8 * M, 16), max(8 * N, 16)),
+        lambda M, N, k: default_grid(M, N, floor=16),
+    ),
+    "extremal": (
+        lambda M, N, k: (max(k * M, 8), max(k * N, 8)),
+        lambda M, N, k: default_grid(M, N, k, floor=8),
+    ),
+    "eval": (
+        lambda M, N, k: (k * M, k * N),
+        lambda M, N, k: default_grid(M, N, k),
+    ),
+    "nonortho-check": (
+        lambda M, N, k: (max(k * M, 64), max(k * M, 64)),
+        lambda M, N, k: default_grid(M, M, k, floor=64),
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(LEGACY_GRIDS))
+def test_default_grid_reproduces_every_legacy_grid(caller):
+    legacy, current = LEGACY_GRIDS[caller]
+    for M in (1, 2, 3, 8, 33):
+        for N in (1, 5, 16):
+            for k in (2, 3, 8, 16):
+                assert current(M, N, k) == legacy(M, N, k), (M, N, k)
+
