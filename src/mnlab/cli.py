@@ -21,11 +21,11 @@ import numpy as np
 
 from .exponents import MixedExponents, _reciprocal, phi, theta, upper_bound_magnitude
 from .extremizers import (
-    ChirpB,
     ColumnC,
     OnesD,
     RowR,
     UnitE,
+    # Not called here, but span tracers rebind it as cli.build.
     build,
     chirp_residual_sweep,
     unit_sharpness,

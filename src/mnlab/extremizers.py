@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .exponents import MixedExponents, upper_bound_magnitude
-from .norms import CoefficientMatrix, lpq_norm, lrs_norm
+from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm
 from .trigsum import EvalPlan, default_grid, eval_sum
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
     "OnesD",
     "UnitE",
     "ExtremizerKind",
+    "KINDS",
+    "kind_name",
     "build",
     "quadratic_phase_sum",
     "quadratic_phase_main_term",
@@ -51,9 +53,7 @@ __all__ = [
     "unit_sharpness",
     "SIN1",
     "ChirpResidualReport",
-    "ChirpLowerReport",
-    "DirichletLowerReport",
-    "UnitSharpnessReport",
+    "ExtremalReport",
 ]
 
 SIN1 = math.sin(1.0)
@@ -108,9 +108,20 @@ class UnitE:
 
 ExtremizerKind = Union[ChirpB, ColumnC, RowR, OnesD, UnitE]
 
+# Each kind's name and, for column, row and ones, the axes along which its sum
+# is a Dirichlet kernel: "x" of length M, "y" of length N.  The search takes
+# its warm starts in this order.
+KINDS = {
+    UnitE: ("unit", None),
+    OnesD: ("ones", ("x", "y")),
+    ColumnC: ("column", ("x",)),
+    RowR: ("row", ("y",)),
+    ChirpB: ("chirp", None),
+}
+
 
 def kind_name(kind: ExtremizerKind) -> str:
-    return {ChirpB: "chirp", ColumnC: "column", RowR: "row", OnesD: "ones", UnitE: "unit"}[type(kind)]
+    return KINDS[type(kind)][0]
 
 
 def _check_index(value: int, upper: int, what: str) -> None:
@@ -188,7 +199,7 @@ def quadratic_phase_main_term(M: int, eta: float, x: float) -> complex:
 
 
 @dataclass(frozen=True)
-class ChirpResidualReport:
+class ChirpResidualReport(JsonReport):
     """Residual sweep of the chirp sum against its stationary-phase main term.
 
     `max_residuals[i]` is max over the x-sample of |sum - main term| at
@@ -206,18 +217,7 @@ class ChirpResidualReport:
     slope: float
     amplitude_ratio: float
     predicted_amplitude: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "chirp_residual",
-            "eta": self.eta,
-            "Ms": list(self.Ms),
-            "xs": list(self.xs),
-            "max_residuals": list(self.max_residuals),
-            "slope": self.slope,
-            "amplitude_ratio": self.amplitude_ratio,
-            "predicted_amplitude": self.predicted_amplitude,
-        }
+    kind: str = "chirp_residual"
 
 
 def chirp_residual_sweep(
@@ -231,6 +231,8 @@ def chirp_residual_sweep(
     if len(set(Ms)) < 2:
         raise ValueError("need at least two distinct M values to fit a slope")
     xs_arr = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.isfinite(xs_arr)):
+        raise ValueError(f"every x must be finite, got {list(xs)}")
     max_residuals = []
     for M in Ms:
         sums = quadratic_phase_sum(M, eta, xs_arr)
@@ -251,43 +253,40 @@ def chirp_residual_sweep(
 
 
 @dataclass(frozen=True)
-class ChirpLowerReport:
-    """Minimum of |T B| / sqrt(M N) over a sub-square grid.
+class ExtremalReport(JsonReport):
+    """An extremizer's lower bound on the operator ratio against the growth bound.
 
-    In the central exponent region (alpha, beta <= 1/2 <= gamma, delta) the
-    growth bound constant is M^(1/2-alpha) N^(1/2-beta), so `min_ratio` is
-    exactly the observed constant relating the chirp lower bound to the upper
-    bound there.  Recorded, not asserted.
+    `ratio` is lower / upper.  The chirp report adds its `eta` and has no
+    exponents.  The column, row and ones reports certify `lower` and add the
+    `observed` grid measurement of the ratio, which sits above it up to
+    quadrature error; their `ratio` is at most 1 by soundness of the growth
+    bound.
     """
 
+    kind: str
     M: int
     N: int
-    eta: float
-    grid_points: int
-    min_modulus: float
-    min_ratio: float
-    at_x: float
-    at_y: float
+    exponents: "MixedExponents | None"
+    lower: float
+    upper: float
+    ratio: float = field(init=False)
+    eta: "float | None" = None
+    observed: "float | None" = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "chirp",
-            "M": self.M,
-            "N": self.N,
-            "eta": self.eta,
-            "exponents": None,
-            "lower": self.min_modulus,
-            "upper": math.sqrt(self.M * self.N),
-            "ratio": self.min_ratio,
-        }
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ratio", self.lower / self.upper)
 
 
-def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) -> ChirpLowerReport:
-    """Evaluate |T B| on a grid over [eta, 1-eta]^2 via its factorization.
+def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) -> ExtremalReport:
+    """Minimum of |T B| over a grid on [eta, 1-eta]^2 against sqrt(M N).
 
     T B (x, y) splits into the product of one x-chirp sum of length M and one
     y-chirp sum of length N, so the grid minimum of the modulus is the
-    product of the per-axis minima.
+    product of the per-axis minima.  In the central exponent region (alpha,
+    beta <= 1/2 <= gamma, delta) the growth bound constant is
+    M^(1/2-alpha) N^(1/2-beta), so the ratio is exactly the observed
+    constant relating the chirp lower bound to the upper bound there.
+    Recorded, not asserted.
     """
     if M < 1 or N < 1:
         raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
@@ -298,19 +297,8 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) 
     xs = np.linspace(eta, 1.0 - eta, grid_points)
     fx = np.abs(quadratic_phase_sum(M, eta, xs))
     fy = np.abs(quadratic_phase_sum(N, eta, xs))
-    ix = int(np.argmin(fx))
-    iy = int(np.argmin(fy))
-    min_modulus = float(fx[ix] * fy[iy])
-    return ChirpLowerReport(
-        M=M,
-        N=N,
-        eta=float(eta),
-        grid_points=grid_points,
-        min_modulus=min_modulus,
-        min_ratio=min_modulus / math.sqrt(M * N),
-        at_x=float(xs[ix]),
-        at_y=float(xs[iy]),
-    )
+    return ExtremalReport(kind=kind_name(ChirpB(eta)), M=M, N=N, exponents=None,
+                          lower=float(fx.min() * fy.min()), upper=math.sqrt(M * N), eta=float(eta))
 
 
 # ----------------------------------------------------------------------------
@@ -339,55 +327,26 @@ def _dirichlet_sample(dim: int, samples: int) -> np.ndarray:
     return np.linspace(0.0, 1.0 / (math.pi * dim), samples + 2)
 
 
-def _check_dirichlet_pointwise(dim: int, samples: int) -> float:
-    """Verify sin(pi*dim*x)/sin(pi*x) >= sin(1)*dim at every sample; return the min margin."""
+def _check_dirichlet_pointwise(dim: int, samples: int) -> None:
+    """Verify sin(pi*dim*x)/sin(pi*x) >= sin(1)*dim at every sample."""
     pts = _dirichlet_sample(dim, samples)
     values = np.asarray(dirichlet_quotient(dim, pts))
     margins = values - SIN1 * dim
-    worst = float(margins.min())
-    if worst < 0.0:
-        bad = pts[int(np.argmin(margins))]
+    if margins.min() < 0.0:
+        bad = int(np.argmin(margins))
         raise AssertionError(
-            f"Dirichlet kernel bound failed at x={bad!r} for size {dim}: "
-            f"{values[int(np.argmin(margins))]!r} < sin(1)*{dim} — implementation bug"
+            f"Dirichlet kernel bound failed at x={pts[bad]!r} for size {dim}: "
+            f"{values[bad]!r} < sin(1)*{dim} — implementation bug"
         )
-    return worst
 
 
-@dataclass(frozen=True)
-class DirichletLowerReport:
-    """Certified lower bound on the operator ratio for a column/row/ones matrix.
-
-    `certified_lower` comes from restricting the integral to the kernel's
-    main lobe: sin(1)/pi^(1/r) * M^(1 - 1/r - 1/p) for a column,
-    sin(1)/pi^(1/s) * N^(1 - 1/s - 1/q) for a row, and the product of both
-    factors for the all-ones matrix.  `observed_ratio` is the grid-quadrature
-    measurement of the same ratio (always >= certified up to quadrature
-    error).  `ratio` = certified_lower / upper is at most 1 by soundness of
-    the growth bound.
-    """
-
-    kind: str
-    M: int
-    N: int
-    exponents: MixedExponents
-    certified_lower: float
-    observed_ratio: float
-    upper: float
-    ratio: float
-    min_kernel_margin: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "M": self.M,
-            "N": self.N,
-            "exponents": list(self.exponents.as_tuple()),
-            "lower": self.certified_lower,
-            "observed": self.observed_ratio,
-            "upper": self.upper,
-            "ratio": self.ratio,
-        }
+def _dirichlet_axes(kind: ExtremizerKind, M: int, N: int, e: MixedExponents) -> list:
+    """(length, r-reciprocal, p-reciprocal) per Dirichlet axis of a column, row or ones kind."""
+    axes = KINDS.get(type(kind), (None, None))[1]
+    if axes is None:
+        raise TypeError(f"certified bounds exist for column/row/ones kinds, got {kind!r}")
+    terms = {"x": (M, e.gamma, e.alpha), "y": (N, e.delta, e.beta)}
+    return [terms[axis] for axis in axes]
 
 
 def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: MixedExponents) -> float:
@@ -395,22 +354,15 @@ def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mix
 
     sin(1)/pi^(1/r) * M^(1 - 1/r - 1/p) for a column, sin(1)/pi^(1/s) *
     N^(1 - 1/s - 1/q) for a row, the product of both factors for the all-ones
-    matrix.  Independent of the nonzero entry value, which cancels in the
-    ratio.
+    matrix: sin(1)^k / pi^(sum of the k r-reciprocals) times one factor
+    per Dirichlet axis.  Independent of the nonzero entry value, which
+    cancels in the ratio.
     """
-    a, b, g, d = e.alpha, e.beta, e.gamma, e.delta
-    if isinstance(kind, ColumnC):
-        return SIN1 / math.pi**g * float(M) ** (1.0 - g - a)
-    if isinstance(kind, RowR):
-        return SIN1 / math.pi**d * float(N) ** (1.0 - d - b)
-    if isinstance(kind, OnesD):
-        return (
-            SIN1**2
-            / math.pi ** (g + d)
-            * float(M) ** (1.0 - g - a)
-            * float(N) ** (1.0 - d - b)
-        )
-    raise TypeError(f"certified bounds exist for column/row/ones kinds, got {kind!r}")
+    axes = _dirichlet_axes(kind, M, N, e)
+    bound = SIN1 ** len(axes) / math.pi ** sum(r for _, r, _ in axes)
+    for dim, r, p in axes:
+        bound *= float(dim) ** (1.0 - r - p)
+    return bound
 
 
 def verify_dirichlet_lower(
@@ -420,7 +372,7 @@ def verify_dirichlet_lower(
     e: MixedExponents,
     samples: int = 64,
     oversample: int = 8,
-) -> DirichletLowerReport:
+) -> ExtremalReport:
     """Check the kernel inequality pointwise, then certify the closed-form lower bound.
 
     The pointwise stage samples x in [0, 1/(pi M)] (and/or y in [0, 1/(pi N)]
@@ -433,14 +385,11 @@ def verify_dirichlet_lower(
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
-    if isinstance(kind, ColumnC):
-        margin = _check_dirichlet_pointwise(M, samples)
-    elif isinstance(kind, RowR):
-        margin = _check_dirichlet_pointwise(N, samples)
-    elif isinstance(kind, OnesD):
-        margin = min(_check_dirichlet_pointwise(M, samples), _check_dirichlet_pointwise(N, samples))
-    else:
-        raise TypeError(f"verify_dirichlet_lower applies to column/row/ones kinds, got {kind!r}")
+    axes = _dirichlet_axes(kind, M, N, e)
+    if M < 1 or N < 1:
+        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    for dim, _, _ in axes:
+        _check_dirichlet_pointwise(dim, samples)
     certified = certified_lower_bound(kind, M, N, e)
     upper = upper_bound_magnitude(M, N, e)
     if certified > upper * (1.0 + 1e-12):
@@ -450,17 +399,8 @@ def verify_dirichlet_lower(
         )
     A = build(kind, M, N)
     observed = lrs_norm(eval_sum(A, grid), e) / lpq_norm(A, e)
-    return DirichletLowerReport(
-        kind=kind_name(kind),
-        M=M,
-        N=N,
-        exponents=e,
-        certified_lower=certified,
-        observed_ratio=float(observed),
-        upper=upper,
-        ratio=certified / upper,
-        min_kernel_margin=margin,
-    )
+    return ExtremalReport(kind=kind_name(kind), M=M, N=N, exponents=e, lower=certified, upper=upper,
+                          observed=float(observed))
 
 
 # ----------------------------------------------------------------------------
@@ -468,32 +408,9 @@ def verify_dirichlet_lower(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitSharpnessReport:
-    """Both sides of the single-entry equality ||T E|| = ||E|| and their ratio."""
-
-    M: int
-    N: int
-    exponents: MixedExponents
-    lhs: float
-    rhs: float
-    ratio: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "unit",
-            "M": self.M,
-            "N": self.N,
-            "exponents": list(self.exponents.as_tuple()),
-            "lower": self.lhs,
-            "upper": self.rhs,
-            "ratio": self.ratio,
-        }
-
-
 def unit_sharpness(
     kind: UnitE, M: int, N: int, e: MixedExponents, oversample: int = 8
-) -> UnitSharpnessReport:
+) -> ExtremalReport:
     """Confirm that a single-entry matrix gives operator ratio exactly one.
 
     |T E| is constant (equal to the entry's modulus), so every grid L^{r,s}
@@ -502,7 +419,5 @@ def unit_sharpness(
     """
     grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     A = build(kind, M, N)
-    lhs = lrs_norm(eval_sum(A, grid), e)
-    rhs = lpq_norm(A, e)
-    return UnitSharpnessReport(M=M, N=N, exponents=e, lhs=float(lhs), rhs=float(rhs),
-                               ratio=float(lhs / rhs))
+    return ExtremalReport(kind=kind_name(kind), M=M, N=N, exponents=e,
+                          lower=lrs_norm(eval_sum(A, grid), e), upper=lpq_norm(A, e))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .exponents import MixedExponents
 __all__ = [
     "CoefficientMatrix",
     "GridFunction",
+    "JsonReport",
     "QuadratureSpec",
     "QuadratureWarning",
     "lpq_norm",
@@ -96,12 +97,6 @@ class GridFunction:
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("samples must all be finite")
         object.__setattr__(self, "samples", arr)
-
-    def x(self) -> np.ndarray:
-        return np.arange(self.Kx) / self.Kx
-
-    def y(self) -> np.ndarray:
-        return np.arange(self.Ky) / self.Ky
 
 
 @dataclass(frozen=True)
@@ -247,7 +242,28 @@ def holder_matrix_chain(
 # Shared JSON formats.  Matrices: {"M", "N", "entries": [[re, im], ...]} in
 # row-major order (column index n fastest).  Grids: the analogous
 # {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly.
+# Reports: one key per dataclass field (see JsonReport).
 # ----------------------------------------------------------------------------
+
+
+class JsonReport:
+    """Base of the report dataclasses: their JSON document is their fields.
+
+    Each field becomes the key of its name; exponents become the 4-list of
+    reciprocals and tuples become lists.  A field whose default is None is
+    left out while it is None, so a report kind carries only its own extras.
+    """
+
+    def to_json_dict(self) -> dict:
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if isinstance(value, MixedExponents):
+                value = value.as_tuple()
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        return doc
 
 
 def _pairs(flat: np.ndarray) -> list[list[float]]:

@@ -40,16 +40,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exponents import MixedExponents, phi, theta, upper_bound_magnitude
-from .extremizers import (
-    ChirpB,
-    ColumnC,
-    OnesD,
-    RowR,
-    UnitE,
-    build,
-    certified_lower_bound,
-)
-from .norms import CoefficientMatrix, lpq_norm, lrs_norm, mixed_norm_gradient
+from .extremizers import KINDS, ColumnC, OnesD, RowR, UnitE, build, certified_lower_bound, kind_name
+from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm, mixed_norm_gradient
 from .trigsum import EvalPlan, default_grid, eval_sum
 
 __all__ = [
@@ -107,7 +99,7 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonReport):
     """One (M, N, exponents) point: lower bounds, searched value, upper bound.
 
     `lower_extremizer` is the best certified lower bound (unit entry, column,
@@ -132,24 +124,6 @@ class BoundReport:
     grid: tuple[int, int]
     sandwich_ok: bool
     searched_below_lower: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "N": self.N,
-            "exponents": list(self.exponents.as_tuple()),
-            "theta": self.theta,
-            "phi": self.phi,
-            "upper": self.upper,
-            "lower_extremizer": self.lower_extremizer,
-            "lower_kind": self.lower_kind,
-            "searched": self.searched,
-            "ratio_lower": self.ratio_lower,
-            "ratio_searched": self.ratio_searched,
-            "grid": list(self.grid),
-            "sandwich_ok": self.sandwich_ok,
-            "searched_below_lower": self.searched_below_lower,
-        }
 
     def to_csv_row(self) -> list[str]:
         a, b, g, d = self.exponents.as_tuple()
@@ -245,15 +219,8 @@ def _ascend(
 
 
 def _start_matrices(M: int, N: int, cfg: SearchConfig) -> list[np.ndarray]:
-    """Warm starts at the five extremizer candidates, then seeded random starts."""
-    warm = [
-        build(UnitE(), M, N).entries,
-        build(OnesD(), M, N).entries,
-        build(ColumnC(), M, N).entries,
-        build(RowR(), M, N).entries,
-        build(ChirpB(), M, N).entries,
-    ]
-    starts = list(warm)
+    """Warm starts at the five extremizer kinds in table order, then seeded random starts."""
+    starts = [build(kind(), M, N).entries for kind in KINDS]
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
         real = rng.standard_normal((M, N))
@@ -272,9 +239,10 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
     searched = max(_ascend(start, e, grid, cfg)[0] for start in _start_matrices(M, N, cfg))
 
-    candidates = [("unit", 1.0)]
-    for kind_label, kind in (("column", ColumnC()), ("row", RowR()), ("ones", OnesD())):
-        candidates.append((kind_label, certified_lower_bound(kind, M, N, e)))
+    # The single entry's ratio is exactly one.  On ties the first candidate wins.
+    candidates = [(kind_name(UnitE()), 1.0)] + [
+        (kind_name(kind), certified_lower_bound(kind, M, N, e)) for kind in (ColumnC(), RowR(), OnesD())
+    ]
     lower_kind, lower = max(candidates, key=lambda item: item[1])
 
     upper = upper_bound_magnitude(M, N, e)

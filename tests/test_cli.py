@@ -114,9 +114,15 @@ def test_extremal_column_certified_value(capsys):
 
 
 def test_extremal_all_kinds_run(capsys):
+    shared = {"kind", "M", "N", "exponents", "lower", "upper", "ratio"}
+    extra = {"chirp": {"eta"}, "column": {"observed"}, "row": {"observed"}, "ones": {"observed"},
+             "unit": set()}
     for kind in ("chirp", "column", "row", "ones", "unit"):
         assert main(["extremal", "--kind", kind, "--M", "4", "--N", "4"]) == 0
-        capsys.readouterr()
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == shared | extra[kind]
+        assert doc["kind"] == kind
+        assert doc["ratio"] == doc["lower"] / doc["upper"]
 
 
 # ----------------------------------------------------------------------------
@@ -254,10 +260,15 @@ def test_nonortho_check_without_trials_fails(capsys):
      "oversample must be >= 2, got 1"),
     (["extremal", "--kind", "column", "--M", "3", "--N", "2", "--samples", "-2"],
      "samples must be >= 0, got -2"),
+    (["extremal", "--kind", "ones", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
+    (["extremal", "--kind", "row", "--M", "4", "--N", "0"], "dimensions must be positive, got M=4, N=0"),
+    (["chirp-check", "--M-ladder", "8:16", "--xs", "nan"], "every x must be finite, got [nan]"),
+    (["chirp-check", "--M-ladder", "8:16", "--xs", "inf"], "every x must be finite, got [inf]"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
-        "extremal-negative-samples"])
+        "extremal-negative-samples", "extremal-ones-M-zero", "extremal-row-N-zero",
+        "chirp-xs-nan", "chirp-xs-inf"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
