@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .exponents import MixedExponents, _reciprocal, phi, theta, upper_bound_magnitude
+from .exponents import MixedExponents, _reciprocal, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import (
     ColumnC,
     OnesD,
@@ -221,15 +221,29 @@ def _cmd_chirp_check(args) -> int:
     return 0
 
 
+def _add_search_flags(p: argparse.ArgumentParser, restarts: int, max_iters: int) -> None:
+    """The flags `opnorm` and `sweep` share: the search budget and the report sinks."""
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=restarts)
+    p.add_argument("--max-iters", type=int, default=max_iters)
+    p.add_argument("--jsonl")
+    p.add_argument("--csv")
+    p.add_argument("--out")
+
+
+def _write_reports(args, reports) -> None:
+    if args.jsonl:
+        write_reports_jsonl(args.jsonl, reports)
+    if args.csv:
+        write_reports_csv(args.csv, reports)
+
+
 def _cmd_opnorm(args) -> int:
     e = _exponents_from_args(args)
-    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, step=args.step, seed=args.seed,
-                       grid=_grid_from_args(args), tol=args.tol, real_only=args.real_only)
+    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
+                       grid=_grid_from_args(args))
     report = estimate(args.M, args.N, e, cfg)
-    if args.jsonl:
-        write_reports_jsonl(args.jsonl, [report])
-    if args.csv:
-        write_reports_csv(args.csv, [report])
+    _write_reports(args, [report])
     _emit(report.to_json_dict(), args.out)
     if not report.sandwich_ok:
         print("error: sandwich invariant violated (see report)", file=sys.stderr)
@@ -244,13 +258,9 @@ def _cmd_sweep(args) -> int:
     tuples += [_parse_rtuple(t) for t in args.rtuple or []]
     if not tuples:
         raise ValueError("give at least one --tuple p,q,r,s or --rtuple alpha,beta,gamma,delta")
-    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, step=args.step,
-                       seed=args.seed, tol=args.tol, real_only=args.real_only)
+    cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     reports = sharpness_sweep(Ms, Ns, tuples, cfg)
-    if args.jsonl:
-        write_reports_jsonl(args.jsonl, reports)
-    if args.csv:
-        write_reports_csv(args.csv, reports)
+    _write_reports(args, reports)
     diagnostics = {str(key): value for key, value in ladder_diagnostics(reports).items()}
     _emit(diagnostics, args.out)
     if any(not report.sandwich_ok for report in reports):
@@ -263,6 +273,8 @@ def _cmd_nonortho_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     sizes = _parse_ladder(args.sizes)
+    for size in sizes:  # all of them before the first draw: a bad size fails before any output
+        check_dimensions(size, size)
     e22 = MixedExponents(0.5, 0.5, 0.5, 0.5)
     rng = np.random.default_rng(args.seed)
     max_ratios = []
@@ -343,17 +355,9 @@ def main(argv=None) -> int:
     p_op = sub.add_parser("opnorm", help="bracket and search the operator norm at one point")
     p_op.add_argument("--M", type=int, required=True)
     p_op.add_argument("--N", type=int, required=True)
-    p_op.add_argument("--seed", type=int, default=0)
-    p_op.add_argument("--restarts", type=int, default=8)
-    p_op.add_argument("--max-iters", type=int, default=60)
-    p_op.add_argument("--step", type=float, default=0.25)
-    p_op.add_argument("--tol", type=float, default=1e-9)
+    _add_search_flags(p_op, restarts=8, max_iters=60)
     p_op.add_argument("--Kx", type=int, default=None)
     p_op.add_argument("--Ky", type=int, default=None)
-    p_op.add_argument("--real-only", action="store_true")
-    p_op.add_argument("--jsonl")
-    p_op.add_argument("--csv")
-    p_op.add_argument("--out")
     _add_exponent_flags(p_op)
     p_op.set_defaults(func=_cmd_opnorm)
 
@@ -362,15 +366,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--N-ladder", default="")
     p_sweep.add_argument("--tuple", action="append", help="exponents p,q,r,s ('inf' allowed); repeatable")
     p_sweep.add_argument("--rtuple", action="append", help="reciprocals alpha,beta,gamma,delta; repeatable")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--restarts", type=int, default=4)
-    p_sweep.add_argument("--max-iters", type=int, default=40)
-    p_sweep.add_argument("--step", type=float, default=0.25)
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
-    p_sweep.add_argument("--real-only", action="store_true")
-    p_sweep.add_argument("--jsonl")
-    p_sweep.add_argument("--csv")
-    p_sweep.add_argument("--out")
+    _add_search_flags(p_sweep, restarts=4, max_iters=40)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_non = sub.add_parser("nonortho-check", help="ratio sweep for the unit-frequency sum")

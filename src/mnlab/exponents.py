@@ -20,6 +20,7 @@ it is defined and is None elsewhere).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,7 @@ __all__ = [
     "CoverageError",
     "MixedExponents",
     "RegionLabel",
+    "check_dimensions",
     "classify",
     "phi",
     "theta",
@@ -215,13 +217,23 @@ def phi(e: MixedExponents) -> float | None:
     return None
 
 
+def check_dimensions(M: int, N: int) -> tuple[int, int]:
+    """The one rule for matrix sizes: (M, N) as Python ints if both are positive integers."""
+    try:
+        sizes = (operator.index(M), operator.index(N))
+    except TypeError:  # not integers, e.g. 2.0
+        sizes = (0, 0)
+    if min(sizes) < 1:
+        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    return sizes
+
+
 def upper_bound_magnitude(M: int, N: int, e: MixedExponents) -> float:
     """The bound constant (M N)^theta / (M^alpha N^beta).
 
     This is the factor multiplying ||A||_{l^{p,q}} in the growth estimate;
     equivalently M^(theta - alpha) * N^(theta - beta).
     """
-    if not (isinstance(M, int) and isinstance(N, int)) or M < 1 or N < 1:
-        raise ValueError(f"M and N must be positive integers, got {M!r}, {N!r}")
+    check_dimensions(M, N)
     t = theta(e)
     return float(M) ** (t - e.alpha) * float(N) ** (t - e.beta)

@@ -29,7 +29,7 @@ from typing import Union
 
 import numpy as np
 
-from .exponents import MixedExponents, upper_bound_magnitude
+from .exponents import MixedExponents, check_dimensions, upper_bound_magnitude
 from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm
 from .trigsum import EvalPlan, default_grid, eval_sum
 
@@ -138,8 +138,7 @@ def _check_value(value: complex) -> complex:
 
 def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
     """Construct the literal extremizer matrix of the given kind and shape."""
-    if M < 1 or N < 1:
-        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    check_dimensions(M, N)
     if isinstance(kind, ChirpB):
         j = np.arange(M, dtype=np.float64)  # j-1 for 1-based j
         k = np.arange(N, dtype=np.float64)
@@ -233,6 +232,9 @@ def chirp_residual_sweep(
     xs_arr = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(xs_arr)):
         raise ValueError(f"every x must be finite, got {list(xs)}")
+    for x in xs_arr.tolist():  # the main term reduces M x^2 / eta mod 1, which must stay finite
+        if not math.isfinite(max(Ms) * x * x / eta):
+            raise ValueError(f"x={x!r} is too large: M*x*x/eta overflows at M={max(Ms)}")
     max_residuals = []
     for M in Ms:
         sums = quadratic_phase_sum(M, eta, xs_arr)
@@ -288,8 +290,7 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) 
     constant relating the chirp lower bound to the upper bound there.
     Recorded, not asserted.
     """
-    if M < 1 or N < 1:
-        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    check_dimensions(M, N)
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must lie in (0, 0.5) for a non-empty window, got {eta}")
     if grid_points < 2:
@@ -386,8 +387,7 @@ def verify_dirichlet_lower(
         raise ValueError(f"samples must be >= 0, got {samples}")
     grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     axes = _dirichlet_axes(kind, M, N, e)
-    if M < 1 or N < 1:
-        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    check_dimensions(M, N)
     for dim, _, _ in axes:
         _check_dirichlet_pointwise(dim, samples)
     certified = certified_lower_bound(kind, M, N, e)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exponents import MixedExponents
+from .exponents import MixedExponents, check_dimensions
 
 __all__ = [
     "CoefficientMatrix",
@@ -61,19 +61,13 @@ class CoefficientMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.M < 1 or self.N < 1:
-            raise ValueError(f"dimensions must be positive, got M={self.M}, N={self.N}")
+        check_dimensions(self.M, self.N)
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.shape != (self.M, self.N):
             raise ValueError(f"entries shape {arr.shape} does not match (M, N)=({self.M}, {self.N})")
         if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
             raise ValueError("entries must all be finite")
         object.__setattr__(self, "entries", arr)
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "CoefficientMatrix":
-        a = np.atleast_2d(np.asarray(a, dtype=np.complex128))
-        return cls(M=a.shape[0], N=a.shape[1], entries=a)
 
 
 @dataclass(frozen=True)

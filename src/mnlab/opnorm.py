@@ -21,8 +21,10 @@ starts can be exact critical points of f, where the gradient vanishes to
 roundoff (for example the unit start whenever r and s are finite).  Where
 its norm is at most SADDLE_TOL the ascent tries a fixed, seed-independent
 direction instead, less its components along A and iA, which never change f.
-The line search still accepts only strict improvements, so a start that is a
-local maximum stays put.
+The line search is fixed: each step first tries length 0.25 along the unit
+gradient and halves it until the value strictly improves; a restart stops
+when the step falls below 1e-9 or after max_iters steps.  Since only strict
+improvements are accepted, a start that is a local maximum stays put.
 
 Every estimate emits a BoundReport; batches serialize to JSON lines and an
 aggregate CSV with the frozen column order
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exponents import MixedExponents, phi, theta, upper_bound_magnitude
+from .exponents import MixedExponents, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import KINDS, ColumnC, OnesD, RowR, UnitE, build, certified_lower_bound, kind_name
 from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm, mixed_norm_gradient
 from .trigsum import EvalPlan, default_grid, eval_sum
@@ -65,6 +67,10 @@ GRID_TOL = 1e-4
 # a critical point; roundoff leaves about 1e-16 at the critical warm starts.
 SADDLE_TOL = 1e-10
 
+# The fixed line search: each step tries FIRST_STEP, halving it; a start stops below STEP_TOL.
+FIRST_STEP = 0.25
+STEP_TOL = 1e-9
+
 CSV_COLUMNS = [
     "M", "N", "alpha", "beta", "gamma", "delta", "theta", "phi_or_blank",
     "upper", "lower", "searched", "ratio_lower", "ratio_searched",
@@ -76,26 +82,19 @@ class SearchConfig:
     """Multi-start ascent configuration; identical configs give identical reports.
 
     `grid` fixes the quadrature grid (Kx, Ky) for the objective; None selects
-    8x oversampling of the matrix dimensions, at least 16 per side.  `step`
-    is the initial ascent step, halved on rejection down to `tol`, at which
-    point the restart is considered stagnant.
+    8x oversampling of the matrix dimensions, at least 16 per side.
     """
 
     restarts: int = 8
     max_iters: int = 60
-    step: float = 0.25
     seed: int = 0
     grid: "tuple[int, int] | None" = None
-    tol: float = 1e-9
-    real_only: bool = False
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.step > 0 or not self.tol > 0:
-            raise ValueError("step and tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,8 @@ def _ascend(
 
     The history of accepted objective values is non-decreasing by
     construction.  The iterate stays normalized (the objective is
-    scale-invariant), and a restart stops when no step above cfg.tol improves
-    the value.
+    scale-invariant), and a restart stops when no step of at least STEP_TOL
+    improves the value.
     """
     entries = start / np.linalg.norm(start)
     value = objective(CoefficientMatrix(*entries.shape, entries), e, grid)
@@ -199,11 +198,9 @@ def _ascend(
             if norm <= SADDLE_TOL:
                 break
         direction = grad / norm
-        if cfg.real_only:
-            direction = direction.real.astype(np.complex128)
-        step = cfg.step
+        step = FIRST_STEP
         accepted = False
-        while step >= cfg.tol:
+        while step >= STEP_TOL:
             trial = entries + step * direction
             trial /= np.linalg.norm(trial)
             trial_value = objective(CoefficientMatrix(*trial.shape, trial), e, grid)
@@ -223,9 +220,7 @@ def _start_matrices(M: int, N: int, cfg: SearchConfig) -> list[np.ndarray]:
     starts = [build(kind(), M, N).entries for kind in KINDS]
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        real = rng.standard_normal((M, N))
-        imag = np.zeros((M, N)) if cfg.real_only else rng.standard_normal((M, N))
-        starts.append(real + 1j * imag)
+        starts.append(rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
     return starts
 
 
@@ -236,6 +231,7 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     starts (deterministically spawned from cfg.seed) and reduces to the best
     value in start order, so reports are reproducible bit-for-bit.
     """
+    M, N = check_dimensions(M, N)
     grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
     searched = max(_ascend(start, e, grid, cfg)[0] for start in _start_matrices(M, N, cfg))
 

@@ -264,11 +264,17 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["extremal", "--kind", "row", "--M", "4", "--N", "0"], "dimensions must be positive, got M=4, N=0"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "nan"], "every x must be finite, got [nan]"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "inf"], "every x must be finite, got [inf]"),
+    (["chirp-check", "--M-ladder", "8:16", "--xs", "0.3,1e200"],
+     "x=1e+200 is too large: M*x*x/eta overflows at M=16"),
+    (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2, N=-2"),
+    (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0, N=0"),
+    (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
         "extremal-negative-samples", "extremal-ones-M-zero", "extremal-row-N-zero",
-        "chirp-xs-nan", "chirp-xs-inf"])
+        "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "nonortho-size-negative",
+        "nonortho-size-zero-after-valid", "bound-M-zero"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -301,10 +307,15 @@ def test_malformed_matrix_file_fails_with_one_line(tmp_path, document, capsys):
 
 
 def test_unknown_flag_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["bound", "--M", "4", "--N", "4", "--bogus", "1"])
-    assert exc_info.value.code == 1
-    capsys.readouterr()
+    # The last three are not search flags: the line search is fixed and the starts complex.
+    for argv in (["bound", "--M", "4", "--N", "4", "--bogus", "1"],
+                 ["opnorm", "--M", "2", "--N", "2", "--real-only"],
+                 ["opnorm", "--M", "2", "--N", "2", "--step", "0.1"],
+                 ["sweep", "--M-ladder", "2", "--rtuple", "0.5,0.5,0.5,0.5", "--tol", "1e-9"]):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_choice_exits_one(capsys):

@@ -221,10 +221,19 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SearchConfig(step=0.0)
-    with pytest.raises(ValueError):
-        SearchConfig(tol=-1.0)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    M, N = np.int64(3), np.int32(2)
+    assert upper_bound_magnitude(M, N, INTERIOR) == upper_bound_magnitude(3, 2, INTERIOR)
+    cfg = SearchConfig(restarts=1, max_iters=2)
+    report = estimate(M, N, INTERIOR, cfg)
+    assert json.dumps(report.to_json_dict()) == json.dumps(estimate(3, 2, INTERIOR, cfg).to_json_dict())
+    [swept] = sharpness_sweep(np.array([3]), np.array([2]), [INTERIOR], cfg)
+    assert swept == report
+    for bad in [(0, 2), (3, -1), (2.0, 2), (np.int64(0), 2)]:
+        with pytest.raises(ValueError, match="^dimensions must be positive, got M="):
+            upper_bound_magnitude(*bad, INTERIOR)
 
 
 # ----------------------------------------------------------------------------
