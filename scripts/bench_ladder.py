@@ -1,0 +1,181 @@
+"""Time mnlab's layers on the size ladder M = N, on the default 8x grid.
+
+    python3 scripts/bench_ladder.py [--sizes 4,8,16,32,64] [--repeats 5] [--out FILE --label NAME]
+
+Run from the root of a source checkout; mnlab is imported from its ``src/``.
+At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2):
+
+* ``eval_sum``: one synthesis of a random M x M matrix on the 8M x 8M grid;
+* ``lrs_norm`` of those samples and ``lpq_norm`` of the matrix;
+* ``objective`` of the matrix on that grid;
+* ``gradient``: one ``opnorm._adjoint_gradient``, handed the matrix's
+  samples when its signature takes them (the ascent has them from its last
+  trial) and computing them itself where it does not;
+* ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
+  the start's value, one gradient and the line-search trials up to the
+  first accepted step;
+* ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7).
+
+Each figure is the median over ``--repeats`` samples of the mean time per
+call, a sample lasting at least 0.2 s (``timeit``'s autorange) or one call.
+The document records the machine (cores, CPU, Python, numpy) and the git
+commit of the checkout.  Without ``--out`` it is printed; with it, it is
+stored under ``--label`` in the JSON object in FILE, which keeps its other
+labels, so runs of two checkouts on one host land side by side.  Timings
+are not gated: only the exit code says whether the run worked.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import inspect
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from mnlab import opnorm  # noqa: E402
+from mnlab.exponents import MixedExponents  # noqa: E402
+from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm  # noqa: E402
+from mnlab.opnorm import SearchConfig, estimate, objective  # noqa: E402
+from mnlab.trigsum import EvalPlan, default_grid, eval_sum  # noqa: E402
+
+EXPONENTS = MixedExponents(0.25, 0.5, 0.75, 0.5)
+ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
+DEFAULT_SIZES = (4, 8, 16, 32, 64)
+
+
+def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
+    return rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+
+
+def _gradient_call(entries: np.ndarray, grid: tuple[int, int]):
+    """One adjoint gradient at `entries`, with the arguments its signature names."""
+    A = CoefficientMatrix(*entries.shape, entries)
+    available = {"entries": entries, "e": EXPONENTS, "grid": grid,
+                 "samples": eval_sum(A, EvalPlan(*grid)).samples}
+    names = inspect.signature(opnorm._adjoint_gradient).parameters
+    return functools.partial(opnorm._adjoint_gradient, **{name: available[name] for name in names})
+
+
+def _layer_calls(M: int) -> dict:
+    rng = np.random.default_rng([M, 7])
+    entries = _random_entries(rng, M)
+    entries /= np.linalg.norm(entries)
+    A = CoefficientMatrix(M, M, entries)
+    grid = default_grid(M, M)
+    plan = EvalPlan(*grid)
+    f = eval_sum(A, plan)
+    start = _random_entries(rng, M)
+    return {
+        "eval_sum": functools.partial(eval_sum, A, plan),
+        "lrs_norm": functools.partial(lrs_norm, f, EXPONENTS),
+        "lpq_norm": functools.partial(lpq_norm, A, EXPONENTS),
+        "objective": functools.partial(objective, A, EXPONENTS, grid),
+        "gradient": _gradient_call(entries, grid),
+        "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
+        "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
+    }
+
+
+def _median_us(call, repeats: int) -> dict:
+    timer = timeit.Timer(call)
+    number, _ = timer.autorange()
+    samples = timer.repeat(repeat=repeats, number=number)
+    return {"median_us": statistics.median(samples) / number * 1e6, "calls_per_sample": number}
+
+
+def _git_commit() -> dict:
+    def git(*args: str) -> "str | None":
+        try:
+            done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                                  env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+        except OSError:
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+
+
+def _machine() -> dict:
+    cpu_model = None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu_model": cpu_model or platform.processor() or None,
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
+def _sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"sizes must be positive, got {text!r}")
+    return sizes
+
+
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", type=_sizes, default=list(DEFAULT_SIZES), help="M = N values, e.g. 4,8,16")
+    parser.add_argument("--repeats", type=_positive, default=5, help="timed samples per layer and size")
+    parser.add_argument("--out", type=Path, help="JSON file to store the run in, under --label")
+    parser.add_argument("--label", help="key of this run in --out, e.g. parent or change")
+    args = parser.parse_args(argv)
+    if (args.out is None) != (args.label is None):
+        parser.error("give --out and --label together, or neither")
+
+    layers: dict[str, dict] = {}
+    for M in args.sizes:
+        for name, call in _layer_calls(M).items():
+            layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
+    run = {
+        **_git_commit(),
+        "machine": _machine(),
+        "config": {
+            "sizes": args.sizes,
+            "repeats": args.repeats,
+            "grid": "default_grid(M, M): 8M x 8M",
+            "exponents": list(EXPONENTS.as_tuple()),
+            "estimate": {"restarts": ESTIMATE_CONFIG.restarts, "max_iters": ESTIMATE_CONFIG.max_iters,
+                         "seed": ESTIMATE_CONFIG.seed},
+        },
+        "layers": layers,
+    }
+    if args.out is None:
+        print(json.dumps(run, indent=1))
+        return 0
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc[args.label] = run
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -138,7 +138,7 @@ def _check_value(value: complex) -> complex:
 
 def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
     """Construct the literal extremizer matrix of the given kind and shape."""
-    check_dimensions(M, N)
+    M, N = check_dimensions(M, N)
     if isinstance(kind, ChirpB):
         j = np.arange(M, dtype=np.float64)  # j-1 for 1-based j
         k = np.arange(N, dtype=np.float64)
@@ -232,9 +232,10 @@ def chirp_residual_sweep(
     xs_arr = np.asarray(xs, dtype=np.float64)
     if not np.all(np.isfinite(xs_arr)):
         raise ValueError(f"every x must be finite, got {list(xs)}")
-    for x in xs_arr.tolist():  # the main term reduces M x^2 / eta mod 1, which must stay finite
-        if not math.isfinite(max(Ms) * x * x / eta):
-            raise ValueError(f"x={x!r} is too large: M*x*x/eta overflows at M={max(Ms)}")
+    # The main term reduces M x^2 / eta mod 1; from 2^52 on a double has no fractional bits left.
+    for x in xs_arr.tolist():
+        if not max(Ms) * x * x / eta < 2.0**52:
+            raise ValueError(f"x={x!r} is too large: M*x*x/eta reaches 2**52 at M={max(Ms)}")
     max_residuals = []
     for M in Ms:
         sums = quadratic_phase_sum(M, eta, xs_arr)
@@ -290,7 +291,7 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) 
     constant relating the chirp lower bound to the upper bound there.
     Recorded, not asserted.
     """
-    check_dimensions(M, N)
+    M, N = check_dimensions(M, N)
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must lie in (0, 0.5) for a non-empty window, got {eta}")
     if grid_points < 2:
@@ -387,7 +388,7 @@ def verify_dirichlet_lower(
         raise ValueError(f"samples must be >= 0, got {samples}")
     grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     axes = _dirichlet_axes(kind, M, N, e)
-    check_dimensions(M, N)
+    M, N = check_dimensions(M, N)
     for dim, _, _ in axes:
         _check_dirichlet_pointwise(dim, samples)
     certified = certified_lower_bound(kind, M, N, e)
@@ -419,5 +420,5 @@ def unit_sharpness(
     """
     grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
     A = build(kind, M, N)
-    return ExtremalReport(kind=kind_name(kind), M=M, N=N, exponents=e,
+    return ExtremalReport(kind=kind_name(kind), M=A.M, N=A.N, exponents=e,
                           lower=lrs_norm(eval_sum(A, grid), e), upper=lpq_norm(A, e))

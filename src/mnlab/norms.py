@@ -31,6 +31,7 @@ __all__ = [
     "QuadratureWarning",
     "lpq_norm",
     "lrs_norm",
+    "mixed_norm",
     "mixed_norm_gradient",
     "holder_matrix_chain",
     "matrix_to_json",
@@ -61,7 +62,9 @@ class CoefficientMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        check_dimensions(self.M, self.N)
+        M, N = check_dimensions(self.M, self.N)
+        object.__setattr__(self, "M", M)
+        object.__setattr__(self, "N", N)
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.shape != (self.M, self.N):
             raise ValueError(f"entries shape {arr.shape} does not match (M, N)=({self.M}, {self.N})")
@@ -115,7 +118,7 @@ def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     Only e.alpha and e.beta are consulted.  Exactly zero iff A is the zero
     matrix.
     """
-    return float(_reduce(_reduce(np.abs(A.entries), e.alpha, False), e.beta, False))
+    return mixed_norm(np.abs(A.entries), e.alpha, e.beta, mean=False)
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -128,10 +131,10 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds spec.rel_tol.
     """
-    value = _lrs_on_samples(f.samples, e)
+    value = mixed_norm(np.abs(f.samples), e.gamma, e.delta, mean=True)
     # The half grid only stays uniform-periodic when both sizes are even.
     if spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0:
-        coarse = _lrs_on_samples(f.samples[:: 2, :: 2], e)
+        coarse = mixed_norm(np.abs(f.samples[:: 2, :: 2]), e.gamma, e.delta, mean=True)
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
         if disagreement > spec.rel_tol:
@@ -144,10 +147,6 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
                 stacklevel=2,
             )
     return value
-
-
-def _lrs_on_samples(samples: np.ndarray, e: MixedExponents) -> float:
-    return float(_reduce(_reduce(np.abs(samples), e.gamma, True), e.delta, True))
 
 
 def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
@@ -163,8 +162,9 @@ def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
     expo = 1.0 / recip
     # Avoid 0/0 where a whole slice vanishes; those slices contribute 0.
     safe = np.where(top > 0.0, top, 1.0)
-    acc = (a / safe) ** expo
-    body = acc.mean(axis=0) if mean else acc.sum(axis=0)
+    body = ((a / safe) ** expo).sum(axis=0)
+    if mean:  # ndarray.mean's own arithmetic, without its Python wrapper
+        body = body / a.shape[0]
     return top * body ** (1.0 / expo)
 
 
@@ -182,6 +182,15 @@ def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool)
     safe = np.where(value > 0.0, value, 1.0)
     grad = (a / safe) ** (1.0 / recip - 1.0)
     return grad / a.shape[0] if mean else grad
+
+
+def mixed_norm(a: np.ndarray, inner: float, outer: float, mean: bool) -> float:
+    """The mixed norm of the non-negative 2-D array `a`, as in mixed_norm_gradient.
+
+    lpq_norm is mixed_norm(|entries|, alpha, beta, mean=False) and lrs_norm
+    is mixed_norm(|samples|, gamma, delta, mean=True).
+    """
+    return float(_reduce(_reduce(a, inner, mean), outer, mean))
 
 
 def mixed_norm_gradient(

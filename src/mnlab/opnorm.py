@@ -12,9 +12,14 @@ with L the grid L^{r,s} norm and P the l^{p,q} norm:
     grad f = (T*(dL/d|S| * S/|S|) - f * dP/d|A| * A/|A|) / P(A),
 
 where S = TA is the zero-padded inverse FFT of A and the adjoint T* is the
-forward FFT cropped to the first M x N frequencies.  One gradient costs two
-FFTs.  Infinite exponents take the one-hot subgradient at the first argmax,
-and zero entries get weight 0, which is what central differences give there.
+forward FFT cropped to the first M x N frequencies (`trigsum.synthesize` and
+`synthesize_adjoint`, both pruned).  Each line-search trial costs one
+synthesis, and the accepted trial's samples feed the next gradient, which
+then costs one adjoint.  Each start is validated once, as a CoefficientMatrix
+on a grid that holds its frequencies; the trials run on raw arrays and only
+check that the value is defined and finite.  Infinite exponents take the
+one-hot subgradient at the first argmax, and zero entries get weight 0,
+which is what central differences give there.
 
 Depending on the exponents and the size, the unit, ones, column and row warm
 starts can be exact critical points of f, where the gradient vanishes to
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,8 +49,9 @@ import numpy as np
 
 from .exponents import MixedExponents, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import KINDS, ColumnC, OnesD, RowR, UnitE, build, certified_lower_bound, kind_name
-from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm, mixed_norm_gradient
-from .trigsum import EvalPlan, default_grid, eval_sum
+# lpq_norm and lrs_norm are unused here but stay bound: perfbench's tracer rebinds them in this module.
+from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm, mixed_norm, mixed_norm_gradient  # noqa: F401
+from .trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
 
 __all__ = [
     "GRID_TOL",
@@ -135,11 +142,23 @@ class BoundReport(JsonReport):
 
 
 def objective(A: CoefficientMatrix, e: MixedExponents, grid: tuple[int, int]) -> float:
-    """||T A||_{L^{r,s}} on the grid divided by ||A||_{l^{p,q}}."""
-    denom = lpq_norm(A, e)
+    """||T A||_{L^{r,s}} on the grid divided by ||A||_{l^{p,q}}: the ascent's value at A."""
+    return _ratio(A.entries, eval_sum(A, EvalPlan(*grid)).samples, e)
+
+
+def _ratio(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> float:
+    """||samples||_{L^{r,s}} / ||entries||_{l^{p,q}}; raises unless it is defined and finite.
+
+    A non-finite entry or sample makes the ratio non-finite, so the one
+    scalar check stands for scans of both arrays.
+    """
+    denom = mixed_norm(np.abs(entries), e.alpha, e.beta, mean=False)
     if denom == 0.0:
         raise ValueError("objective undefined for the zero matrix")
-    return lrs_norm(eval_sum(A, EvalPlan(*grid)), e) / denom
+    value = mixed_norm(np.abs(samples), e.gamma, e.delta, mean=True) / denom
+    if not math.isfinite(value):
+        raise ValueError(f"objective is not finite: {value!r}")
+    return value
 
 
 # ----------------------------------------------------------------------------
@@ -153,13 +172,15 @@ def _phase(z: np.ndarray) -> np.ndarray:
     return np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0.0)
 
 
-def _adjoint_gradient(entries: np.ndarray, e: MixedExponents, grid: tuple[int, int]) -> np.ndarray:
-    """Gradient of the objective in the 2MN real parameters of A, as d/dRe + i d/dIm."""
+def _adjoint_gradient(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> np.ndarray:
+    """Gradient of the objective in the 2MN real parameters of A, as d/dRe + i d/dIm.
+
+    `samples` is the synthesis of `entries` on the objective's grid.
+    """
     M, N = entries.shape
-    samples = eval_sum(CoefficientMatrix(M, N, entries), EvalPlan(*grid)).samples
     lrs, lrs_weights = mixed_norm_gradient(np.abs(samples), e.gamma, e.delta, mean=True)
     lpq, lpq_weights = mixed_norm_gradient(np.abs(entries), e.alpha, e.beta, mean=False)
-    pulled_back = np.fft.fft2(lrs_weights * _phase(samples))[:M, :N]
+    pulled_back = synthesize_adjoint(lrs_weights * _phase(samples), M, N)
     return (pulled_back - (lrs / lpq) * lpq_weights * _phase(entries)) / lpq
 
 
@@ -184,13 +205,15 @@ def _ascend(
     The history of accepted objective values is non-decreasing by
     construction.  The iterate stays normalized (the objective is
     scale-invariant), and a restart stops when no step of at least STEP_TOL
-    improves the value.
+    improves the value.  The start is checked once, by eval_sum; the trials
+    run on raw arrays.
     """
     entries = start / np.linalg.norm(start)
-    value = objective(CoefficientMatrix(*entries.shape, entries), e, grid)
+    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
+    value = _ratio(entries, samples, e)
     history = [value]
     for _ in range(cfg.max_iters):
-        grad = _adjoint_gradient(entries, e, grid)
+        grad = _adjoint_gradient(entries, samples, e)
         norm = float(np.linalg.norm(grad))
         if norm <= SADDLE_TOL:
             grad = _escape_direction(entries)
@@ -203,9 +226,10 @@ def _ascend(
         while step >= STEP_TOL:
             trial = entries + step * direction
             trial /= np.linalg.norm(trial)
-            trial_value = objective(CoefficientMatrix(*trial.shape, trial), e, grid)
+            trial_samples = synthesize(trial, *grid)
+            trial_value = _ratio(trial, trial_samples, e)
             if trial_value > value:
-                entries, value = trial, trial_value
+                entries, value, samples = trial, trial_value, trial_samples
                 history.append(value)
                 accepted = True
                 break

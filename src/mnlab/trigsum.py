@@ -2,11 +2,17 @@
 
 S_{M,N}(x, y) = sum_{n=1}^{N} sum_{m=1}^{M} a_{mn} e^{2 pi i ((m-1)x + (n-1)y)}
 
-is a trigonometric polynomial with nonnegative frequencies, so `eval_sum`
-samples it on the unit-periodic grid by zero-padding the coefficient matrix
-into a Kx x Ky array and applying an inverse FFT.  The direct double sum
-(two small matrix products) is the independent oracle: `eval_sum_at` uses it
-at any point, and the tests pin the transform convention against it.
+is a trigonometric polynomial with nonnegative frequencies, so it is
+sampled on the unit-periodic Kx x Ky grid by the inverse FFT of the
+coefficient matrix zero-padded to Kx x Ky.  `synthesize` prunes that
+transform: it never builds the padded array, and its first pass runs over
+the M nonzero rows only.  `synthesize_adjoint` is the forward FFT cropped to
+the first M x N frequencies, pruned the same way.  Both take the same 1-D
+passes in the same order as ifft2 / fft2 of the padded grid, so their
+output is bit-for-bit that of the unpruned transforms.  `eval_sum` is the
+checked synthesis.  The direct double sum (two small matrix products) is the
+independent oracle: `eval_sum_at` uses it at any point, and the tests pin
+the transform convention against it.
 
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
@@ -29,6 +35,8 @@ __all__ = [
     "eval_sum",
     "eval_sum_at",
     "eval_nonortho",
+    "synthesize",
+    "synthesize_adjoint",
 ]
 
 
@@ -58,22 +66,29 @@ def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) 
     return ex @ A.entries @ ey.T
 
 
-def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
-    """Sample S_{M,N} on the plan's grid (frequency scale 2 pi).
+def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
+    """The Kx x Ky samples of S for the M x N array `entries`, unchecked.
 
-    A is embedded at the nonnegative frequencies (m-1, n-1) of a Kx x Ky
-    array P, and ifft2(P) * Kx * Ky reproduces the literal double sum; this
-    requires Kx >= M and Ky >= N.
+    Equal bit for bit to ifft2(P) * Kx * Ky, where P is `entries` embedded at
+    the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky array; the
+    caller guarantees Kx >= M and Ky >= N (a smaller grid would crop).
     """
+    return np.fft.ifft(np.fft.ifft(entries, n=Ky, axis=1), n=Kx, axis=0) * (Kx * Ky)
+
+
+def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:
+    """The adjoint of `synthesize` up to the grid scale: fft2(samples)[:M, :N], bit for bit."""
+    return np.fft.fft(np.fft.fft(samples, axis=1)[:, :N], axis=0)[:M]
+
+
+def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
+    """Sample S_{M,N} on the plan's grid (frequency scale 2 pi); needs Kx >= M and Ky >= N."""
     M, N = A.M, A.N
     if plan.Kx < M or plan.Ky < N:
         raise ValueError(
             f"zero-pad transform needs Kx >= M and Ky >= N, got ({plan.Kx}, {plan.Ky}) for ({M}, {N})"
         )
-    padded = np.zeros((plan.Kx, plan.Ky), dtype=np.complex128)
-    padded[:M, :N] = A.entries
-    samples = np.fft.ifft2(padded) * (plan.Kx * plan.Ky)
-    return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=samples)
+    return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=synthesize(A.entries, plan.Kx, plan.Ky))
 
 
 def eval_sum_at(A: CoefficientMatrix, x: float, y: float, scale: float = 2.0 * np.pi) -> complex:

@@ -265,7 +265,9 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["chirp-check", "--M-ladder", "8:16", "--xs", "nan"], "every x must be finite, got [nan]"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "inf"], "every x must be finite, got [inf]"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "0.3,1e200"],
-     "x=1e+200 is too large: M*x*x/eta overflows at M=16"),
+     "x=1e+200 is too large: M*x*x/eta reaches 2**52 at M=16"),
+    (["chirp-check", "--M-ladder", "8:16", "--xs", "1e150"],
+     "x=1e+150 is too large: M*x*x/eta reaches 2**52 at M=16"),
     (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2, N=-2"),
     (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0, N=0"),
     (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
@@ -273,7 +275,8 @@ def test_nonortho_check_without_trials_fails(capsys):
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
         "extremal-negative-samples", "extremal-ones-M-zero", "extremal-row-N-zero",
-        "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "nonortho-size-negative",
+        "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
+        "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":

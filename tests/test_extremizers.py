@@ -1,6 +1,7 @@
 """Tests for extremizer matrices, chirp sums, and certified lower bounds."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -275,6 +276,19 @@ def test_entry_value_cancels_in_the_ratio():
     b = verify_dirichlet_lower(ColumnC(value=5j), 6, 3, e)
     assert a.lower == b.lower
     assert a.observed == pytest.approx(b.observed, rel=1e-12)
+
+
+def test_numpy_integer_sizes_serialize():
+    e = MixedExponents(0.5, 0.25, 0.75, 0.5)
+    assert type(build(RowR(), np.int64(3), np.int32(2)).M) is int
+    reports = [
+        verify_dirichlet_lower(OnesD(), np.int64(2), 2, e),
+        unit_sharpness(UnitE(), np.int64(2), np.int32(3), e),
+        verify_chirp_lower(np.int64(4), np.int32(4)),
+    ]
+    for report in reports:
+        assert type(report.M) is int and type(report.N) is int
+        json.dumps(report.to_json_dict())
 
 
 def test_dirichlet_lower_rejects_other_kinds():

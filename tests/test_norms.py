@@ -322,6 +322,12 @@ def test_row_major_entry_order():
     assert [pair[0] for pair in doc["entries"]] == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_numpy_integer_sizes_are_stored_as_python_ints():
+    A = CoefficientMatrix(np.int64(2), np.int32(3), np.ones((2, 3)))
+    assert type(A.M) is int and type(A.N) is int
+    assert json.dumps(matrix_to_json(A)) == json.dumps(matrix_to_json(CoefficientMatrix(2, 3, np.ones((2, 3)))))
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         CoefficientMatrix(2, 2, np.ones((2, 3), dtype=complex))

@@ -2,13 +2,15 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mnlab import opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
 from mnlab.extremizers import RowR, UnitE, build
-from mnlab.norms import CoefficientMatrix
+from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import (
     CSV_COLUMNS,
     BoundReport,
@@ -23,7 +25,7 @@ from mnlab.opnorm import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from mnlab.trigsum import default_grid
+from mnlab.trigsum import EvalPlan, default_grid, eval_sum, synthesize
 
 E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 SUP_OVER_L1 = MixedExponents(1.0, 1.0, 0.0, 0.0)
@@ -68,6 +70,51 @@ def test_objective_rejects_zero_matrix():
     A = CoefficientMatrix(2, 2, np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
         objective(A, E2222, (16, 16))
+
+
+def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
+    # Every value the ascent computes, at its start and at each trial, is
+    # what objective() returns for the same entries, and what the public
+    # norms of the public evaluator give.
+    seen = []
+    ratio = opnorm._ratio
+
+    def recording(entries, samples, e):
+        value = ratio(entries, samples, e)
+        seen.append((entries.copy(), value))
+        return value
+
+    monkeypatch.setattr(opnorm, "_ratio", recording)
+    rng = np.random.default_rng(6)
+    grid = (24, 16)
+    for e in (COLUMN_EQUALITY, SUP_OVER_L1, INTERIOR):
+        start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        _ascend(start, e, grid, SearchConfig(max_iters=3))
+        ascent = list(seen)
+        for entries, value in ascent:
+            A = CoefficientMatrix(3, 2, entries)
+            assert objective(A, e, grid).hex() == value.hex()
+            assert (lrs_norm(eval_sum(A, EvalPlan(*grid)), e) / lpq_norm(A, e)).hex() == value.hex()
+        assert len(ascent) > 3
+        seen.clear()
+
+
+def test_trial_ratio_rejects_undefined_and_non_finite_values():
+    # The ascent's trials skip the matrix and grid checks; this one scalar
+    # check is what stands in for them.
+    entries = np.ones((2, 3), dtype=complex)
+    samples = synthesize(entries, 16, 16)
+    with np.errstate(invalid="ignore"):  # inf / inf inside the norms
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            spoiled = samples.copy()
+            spoiled[3, 5] = bad
+            for e in (E2222, SUP_OVER_L1, INTERIOR):
+                with pytest.raises(ValueError, match="objective is not finite"):
+                    opnorm._ratio(entries, spoiled, e)
+        with pytest.raises(ValueError, match="objective is not finite"):
+            opnorm._ratio(np.full((2, 3), np.nan + 0j), samples, INTERIOR)
+    with pytest.raises(ValueError, match="zero matrix"):
+        opnorm._ratio(np.zeros((2, 3), dtype=complex), samples, INTERIOR)
 
 
 def test_objective_is_scale_invariant():
@@ -122,6 +169,10 @@ def test_search_report_repeats_bit_for_bit():
     assert json.dumps(first.to_json_dict(), sort_keys=True) == json.dumps(second.to_json_dict(), sort_keys=True)
 
 
+def adjoint_gradient(entries, e, grid):
+    return _adjoint_gradient(entries, synthesize(entries, *grid), e)
+
+
 def fd_gradient(entries, e, grid):
     """Central finite differences on the 2MN real parameters: the gradient oracle."""
     h = 1e-5 * float(np.linalg.norm(entries))
@@ -156,7 +207,7 @@ def test_adjoint_gradient_matches_central_differences(e, M, N):
         grid = default_grid(M, N, floor=16)
         oracle = fd_gradient(entries, e, grid)
         assert np.linalg.norm(oracle) > 1e-3  # a non-stationary point
-        error = np.linalg.norm(_adjoint_gradient(entries, e, grid) - oracle)
+        error = np.linalg.norm(adjoint_gradient(entries, e, grid) - oracle)
         assert error <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -168,7 +219,7 @@ def test_adjoint_gradient_matches_central_differences_at_zero_entries_for_p_one(
     entries[[0, 1, 2], [1, 3, 0]] = 0.0
     e = MixedExponents(1.0, 0.5, 0.25, 0.5)
     oracle = fd_gradient(entries, e, (24, 32))
-    error = np.linalg.norm(_adjoint_gradient(entries, e, (24, 32)) - oracle)
+    error = np.linalg.norm(adjoint_gradient(entries, e, (24, 32)) - oracle)
     assert error <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -177,9 +228,35 @@ def test_ascent_leaves_the_unit_saddle():
     # roundoff; the fixed escape direction must still find an improvement.
     start = build(UnitE(), 4, 4).entries
     grid = default_grid(4, 4, floor=16)
-    assert np.linalg.norm(_adjoint_gradient(start, INTERIOR, grid)) < 1e-12
+    assert np.linalg.norm(adjoint_gradient(start, INTERIOR, grid)) < 1e-12
     value, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=5))
     assert value > history[0]
+
+
+def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
+    counts = Counter()
+
+    def count(name):
+        original = getattr(opnorm, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(opnorm, name, counting)
+
+    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_ratio", "_adjoint_gradient"):
+        count(name)
+    rng = np.random.default_rng(5)
+    start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    value, history = _ascend(start, INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
+    # Objective evaluations (the start and 15 trials), gradients and the
+    # result are those of this ascent before its kernel was pruned.
+    assert (counts["_ratio"], counts["_adjoint_gradient"], len(history)) == (16, 10, 11)
+    assert value.hex() == "0x1.46c1cfd9af10ap+0"
+    assert counts["eval_sum"] == 1  # the start, checked once
+    assert counts["eval_sum"] + counts["synthesize"] == counts["_ratio"]
+    assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"]
 
 
 def test_escape_direction_skips_scaling_and_phase():
@@ -197,6 +274,26 @@ def test_ascent_history_is_monotone():
     assert history == sorted(history)
     assert value == history[-1]
     assert value <= upper_bound_magnitude(3, 3, SUP_OVER_L1) * (1 + 3e-4)
+
+
+# `searched` of estimate(M, M, e, SearchConfig(restarts=2, max_iters=10,
+# seed=7)) on the benchmark's search tuples, recorded as float.hex before the
+# search kernel was pruned; a kernel change that moves one bit fails here.
+GOLDEN_SEARCHED = {
+    ("column-equality", 2): "0x1.1b4f819c2ff81p+0",
+    ("column-equality", 4): "0x1.4b6a277d6a2e6p+0",
+    ("sup-l1", 2): "0x1.0000000000001p+0",
+    ("sup-l1", 4): "0x1.0000000000002p+0",
+    ("interior", 2): "0x1.28371e30a727cp+0",
+    ("interior", 4): "0x1.62f5c821f1c82p+0",
+}
+SEARCH_TUPLES = {"column-equality": COLUMN_EQUALITY, "sup-l1": SUP_OVER_L1, "interior": INTERIOR}
+
+
+@pytest.mark.parametrize("name,M", sorted(GOLDEN_SEARCHED))
+def test_searched_is_pinned_bit_for_bit(name, M):
+    report = estimate(M, M, SEARCH_TUPLES[name], SearchConfig(restarts=2, max_iters=10, seed=7))
+    assert report.searched.hex() == GOLDEN_SEARCHED[name, M]
 
 
 def test_sandwich_holds_on_random_exponents():

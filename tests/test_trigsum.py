@@ -8,7 +8,16 @@ import pytest
 
 from mnlab.exponents import MixedExponents
 from mnlab.norms import CoefficientMatrix, lpq_norm
-from mnlab.trigsum import EvalPlan, _direct, default_grid, eval_nonortho, eval_sum, eval_sum_at
+from mnlab.trigsum import (
+    EvalPlan,
+    _direct,
+    default_grid,
+    eval_nonortho,
+    eval_sum,
+    eval_sum_at,
+    synthesize,
+    synthesize_adjoint,
+)
 
 
 def random_matrix(rng, M, N):
@@ -23,6 +32,23 @@ def test_direct_and_transform_paths_agree():
     direct = _direct(A, nodes, nodes, 2.0 * np.pi)
     scale = np.max(np.abs(f_fft.samples))
     assert np.max(np.abs(f_fft.samples - direct)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("M,N,Kx,Ky", [
+    (4, 4, 32, 32),
+    (5, 3, 12, 7),
+    (3, 5, 24, 40),
+    (3, 5, 3, 40),
+    (7, 9, 7, 9),
+], ids=["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix"])
+def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
+    rng = np.random.default_rng([M, N, Kx, Ky])
+    entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+    padded = np.zeros((Kx, Ky), dtype=complex)
+    padded[:M, :N] = entries
+    assert np.array_equal(synthesize(entries, Kx, Ky), np.fft.ifft2(padded) * (Kx * Ky))
+    samples = rng.standard_normal((Kx, Ky)) + 1j * rng.standard_normal((Kx, Ky))
+    assert np.array_equal(synthesize_adjoint(samples, M, N), np.fft.fft2(samples)[:M, :N])
 
 
 def test_transform_convention_matches_pointwise_sum():
