@@ -8,13 +8,17 @@ At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2):
 * ``eval_sum``: one synthesis of a random M x M matrix on the 8M x 8M grid;
 * ``lrs_norm`` of those samples and ``lpq_norm`` of the matrix;
 * ``objective`` of the matrix on that grid;
-* ``gradient``: one ``opnorm._adjoint_gradient``, handed the matrix's
-  samples when its signature takes them (the ascent has them from its last
-  trial) and computing them itself where it does not;
+* ``gradient``: one ``opnorm._adjoint_gradient``, handed what the ascent
+  has from its accepted trial, by parameter name: the trial's record
+  (``opnorm._evaluate``, its samples and both norms with their reductions)
+  where the signature takes ``trial``, else the matrix and its samples;
 * ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
   the start's value, one gradient and the line-search trials up to the
   first accepted step;
-* ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7).
+* ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7);
+* ``estimate_closed``: ``estimate`` at the same config on l^1 -> L^inf,
+  (p, q, r, s) = (1, 1, inf, inf), whose bound 1.0 the unit start attains,
+  so the bracket closes at the first start.
 
 Each figure is the median over ``--repeats`` samples of the mean time per
 call, a sample lasting at least 0.2 s (``timeit``'s autorange) or one call.
@@ -51,6 +55,7 @@ from mnlab.opnorm import SearchConfig, estimate, objective  # noqa: E402
 from mnlab.trigsum import EvalPlan, default_grid, eval_sum  # noqa: E402
 
 EXPONENTS = MixedExponents(0.25, 0.5, 0.75, 0.5)
+CLOSED_EXPONENTS = MixedExponents(1.0, 1.0, 0.0, 0.0)
 ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
 DEFAULT_SIZES = (4, 8, 16, 32, 64)
 
@@ -61,10 +66,11 @@ def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
 
 def _gradient_call(entries: np.ndarray, grid: tuple[int, int]):
     """One adjoint gradient at `entries`, with the arguments its signature names."""
-    A = CoefficientMatrix(*entries.shape, entries)
-    available = {"entries": entries, "e": EXPONENTS, "grid": grid,
-                 "samples": eval_sum(A, EvalPlan(*grid)).samples}
+    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
+    available = {"entries": entries, "e": EXPONENTS, "grid": grid, "samples": samples}
     names = inspect.signature(opnorm._adjoint_gradient).parameters
+    if "trial" in names:
+        available["trial"] = opnorm._evaluate(entries, samples, EXPONENTS)
     return functools.partial(opnorm._adjoint_gradient, **{name: available[name] for name in names})
 
 
@@ -85,6 +91,7 @@ def _layer_calls(M: int) -> dict:
         "gradient": _gradient_call(entries, grid),
         "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
         "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
+        "estimate_closed": functools.partial(estimate, M, M, CLOSED_EXPONENTS, ESTIMATE_CONFIG),
     }
 
 
@@ -163,6 +170,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "repeats": args.repeats,
             "grid": "default_grid(M, M): 8M x 8M",
             "exponents": list(EXPONENTS.as_tuple()),
+            "estimate_closed_exponents": list(CLOSED_EXPONENTS.as_tuple()),
             "estimate": {"restarts": ESTIMATE_CONFIG.restarts, "max_iters": ESTIMATE_CONFIG.max_iters,
                          "seed": ESTIMATE_CONFIG.seed},
         },

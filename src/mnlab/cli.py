@@ -272,6 +272,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_nonortho_check(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     sizes = _parse_ladder(args.sizes)
     for size in sizes:  # all of them before the first draw: a bad size fails before any output
         check_dimensions(size, size)

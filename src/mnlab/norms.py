@@ -18,6 +18,7 @@ import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +32,7 @@ __all__ = [
     "QuadratureWarning",
     "lpq_norm",
     "lrs_norm",
-    "mixed_norm",
-    "mixed_norm_gradient",
+    "MixedNorm",
     "holder_matrix_chain",
     "matrix_to_json",
     "matrix_from_json",
@@ -118,7 +118,7 @@ def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     Only e.alpha and e.beta are consulted.  Exactly zero iff A is the zero
     matrix.
     """
-    return mixed_norm(np.abs(A.entries), e.alpha, e.beta, mean=False)
+    return MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -131,10 +131,10 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds spec.rel_tol.
     """
-    value = mixed_norm(np.abs(f.samples), e.gamma, e.delta, mean=True)
+    value = MixedNorm.of(np.abs(f.samples), e.gamma, e.delta, mean=True).value
     # The half grid only stays uniform-periodic when both sizes are even.
     if spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0:
-        coarse = mixed_norm(np.abs(f.samples[:: 2, :: 2]), e.gamma, e.delta, mean=True)
+        coarse = MixedNorm.of(np.abs(f.samples[:: 2, :: 2]), e.gamma, e.delta, mean=True).value
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
         if disagreement > spec.rel_tol:
@@ -184,32 +184,38 @@ def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool)
     return grad / a.shape[0] if mean else grad
 
 
-def mixed_norm(a: np.ndarray, inner: float, outer: float, mean: bool) -> float:
-    """The mixed norm of the non-negative 2-D array `a`, as in mixed_norm_gradient.
+class MixedNorm(NamedTuple):
+    """A mixed norm of the non-negative 2-D array `a`, with the reductions its gradient reuses.
 
-    lpq_norm is mixed_norm(|entries|, alpha, beta, mean=False) and lrs_norm
-    is mixed_norm(|samples|, gamma, delta, mean=True).
+    The norm with reciprocal exponent `inner` runs down axis 0, giving
+    `inner_values`, then `outer` across axis 1, giving `value`; `mean`
+    selects the rectangle-rule means of lrs_norm over the plain sums of
+    lpq_norm.  Build one with `MixedNorm.of`: lpq_norm is the value of
+    MixedNorm.of(|entries|, alpha, beta, mean=False) and lrs_norm that of
+    MixedNorm.of(|samples|, gamma, delta, mean=True).
     """
-    return float(_reduce(_reduce(a, inner, mean), outer, mean))
 
+    a: np.ndarray
+    inner: float
+    outer: float
+    mean: bool
+    inner_values: np.ndarray
+    value: float
 
-def mixed_norm_gradient(
-    a: np.ndarray, inner: float, outer: float, mean: bool
-) -> tuple[float, np.ndarray]:
-    """A mixed norm of the non-negative 2-D array `a` and its gradient in `a`.
+    @classmethod
+    def of(cls, a: np.ndarray, inner: float, outer: float, mean: bool) -> "MixedNorm":
+        inner_values = _reduce(a, inner, mean)
+        return cls(a, inner, outer, mean, inner_values, float(_reduce(inner_values, outer, mean)))
 
-    The norm with reciprocal exponent `inner` runs down axis 0, then `outer`
-    across axis 1; `mean` selects the rectangle-rule means of lrs_norm over
-    the plain sums of lpq_norm.  Returns the same value as those functions
-    and the array of partial derivatives (a subgradient where an exponent is
-    infinite: one-hot at the first argmax).
-    """
-    inner_values = _reduce(a, inner, mean)
-    value = _reduce(inner_values, outer, mean)
-    grad = _reduce_gradient(a, inner_values, inner, mean) * _reduce_gradient(
-        inner_values, value, outer, mean
-    )
-    return float(value), grad
+    def gradient(self) -> np.ndarray:
+        """The partial derivatives of `value` in `a`, from the stored reductions.
+
+        Where an exponent is infinite this is a subgradient: one-hot at the
+        first argmax.
+        """
+        return _reduce_gradient(self.a, self.inner_values, self.inner, self.mean) * _reduce_gradient(
+            self.inner_values, self.value, self.outer, self.mean
+        )
 
 
 def holder_matrix_chain(

@@ -14,8 +14,10 @@ with L the grid L^{r,s} norm and P the l^{p,q} norm:
 where S = TA is the zero-padded inverse FFT of A and the adjoint T* is the
 forward FFT cropped to the first M x N frequencies (`trigsum.synthesize` and
 `synthesize_adjoint`, both pruned).  Each line-search trial costs one
-synthesis, and the accepted trial's samples feed the next gradient, which
-then costs one adjoint.  Each start is validated once, as a CoefficientMatrix
+synthesis and one evaluation, which keeps its samples and both mixed norms
+with their inner reductions (`norms.MixedNorm`); the accepted trial's record
+feeds the next gradient, which then costs the two dual weights, the two
+phases and one adjoint.  Each start is validated once, as a CoefficientMatrix
 on a grid that holds its frequencies; the trials run on raw arrays and only
 check that the value is defined and finite.  Infinite exponents take the
 one-hot subgradient at the first argmax, and zero entries get weight 0,
@@ -31,6 +33,13 @@ gradient and halves it until the value strictly improves; a restart stops
 when the step falls below 1e-9 or after max_iters steps.  Since only strict
 improvements are accepted, a start that is a local maximum stays put.
 
+The search stops once the bracket closes: with target = upper / (1 +
+3*GRID_TOL), the sandwich check's own slack, an ascent stops before its
+next gradient once its value reaches the target, and `estimate` visits no
+start after the first that does.  Where the bound is attained at the unit
+start (l^1 -> L^inf, l^2 -> L^2, every 1 x 1 matrix) the whole search is one
+evaluation.
+
 Every estimate emits a BoundReport; batches serialize to JSON lines and an
 aggregate CSV with the frozen column order
 M,N,alpha,beta,gamma,delta,theta,phi_or_blank,upper,lower,searched,ratio_lower,ratio_searched.
@@ -43,14 +52,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .exponents import MixedExponents, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import KINDS, ColumnC, OnesD, RowR, UnitE, build, certified_lower_bound, kind_name
 # lpq_norm and lrs_norm are unused here but stay bound: perfbench's tracer rebinds them in this module.
-from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm, mixed_norm, mixed_norm_gradient  # noqa: F401
+from .norms import CoefficientMatrix, JsonReport, MixedNorm, lpq_norm, lrs_norm  # noqa: F401
 from .trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
 
 __all__ = [
@@ -102,6 +111,8 @@ class SearchConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -143,22 +154,37 @@ class BoundReport(JsonReport):
 
 def objective(A: CoefficientMatrix, e: MixedExponents, grid: tuple[int, int]) -> float:
     """||T A||_{L^{r,s}} on the grid divided by ||A||_{l^{p,q}}: the ascent's value at A."""
-    return _ratio(A.entries, eval_sum(A, EvalPlan(*grid)).samples, e)
+    return _evaluate(A.entries, eval_sum(A, EvalPlan(*grid)).samples, e).value
 
 
-def _ratio(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> float:
+class _Trial(NamedTuple):
+    """The objective at `entries`, whose synthesis is `samples`, and the two norms behind it.
+
+    The gradient at this point reuses the reductions kept in `lpq` (of
+    |entries|) and `lrs` (of |samples|).
+    """
+
+    entries: np.ndarray
+    samples: np.ndarray
+    value: float
+    lpq: MixedNorm
+    lrs: MixedNorm
+
+
+def _evaluate(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> _Trial:
     """||samples||_{L^{r,s}} / ||entries||_{l^{p,q}}; raises unless it is defined and finite.
 
     A non-finite entry or sample makes the ratio non-finite, so the one
     scalar check stands for scans of both arrays.
     """
-    denom = mixed_norm(np.abs(entries), e.alpha, e.beta, mean=False)
-    if denom == 0.0:
+    lpq = MixedNorm.of(np.abs(entries), e.alpha, e.beta, mean=False)
+    if lpq.value == 0.0:
         raise ValueError("objective undefined for the zero matrix")
-    value = mixed_norm(np.abs(samples), e.gamma, e.delta, mean=True) / denom
+    lrs = MixedNorm.of(np.abs(samples), e.gamma, e.delta, mean=True)
+    value = lrs.value / lpq.value
     if not math.isfinite(value):
         raise ValueError(f"objective is not finite: {value!r}")
-    return value
+    return _Trial(entries, samples, value, lpq, lrs)
 
 
 # ----------------------------------------------------------------------------
@@ -172,16 +198,11 @@ def _phase(z: np.ndarray) -> np.ndarray:
     return np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0.0)
 
 
-def _adjoint_gradient(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> np.ndarray:
-    """Gradient of the objective in the 2MN real parameters of A, as d/dRe + i d/dIm.
-
-    `samples` is the synthesis of `entries` on the objective's grid.
-    """
-    M, N = entries.shape
-    lrs, lrs_weights = mixed_norm_gradient(np.abs(samples), e.gamma, e.delta, mean=True)
-    lpq, lpq_weights = mixed_norm_gradient(np.abs(entries), e.alpha, e.beta, mean=False)
-    pulled_back = synthesize_adjoint(lrs_weights * _phase(samples), M, N)
-    return (pulled_back - (lrs / lpq) * lpq_weights * _phase(entries)) / lpq
+def _adjoint_gradient(trial: _Trial) -> np.ndarray:
+    """Gradient of the objective at the trial's entries, as d/dRe + i d/dIm of its 2MN real parameters."""
+    M, N = trial.entries.shape
+    pulled_back = synthesize_adjoint(trial.lrs.gradient() * _phase(trial.samples), M, N)
+    return (pulled_back - trial.value * trial.lpq.gradient() * _phase(trial.entries)) / trial.lpq.value
 
 
 def _escape_direction(entries: np.ndarray) -> np.ndarray:
@@ -198,25 +219,28 @@ def _escape_direction(entries: np.ndarray) -> np.ndarray:
 
 
 def _ascend(
-    start: np.ndarray, e: MixedExponents, grid: tuple[int, int], cfg: SearchConfig
+    start: np.ndarray, e: MixedExponents, grid: tuple[int, int], cfg: SearchConfig, target: float = math.inf
 ) -> tuple[float, list[float]]:
     """Backtracking gradient ascent from one start; returns (best value, history).
 
     The history of accepted objective values is non-decreasing by
     construction.  The iterate stays normalized (the objective is
     scale-invariant), and a restart stops when no step of at least STEP_TOL
-    improves the value.  The start is checked once, by eval_sum; the trials
-    run on raw arrays.
+    improves the value, or before the next gradient once the value reaches
+    `target`.  The start is checked once, by eval_sum; the trials run on raw
+    arrays, and each gradient reuses the accepted trial's norms.
     """
     entries = start / np.linalg.norm(start)
     samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
-    value = _ratio(entries, samples, e)
-    history = [value]
+    current = _evaluate(entries, samples, e)
+    history = [current.value]
     for _ in range(cfg.max_iters):
-        grad = _adjoint_gradient(entries, samples, e)
+        if current.value >= target:
+            break
+        grad = _adjoint_gradient(current)
         norm = float(np.linalg.norm(grad))
         if norm <= SADDLE_TOL:
-            grad = _escape_direction(entries)
+            grad = _escape_direction(current.entries)
             norm = float(np.linalg.norm(grad))
             if norm <= SADDLE_TOL:
                 break
@@ -224,40 +248,52 @@ def _ascend(
         step = FIRST_STEP
         accepted = False
         while step >= STEP_TOL:
-            trial = entries + step * direction
-            trial /= np.linalg.norm(trial)
-            trial_samples = synthesize(trial, *grid)
-            trial_value = _ratio(trial, trial_samples, e)
-            if trial_value > value:
-                entries, value, samples = trial, trial_value, trial_samples
-                history.append(value)
+            entries = current.entries + step * direction
+            entries /= np.linalg.norm(entries)
+            trial = _evaluate(entries, synthesize(entries, *grid), e)
+            if trial.value > current.value:
+                current = trial
+                history.append(current.value)
                 accepted = True
                 break
             step /= 2.0
         if not accepted:
             break
-    return value, history
+    return current.value, history
 
 
-def _start_matrices(M: int, N: int, cfg: SearchConfig) -> list[np.ndarray]:
-    """Warm starts at the five extremizer kinds in table order, then seeded random starts."""
-    starts = [build(kind(), M, N).entries for kind in KINDS]
+def _start_matrices(M: int, N: int, cfg: SearchConfig) -> Iterator[np.ndarray]:
+    """Warm starts at the five extremizer kinds in table order, then seeded random starts.
+
+    Each start is built only when the search reaches it.
+    """
+    for kind in KINDS:
+        yield build(kind(), M, N).entries
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
         rng = np.random.default_rng(child)
-        starts.append(rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
-    return starts
+        yield rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
 
 
 def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig()) -> BoundReport:
     """Bracket the operator norm at one point and search for its value.
 
     Runs ascents from the extremizer warm starts plus cfg.restarts random
-    starts (deterministically spawned from cfg.seed) and reduces to the best
-    value in start order, so reports are reproducible bit-for-bit.
+    starts (deterministically spawned from cfg.seed), in that order, and
+    reduces to the best value, so reports are reproducible bit-for-bit.
+    The search stops after the first start whose value reaches
+    upper / (1 + 3*GRID_TOL): no start can exceed the proven bound by more
+    than the sandwich check's slack, so the bracket is closed.
     """
     M, N = check_dimensions(M, N)
     grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
-    searched = max(_ascend(start, e, grid, cfg)[0] for start in _start_matrices(M, N, cfg))
+    upper = upper_bound_magnitude(M, N, e)
+    slack = 1.0 + 3.0 * GRID_TOL
+    target = upper / slack
+    searched = -math.inf
+    for start in _start_matrices(M, N, cfg):
+        searched = max(searched, _ascend(start, e, grid, cfg, target)[0])
+        if searched >= target:
+            break
 
     # The single entry's ratio is exactly one.  On ties the first candidate wins.
     candidates = [(kind_name(UnitE()), 1.0)] + [
@@ -265,8 +301,6 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     ]
     lower_kind, lower = max(candidates, key=lambda item: item[1])
 
-    upper = upper_bound_magnitude(M, N, e)
-    slack = 1.0 + 3.0 * GRID_TOL
     sandwich_ok = lower <= searched * slack and searched <= upper * slack
     return BoundReport(
         M=M,

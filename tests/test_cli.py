@@ -271,13 +271,17 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2, N=-2"),
     (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0, N=0"),
     (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
+    (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["sweep", "--M-ladder", "2,4", "--tuple", "2,2,2,2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["nonortho-check", "--sizes", "2", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
         "extremal-negative-samples", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
-        "nonortho-size-zero-after-valid", "bound-M-zero"])
+        "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
+        "sweep-seed-negative", "nonortho-seed-negative"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mnlab import opnorm
+from mnlab import norms, opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
 from mnlab.extremizers import RowR, UnitE, build
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
@@ -18,6 +18,7 @@ from mnlab.opnorm import (
     _adjoint_gradient,
     _ascend,
     _escape_direction,
+    _evaluate,
     estimate,
     ladder_diagnostics,
     objective,
@@ -25,7 +26,7 @@ from mnlab.opnorm import (
     write_reports_csv,
     write_reports_jsonl,
 )
-from mnlab.trigsum import EvalPlan, default_grid, eval_sum, synthesize
+from mnlab.trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
 
 E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 SUP_OVER_L1 = MixedExponents(1.0, 1.0, 0.0, 0.0)
@@ -77,14 +78,14 @@ def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
     # what objective() returns for the same entries, and what the public
     # norms of the public evaluator give.
     seen = []
-    ratio = opnorm._ratio
+    evaluate = opnorm._evaluate
 
     def recording(entries, samples, e):
-        value = ratio(entries, samples, e)
-        seen.append((entries.copy(), value))
-        return value
+        trial = evaluate(entries, samples, e)
+        seen.append((entries.copy(), trial.value))
+        return trial
 
-    monkeypatch.setattr(opnorm, "_ratio", recording)
+    monkeypatch.setattr(opnorm, "_evaluate", recording)
     rng = np.random.default_rng(6)
     grid = (24, 16)
     for e in (COLUMN_EQUALITY, SUP_OVER_L1, INTERIOR):
@@ -110,11 +111,11 @@ def test_trial_ratio_rejects_undefined_and_non_finite_values():
             spoiled[3, 5] = bad
             for e in (E2222, SUP_OVER_L1, INTERIOR):
                 with pytest.raises(ValueError, match="objective is not finite"):
-                    opnorm._ratio(entries, spoiled, e)
+                    opnorm._evaluate(entries, spoiled, e)
         with pytest.raises(ValueError, match="objective is not finite"):
-            opnorm._ratio(np.full((2, 3), np.nan + 0j), samples, INTERIOR)
+            opnorm._evaluate(np.full((2, 3), np.nan + 0j), samples, INTERIOR)
     with pytest.raises(ValueError, match="zero matrix"):
-        opnorm._ratio(np.zeros((2, 3), dtype=complex), samples, INTERIOR)
+        opnorm._evaluate(np.zeros((2, 3), dtype=complex), samples, INTERIOR)
 
 
 def test_objective_is_scale_invariant():
@@ -170,7 +171,23 @@ def test_search_report_repeats_bit_for_bit():
 
 
 def adjoint_gradient(entries, e, grid):
-    return _adjoint_gradient(entries, synthesize(entries, *grid), e)
+    return _adjoint_gradient(_evaluate(entries, synthesize(entries, *grid), e))
+
+
+def from_scratch_gradient(entries, samples, e):
+    """The adjoint gradient, every reduction redone from |entries| and |samples|."""
+    def norm_and_weights(a, inner, outer, mean):
+        inner_values = norms._reduce(a, inner, mean)
+        value = norms._reduce(inner_values, outer, mean)
+        weights = norms._reduce_gradient(a, inner_values, inner, mean) * norms._reduce_gradient(
+            inner_values, value, outer, mean)
+        return float(value), weights
+
+    M, N = entries.shape
+    lrs, lrs_weights = norm_and_weights(np.abs(samples), e.gamma, e.delta, True)
+    lpq, lpq_weights = norm_and_weights(np.abs(entries), e.alpha, e.beta, False)
+    pulled_back = synthesize_adjoint(lrs_weights * opnorm._phase(samples), M, N)
+    return (pulled_back - (lrs / lpq) * lpq_weights * opnorm._phase(entries)) / lpq
 
 
 def fd_gradient(entries, e, grid):
@@ -191,14 +208,18 @@ def fd_gradient(entries, e, grid):
     return grad
 
 
-@pytest.mark.parametrize("e", [
+ORACLE_TUPLES = pytest.mark.parametrize("e", [
     COLUMN_EQUALITY,
     SUP_OVER_L1,
     INTERIOR,
     MixedExponents(0.0, 0.6, 0.3, 0.7),  # p = inf
     MixedExponents(0.4, 0.6, 0.0, 0.7),  # r = inf
 ], ids=["column-equality", "sup-l1", "interior", "p-inf", "r-inf"])
-@pytest.mark.parametrize("M,N", [(2, 3), (3, 4), (4, 2)])
+ORACLE_SHAPES = pytest.mark.parametrize("M,N", [(2, 3), (3, 4), (4, 2)])
+
+
+@ORACLE_TUPLES
+@ORACLE_SHAPES
 def test_adjoint_gradient_matches_central_differences(e, M, N):
     rng = np.random.default_rng([M, N])
     for _ in range(2):
@@ -209,6 +230,19 @@ def test_adjoint_gradient_matches_central_differences(e, M, N):
         assert np.linalg.norm(oracle) > 1e-3  # a non-stationary point
         error = np.linalg.norm(adjoint_gradient(entries, e, grid) - oracle)
         assert error <= 1e-6 * np.linalg.norm(oracle)
+
+
+@ORACLE_TUPLES
+@ORACLE_SHAPES
+def test_gradient_from_the_trial_record_equals_the_from_scratch_gradient(e, M, N):
+    rng = np.random.default_rng([M, N])
+    grid = default_grid(M, N, floor=16)
+    for _ in range(2):
+        entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        entries /= np.linalg.norm(entries)
+        samples = synthesize(entries, *grid)
+        assert np.array_equal(_adjoint_gradient(_evaluate(entries, samples, e)),
+                              from_scratch_gradient(entries, samples, e))
 
 
 def test_adjoint_gradient_matches_central_differences_at_zero_entries_for_p_one():
@@ -245,17 +279,17 @@ def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
 
         monkeypatch.setattr(opnorm, name, counting)
 
-    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_ratio", "_adjoint_gradient"):
+    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_evaluate", "_adjoint_gradient"):
         count(name)
     rng = np.random.default_rng(5)
     start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     value, history = _ascend(start, INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
     # Objective evaluations (the start and 15 trials), gradients and the
     # result are those of this ascent before its kernel was pruned.
-    assert (counts["_ratio"], counts["_adjoint_gradient"], len(history)) == (16, 10, 11)
+    assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (16, 10, 11)
     assert value.hex() == "0x1.46c1cfd9af10ap+0"
     assert counts["eval_sum"] == 1  # the start, checked once
-    assert counts["eval_sum"] + counts["synthesize"] == counts["_ratio"]
+    assert counts["eval_sum"] + counts["synthesize"] == counts["_evaluate"]
     assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"]
 
 
@@ -279,11 +313,13 @@ def test_ascent_history_is_monotone():
 # `searched` of estimate(M, M, e, SearchConfig(restarts=2, max_iters=10,
 # seed=7)) on the benchmark's search tuples, recorded as float.hex before the
 # search kernel was pruned; a kernel change that moves one bit fails here.
+# The sup-l1 bracket closes at the unit start, whose value is exactly the
+# bound 1.0, so the search stops there.
 GOLDEN_SEARCHED = {
     ("column-equality", 2): "0x1.1b4f819c2ff81p+0",
     ("column-equality", 4): "0x1.4b6a277d6a2e6p+0",
-    ("sup-l1", 2): "0x1.0000000000001p+0",
-    ("sup-l1", 4): "0x1.0000000000002p+0",
+    ("sup-l1", 2): "0x1.0000000000000p+0",
+    ("sup-l1", 4): "0x1.0000000000000p+0",
     ("interior", 2): "0x1.28371e30a727cp+0",
     ("interior", 4): "0x1.62f5c821f1c82p+0",
 }
@@ -294,6 +330,52 @@ SEARCH_TUPLES = {"column-equality": COLUMN_EQUALITY, "sup-l1": SUP_OVER_L1, "int
 def test_searched_is_pinned_bit_for_bit(name, M):
     report = estimate(M, M, SEARCH_TUPLES[name], SearchConfig(restarts=2, max_iters=10, seed=7))
     assert report.searched.hex() == GOLDEN_SEARCHED[name, M]
+    if name == "sup-l1":
+        assert report.searched == report.upper
+
+
+def count_search_calls(monkeypatch):
+    counts = Counter()
+    for name in ("_evaluate", "_adjoint_gradient"):
+        original = getattr(opnorm, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(opnorm, name, counting)
+    return counts
+
+
+def test_search_stops_once_the_bracket_closes(monkeypatch):
+    # ||S||_inf <= ||A||_1 holds with equality at the unit start, the first
+    # one visited: one evaluation and no gradient.
+    counts = count_search_calls(monkeypatch)
+    report = estimate(8, 8, SUP_OVER_L1, SearchConfig(restarts=2, max_iters=10, seed=7))
+    assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 0)
+    assert report.searched == report.upper == 1.0
+    rng = np.random.default_rng(8)
+    random_tuples = [MixedExponents(*rng.uniform(0.0, 1.0, size=4)) for _ in range(4)]
+    for e in (E2222, SUP_OVER_L1, INTERIOR, *random_tuples):
+        counts.clear()
+        report = estimate(1, 1, e, SearchConfig(restarts=3, max_iters=5))
+        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 0)
+        assert report.searched == report.upper == 1.0
+
+
+def test_ascent_stops_before_the_gradient_at_the_target(monkeypatch):
+    counts = count_search_calls(monkeypatch)
+    rng = np.random.default_rng(5)
+    start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    grid = default_grid(3, 2, floor=16)
+    _, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=10))
+    # A target between two accepted values stops the ascent at the first one that reaches it.
+    counts.clear()
+    target = (history[3] + history[4]) / 2.0
+    stopped, stopped_history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=10), target)
+    assert stopped_history == history[:5]
+    assert stopped == history[4]
+    assert counts["_adjoint_gradient"] == 4
 
 
 def test_sandwich_holds_on_random_exponents():
@@ -318,6 +400,8 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(max_iters=0)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SearchConfig(seed=-1)
 
 
 def test_numpy_integer_sizes_are_accepted():
