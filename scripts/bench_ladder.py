@@ -15,6 +15,10 @@ At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2):
 * ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
   the start's value, one gradient and the line-search trials up to the
   first accepted step;
+* ``ascent``: ``opnorm._ascend`` with max_iters=10 from the same start, so
+  that the later steps' line searches count too; its entry also gives
+  ``evaluations``, the objective evaluations of one call, counted in a
+  separate untimed call;
 * ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7);
 * ``estimate_closed``: ``estimate`` at the same config on l^1 -> L^inf,
   (p, q, r, s) = (1, 1, inf, inf), whose bound 1.0 the unit start attains,
@@ -90,6 +94,7 @@ def _layer_calls(M: int) -> dict:
         "objective": functools.partial(objective, A, EXPONENTS, grid),
         "gradient": _gradient_call(entries, grid),
         "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
+        "ascent": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=10)),
         "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
         "estimate_closed": functools.partial(estimate, M, M, CLOSED_EXPONENTS, ESTIMATE_CONFIG),
     }
@@ -100,6 +105,23 @@ def _median_us(call, repeats: int) -> dict:
     number, _ = timer.autorange()
     samples = timer.repeat(repeat=repeats, number=number)
     return {"median_us": statistics.median(samples) / number * 1e6, "calls_per_sample": number}
+
+
+def _evaluations(call) -> int:
+    """The objective evaluations (``opnorm._evaluate`` calls) that one call of `call` makes."""
+    evaluate, count = opnorm._evaluate, 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return evaluate(*args)
+
+    opnorm._evaluate = counting
+    try:
+        call()
+    finally:
+        opnorm._evaluate = evaluate
+    return count
 
 
 def _git_commit() -> dict:
@@ -162,6 +184,8 @@ def main(argv: "list[str] | None" = None) -> int:
     for M in args.sizes:
         for name, call in _layer_calls(M).items():
             layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
+            if name == "ascent":
+                layers[name][str(M)]["evaluations"] = _evaluations(call)
     run = {
         **_git_commit(),
         "machine": _machine(),

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -65,6 +66,11 @@ class _Parser(argparse.ArgumentParser):
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    # One fixed line: Python's default names this file's path and line.
+    return f"warning: {message}\n"
 
 
 def _parse_exponent(text: str) -> float:
@@ -380,13 +386,16 @@ def main(argv=None) -> int:
     p_non.set_defaults(func=_cmd_nonortho_check)
 
     args = parser.parse_args(argv)
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
         return _fail(str(exc))
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

@@ -28,10 +28,18 @@ starts can be exact critical points of f, where the gradient vanishes to
 roundoff (for example the unit start whenever r and s are finite).  Where
 its norm is at most SADDLE_TOL the ascent tries a fixed, seed-independent
 direction instead, less its components along A and iA, which never change f.
-The line search is fixed: each step first tries length 0.25 along the unit
-gradient and halves it until the value strictly improves; a restart stops
-when the step falls below 1e-9 or after max_iters steps.  Since only strict
-improvements are accepted, a start that is a local maximum stays put.
+The line search tries lengths on the ladder 0.25, 0.125, ... (at least
+1e-9) along the unit gradient and accepts one only if the value strictly
+improves.  It remembers the last accepted length: a start's first step
+tries 0.25, each later one twice the last accepted length (at most 0.25).
+An improving first trial is doubled while the longer step still improves;
+a failing one is halved until a trial improves, and only if none down to
+1e-9 does are the untried longer lengths tried, top down.  A restart stops
+when no length on the ladder improves, exactly where a search restarting
+every step at 0.25 stops, or after max_iters steps; wherever the improving
+lengths form an interval the accepted length, and so the history, is
+bit-identical to that search's.  Since only strict improvements are
+accepted, a start that is a local maximum stays put.
 
 The search stops once the bracket closes: with target = upper / (1 +
 3*GRID_TOL), the sandwich check's own slack, an ascent stops before its
@@ -48,6 +56,7 @@ M,N,alpha,beta,gamma,delta,theta,phi_or_blank,upper,lower,searched,ratio_lower,r
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -83,7 +92,9 @@ GRID_TOL = 1e-4
 # a critical point; roundoff leaves about 1e-16 at the critical warm starts.
 SADDLE_TOL = 1e-10
 
-# The fixed line search: each step tries FIRST_STEP, halving it; a start stops below STEP_TOL.
+# The line search's ladder of lengths FIRST_STEP / 2^k >= STEP_TOL.  A start's
+# first step tries FIRST_STEP, each later one twice the last accepted length;
+# a start stops when no length on the ladder improves.
 FIRST_STEP = 0.25
 STEP_TOL = 1e-9
 
@@ -234,6 +245,7 @@ def _ascend(
     samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
     current = _evaluate(entries, samples, e)
     history = [current.value]
+    last = FIRST_STEP / 2.0  # so that the first step tries FIRST_STEP
     for _ in range(cfg.max_iters):
         if current.value >= target:
             break
@@ -244,22 +256,52 @@ def _ascend(
             norm = float(np.linalg.norm(grad))
             if norm <= SADDLE_TOL:
                 break
-        direction = grad / norm
-        step = FIRST_STEP
-        accepted = False
-        while step >= STEP_TOL:
-            entries = current.entries + step * direction
-            entries /= np.linalg.norm(entries)
-            trial = _evaluate(entries, synthesize(entries, *grid), e)
-            if trial.value > current.value:
-                current = trial
-                history.append(current.value)
-                accepted = True
-                break
-            step /= 2.0
-        if not accepted:
+        accepted = _line_search(current, grad / norm, e, grid, last)
+        if accepted is None:
             break
+        current, last = accepted
+        history.append(current.value)
     return current.value, history
+
+
+def _ladder(top: float) -> Iterator[float]:
+    """The line search's steps from `top` down by halves, while at least STEP_TOL."""
+    while top >= STEP_TOL:
+        yield top
+        top /= 2.0
+
+
+def _line_search(
+    current: _Trial, direction: np.ndarray, e: MixedExponents, grid: tuple[int, int], last: float
+) -> "tuple[_Trial, float] | None":
+    """An improving trial along `direction` and its step, or None if no step on the ladder improves.
+
+    The first trial is at twice the last accepted step (at most FIRST_STEP).
+    If it improves, the step doubles while the longer step still improves;
+    if not, it halves until a trial improves, and only if none down to
+    STEP_TOL does are the untried longer steps tried, top down.  So it
+    returns None exactly when no step on the ladder improves, and wherever
+    the improving steps form an interval it accepts the longest one, as a
+    top-down search from FIRST_STEP does.
+    """
+    def improves(step: float) -> "_Trial | None":
+        entries = current.entries + step * direction
+        entries /= np.linalg.norm(entries)
+        trial = _evaluate(entries, synthesize(entries, *grid), e)
+        return trial if trial.value > current.value else None
+
+    first = min(FIRST_STEP, 2.0 * last)
+    best = improves(first)
+    if best is not None:
+        step = first
+        while step < FIRST_STEP and (longer := improves(2.0 * step)) is not None:
+            best, step = longer, 2.0 * step
+        return best, step
+    longer_steps = itertools.takewhile(lambda step: step > first, _ladder(FIRST_STEP))
+    for step in itertools.chain(_ladder(first / 2.0), longer_steps):
+        if (trial := improves(step)) is not None:
+            return trial, step
+    return None
 
 
 def _start_matrices(M: int, N: int, cfg: SearchConfig) -> Iterator[np.ndarray]:

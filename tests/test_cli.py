@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mnlab
 from mnlab.cli import main
-from mnlab.norms import CoefficientMatrix, load_grid, save_matrix
+from mnlab.norms import CoefficientMatrix, QuadratureWarning, load_grid, save_matrix
 
 
 @pytest.fixture
@@ -274,6 +280,11 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["sweep", "--M-ladder", "2,4", "--tuple", "2,2,2,2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["nonortho-check", "--sizes", "2", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+    # Grids whose first array numpy refuses before allocating anything.
+    (["opnorm", "--M", "2", "--N", "2", "--Kx", "10000000000000000", "--Ky", "10000000000000000"],
+     "Unable to allocate 284. PiB for an array with shape (2, 10000000000000000) and data type complex128"),
+    (["eval", "--Kx", "10000000000000000", "--Ky", "10000000000000000"],
+     "Unable to allocate 568. PiB for an array with shape (4, 10000000000000000) and data type complex128"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
@@ -281,7 +292,7 @@ def test_nonortho_check_without_trials_fails(capsys):
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
-        "sweep-seed-negative", "nonortho-seed-negative"])
+        "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -289,6 +300,28 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_refine_check_warning_is_one_fixed_line(tmp_path, matrix_file, capsys):
+    path, _ = matrix_file
+    grid_path = tmp_path / "grid.json"
+    assert main(["eval", "--matrix", str(path), "--out", str(grid_path), "--Kx", "8", "--Ky", "8"]) == 0
+    argv = ["norm", "--grid", str(grid_path), "--refine-check", "--r", "3"]
+    # In process the warning still goes through warnings.warn, and main
+    # leaves the warnings module as it found it.
+    format_warning = warnings.formatwarning
+    with pytest.warns(QuadratureWarning, match="^half-grid value"):
+        assert main(argv) == 0
+    assert warnings.formatwarning is format_warning
+    capsys.readouterr()
+    # A fresh interpreter shows it with the default filters: one line, no source location.
+    env = {**os.environ, "PYTHONPATH": str(Path(mnlab.__file__).parent.parent)}
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "mnlab.cli", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stderr.startswith("warning: half-grid value ")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
+    assert ".py" not in done.stderr
 
 
 def test_eval_default_grid_is_oversample_times_the_matrix(matrix_file, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from mnlab import norms, opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
-from mnlab.extremizers import RowR, UnitE, build
+from mnlab.extremizers import ColumnC, RowR, UnitE, build
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import (
     CSV_COLUMNS,
@@ -32,6 +32,8 @@ E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 SUP_OVER_L1 = MixedExponents(1.0, 1.0, 0.0, 0.0)
 INTERIOR = MixedExponents(0.25, 0.5, 0.75, 0.5)
 COLUMN_EQUALITY = MixedExponents(0.5, 0.75, 0.25, 0.5)
+# The benchmark's search tuples.
+SEARCH_TUPLES = {"column-equality": COLUMN_EQUALITY, "sup-l1": SUP_OVER_L1, "interior": INTERIOR}
 
 
 def random_matrix(rng, M, N):
@@ -284,13 +286,74 @@ def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
     rng = np.random.default_rng(5)
     start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     value, history = _ascend(start, INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
-    # Objective evaluations (the start and 15 trials), gradients and the
-    # result are those of this ascent before its kernel was pruned.
-    assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (16, 10, 11)
+    # Objective evaluations (the start and 14 trials), gradients and the
+    # result; the top-down line search made one trial more for the same
+    # history.
+    assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (15, 10, 11)
     assert value.hex() == "0x1.46c1cfd9af10ap+0"
     assert counts["eval_sum"] == 1  # the start, checked once
     assert counts["eval_sum"] + counts["synthesize"] == counts["_evaluate"]
     assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"]
+
+
+def top_down_ascend(start, e, grid, cfg):
+    """The ascent with the line search that restarts every step at FIRST_STEP: the reference."""
+    entries = start / np.linalg.norm(start)
+    current = _evaluate(entries, eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples, e)
+    history = [current.value]
+    for _ in range(cfg.max_iters):
+        grad = _adjoint_gradient(current)
+        norm = float(np.linalg.norm(grad))
+        if norm <= opnorm.SADDLE_TOL:
+            grad = _escape_direction(current.entries)
+            norm = float(np.linalg.norm(grad))
+            if norm <= opnorm.SADDLE_TOL:
+                break
+        direction = grad / norm
+        step = opnorm.FIRST_STEP
+        while step >= opnorm.STEP_TOL:
+            entries = current.entries + step * direction
+            entries /= np.linalg.norm(entries)
+            trial = _evaluate(entries, synthesize(entries, *grid), e)
+            if trial.value > current.value:
+                current = trial
+                history.append(current.value)
+                break
+            step /= 2.0
+        else:
+            break
+    return current.value, history
+
+
+@pytest.mark.parametrize("M", [2, 4, 8])
+@pytest.mark.parametrize("name", sorted(SEARCH_TUPLES))
+def test_ascent_history_equals_the_top_down_search(name, M):
+    # Starting each step next to the last accepted one changes which trials
+    # are made, not which step is accepted: on the benchmark's tuples, from
+    # every warm start and two seeded random starts, the histories agree bit
+    # for bit.
+    e = SEARCH_TUPLES[name]
+    cfg = SearchConfig(restarts=2, max_iters=10, seed=7)
+    grid = default_grid(M, M, floor=16)
+    for start in opnorm._start_matrices(M, M, cfg):
+        _, history = _ascend(start, e, grid, cfg)
+        _, reference = top_down_ascend(start, e, grid, cfg)
+        assert [value.hex() for value in history] == [value.hex() for value in reference]
+
+
+def test_line_search_falls_back_to_longer_steps_before_stalling():
+    # From this column start a step comes where neither twice the last step
+    # nor any shorter one improves, but a longer one does: without trying the
+    # longer steps the ascent stalls after 12 steps, at 1.0187.
+    e = MixedExponents(0.3549173343096512, 0.790518245853265, 0.9051438366771739, 0.17735319182304865)
+    start = build(ColumnC(), 3, 5).entries
+    grid = default_grid(3, 5, floor=16)
+    cfg = SearchConfig(max_iters=60)
+    _, reference = top_down_ascend(start, e, grid, cfg)
+    assert (reference[-1].hex(), len(reference)) == ((1.1449074246907327).hex(), 61)
+    value, history = _ascend(start, e, grid, cfg)
+    assert value >= 1.144907424
+    assert len(history) == 61
 
 
 def test_escape_direction_skips_scaling_and_phase():
@@ -323,7 +386,6 @@ GOLDEN_SEARCHED = {
     ("interior", 2): "0x1.28371e30a727cp+0",
     ("interior", 4): "0x1.62f5c821f1c82p+0",
 }
-SEARCH_TUPLES = {"column-equality": COLUMN_EQUALITY, "sup-l1": SUP_OVER_L1, "interior": INTERIOR}
 
 
 @pytest.mark.parametrize("name,M", sorted(GOLDEN_SEARCHED))
