@@ -8,6 +8,9 @@ At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2):
 * ``eval_sum``: one synthesis of a random M x M matrix on the 8M x 8M grid;
 * ``lrs_norm`` of those samples and ``lpq_norm`` of the matrix;
 * ``objective`` of the matrix on that grid;
+  these four rows also give ``peak_bytes``, the tracemalloc peak of one
+  separate untimed call: the working memory it allocates above what it was
+  handed (numpy reports its buffers to tracemalloc);
 * ``gradient``: one ``opnorm._adjoint_gradient``, handed what the ascent
   has from its accepted trial, by parameter name: the trial's record
   (``opnorm._evaluate``, its samples and both norms with their reductions)
@@ -45,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +66,7 @@ EXPONENTS = MixedExponents(0.25, 0.5, 0.75, 0.5)
 CLOSED_EXPONENTS = MixedExponents(1.0, 1.0, 0.0, 0.0)
 ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
 DEFAULT_SIZES = (4, 8, 16, 32, 64)
+PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "objective")
 
 
 def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
@@ -122,6 +127,16 @@ def _evaluations(call) -> int:
     finally:
         opnorm._evaluate = evaluate
     return count
+
+
+def _peak_bytes(call) -> int:
+    """The peak bytes that one call of `call` allocates, as tracemalloc traces them."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _git_commit() -> dict:
@@ -186,6 +201,8 @@ def main(argv: "list[str] | None" = None) -> int:
             layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
             if name == "ascent":
                 layers[name][str(M)]["evaluations"] = _evaluations(call)
+            if name in PEAK_LAYERS:
+                layers[name][str(M)]["peak_bytes"] = _peak_bytes(call)
     run = {
         **_git_commit(),
         "machine": _machine(),

@@ -8,7 +8,10 @@ trigonometric polynomials of degree below the grid size, which makes the
 l^{2,2} / L^{2,2} identity an exact check rather than an approximate one.
 
 Powers are accumulated with the largest modulus factored out, so exponents
-like p = 1000 neither overflow nor underflow.
+like p = 1000 neither overflow nor underflow.  Each reduction allocates one
+working array the size of its input, the quotient by the slice maxima, and
+takes the power in place on it; on the 2048^2 grid every extra full-grid
+temporary is another 32 MiB at peak.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class CoefficientMatrix:
         arr = np.asarray(self.entries, dtype=np.complex128)
         if arr.shape != (self.M, self.N):
             raise ValueError(f"entries shape {arr.shape} does not match (M, N)=({self.M}, {self.N})")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("entries must all be finite")
         object.__setattr__(self, "entries", arr)
 
@@ -91,7 +94,7 @@ class GridFunction:
         arr = np.asarray(self.samples, dtype=np.complex128)
         if arr.shape != (self.Kx, self.Ky):
             raise ValueError(f"samples shape {arr.shape} does not match (Kx, Ky)=({self.Kx}, {self.Ky})")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")
         object.__setattr__(self, "samples", arr)
 
@@ -131,10 +134,11 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds spec.rel_tol.
     """
-    value = MixedNorm.of(np.abs(f.samples), e.gamma, e.delta, mean=True).value
+    modulus = np.abs(f.samples)
+    value = MixedNorm.of(modulus, e.gamma, e.delta, mean=True).value
     # The half grid only stays uniform-periodic when both sizes are even.
     if spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0:
-        coarse = MixedNorm.of(np.abs(f.samples[:: 2, :: 2]), e.gamma, e.delta, mean=True).value
+        coarse = MixedNorm.of(modulus[::2, ::2], e.gamma, e.delta, mean=True).value
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
         if disagreement > spec.rel_tol:
@@ -162,7 +166,11 @@ def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
     expo = 1.0 / recip
     # Avoid 0/0 where a whole slice vanishes; those slices contribute 0.
     safe = np.where(top > 0.0, top, 1.0)
-    body = ((a / safe) ** expo).sum(axis=0)
+    # The power is taken in place on the quotient: one working array the size
+    # of `a`.  `**=` takes the same scalar-power paths (square, sqrt, ...) as `**`.
+    body = a / safe
+    body **= expo
+    body = body.sum(axis=0)
     if mean:  # ndarray.mean's own arithmetic, without its Python wrapper
         body = body / a.shape[0]
     return top * body ** (1.0 / expo)
@@ -276,7 +284,8 @@ class JsonReport:
 
 
 def _pairs(flat: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in flat]
+    """[[re, im], ...] of a 1-D complex array, as Python floats with every bit kept."""
+    return np.ascontiguousarray(flat).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
@@ -335,7 +344,18 @@ def load_matrix(path: str | Path) -> CoefficientMatrix:
 
 
 def save_grid(path: str | Path, f: GridFunction) -> None:
-    Path(path).write_text(json.dumps(grid_to_json(f)) + "\n")
+    """Write json.dumps(grid_to_json(f)) + "\\n", byte for byte, one grid row at a time.
+
+    Only one row's pairs exist as Python objects at once, not the whole grid's.
+    """
+    head = json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2]  # up to and including "["
+    with Path(path).open("w") as out:
+        out.write(head)
+        for j, row in enumerate(f.samples):
+            if j:
+                out.write(", ")
+            out.write(json.dumps(_pairs(row))[1:-1])
+        out.write("]}\n")
 
 
 def load_grid(path: str | Path) -> GridFunction:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import mnlab
+from mnlab import cli, norms
 from mnlab.cli import main
 from mnlab.norms import CoefficientMatrix, QuadratureWarning, load_grid, save_matrix
+from mnlab.trigsum import EvalPlan, eval_sum
 
 
 @pytest.fixture
@@ -96,6 +98,21 @@ def test_eval_determinism_is_byte_for_byte(tmp_path, matrix_file):
     assert main(["eval", "--matrix", str(path), "--out", str(out1)]) == 0
     assert main(["eval", "--matrix", str(path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_eval_out_writes_the_printed_document(tmp_path, matrix_file, capsys):
+    path, A = matrix_file
+    out = tmp_path / "grid.json"
+    assert main(["eval", "--matrix", str(path), "--out", str(out)]) == 0
+    assert main(["eval", "--matrix", str(path)]) == 0
+    printed = capsys.readouterr().out
+    # The document as the whole-grid, per-element serializer wrote it.
+    samples = eval_sum(A, EvalPlan(Kx=32, Ky=24)).samples
+    pairs = [[float(z.real), float(z.imag)] for z in samples.ravel()]
+    expected = json.dumps({"Kx": 32, "Ky": 24, "samples": pairs}) + "\n"
+    assert out.read_text() == printed == expected
+    # Span tracers rebind these two names on cli to time the JSON layer.
+    assert cli.save_grid is norms.save_grid and cli.grid_to_json is norms.grid_to_json
 
 
 # ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,13 +16,16 @@ from mnlab.norms import (
     GridFunction,
     QuadratureSpec,
     QuadratureWarning,
+    _reduce,
     grid_from_json,
     grid_to_json,
     holder_matrix_chain,
+    load_grid,
     lpq_norm,
     lrs_norm,
     matrix_from_json,
     matrix_to_json,
+    save_grid,
 )
 from mnlab.trigsum import EvalPlan, eval_sum
 
@@ -256,6 +260,63 @@ def test_refine_check_quiet_on_resolved_grid():
         lrs_norm(f, e, QuadratureSpec(refine_check=True, rel_tol=1e-3))
 
 
+# The reduction with the power taken on a second temporary, as it was written
+# before the power went in place: the reference for _reduce's bits.
+def reduce_reference(a, recip, mean):
+    top = a.max(axis=0)
+    if recip == 0.0:
+        return top
+    expo = 1.0 / recip
+    safe = np.where(top > 0.0, top, 1.0)
+    body = ((a / safe) ** expo).sum(axis=0)
+    if mean:
+        body = body / a.shape[0]
+    return top * body ** (1.0 / expo)
+
+
+def mixed_norm_reference(a, inner, outer, mean):
+    return float(reduce_reference(reduce_reference(a, inner, mean), outer, mean))
+
+
+@pytest.mark.parametrize("stride", [1, 2], ids=["contiguous", "strided"])
+@pytest.mark.parametrize("mean", [False, True])
+# Exponents inf, 1, 2, 4/3, 0.5 and 1000: numpy's scalar-power fast paths
+# (positive, square, sqrt) and its general power.
+@pytest.mark.parametrize("recip", [0.0, 1.0, 0.5, 0.75, 2.0, 1e-3])
+def test_reduce_is_bit_identical_to_the_power_temporary(recip, mean, stride):
+    rng = np.random.default_rng(12)
+    a = np.abs(rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30)))
+    a[:, 4] = 0.0  # a vanishing slice divides by the stand-in 1
+    a = a[::stride, ::stride]
+    assert _reduce(a, recip, mean).tobytes() == reduce_reference(a, recip, mean).tobytes()
+
+
+# (seed, M, grid size, exponents, rel_tol) -> the warning lrs_norm issued with
+# the power temporary and the half grid's own modulus.
+REFINE_WARNINGS = [
+    ((8, 4, 8, MixedExponents(0.5, 0.5, 0.25, 0.25), 1e-12),
+     "half-grid value 7.55100448885 vs 7.1475076851 (relative disagreement 5.344e-02 > 1.000e-12); "
+     "increase the oversampling factor"),
+    ((13, 16, 128, MixedExponents(0.25, 0.5, 0.75, 0.5), 1e-6),
+     "half-grid value 22.2744067891 vs 22.2744464016 (relative disagreement 1.778e-06 > 1.000e-06); "
+     "increase the oversampling factor"),
+    ((14, 16, 32, MixedExponents(0.5, 0.5, 0.75, 0.0), 1e-9),
+     "half-grid value 27.4814462356 vs 27.0865103401 (relative disagreement 1.437e-02 > 1.000e-09); "
+     "increase the oversampling factor"),
+]
+
+
+@pytest.mark.parametrize("case, message", REFINE_WARNINGS)
+def test_refine_check_warns_at_the_same_messages(case, message):
+    seed, M, K, e, rel_tol = case
+    f = eval_sum(random_matrix(np.random.default_rng(seed), M, M), EvalPlan(Kx=K, Ky=K))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = lrs_norm(f, e, QuadratureSpec(refine_check=True, rel_tol=rel_tol))
+    assert [str(w.message) for w in caught] == [message]
+    assert value == mixed_norm_reference(np.abs(f.samples), e.gamma, e.delta, mean=True)
+
+
 # ---------------------------------------------------------------------------
 # JSON formats
 # ---------------------------------------------------------------------------
@@ -275,6 +336,37 @@ def test_grid_json_round_trip_is_bit_exact():
     f = GridFunction(4, 6, rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
     back = grid_from_json(json.loads(json.dumps(grid_to_json(f))))
     assert np.array_equal(back.samples, f.samples)
+
+
+# The samples as the per-element loop wrote them: the reference for the bytes.
+def grid_document_reference(f):
+    pairs = [[float(z.real), float(z.imag)] for z in f.samples.ravel(order="C")]
+    return json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": pairs}) + "\n"
+
+
+def _grid_cases():
+    rng = np.random.default_rng(15)
+    special = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.5e-310)],
+                        [complex(1e300, -1e300), complex(-1e300, 1e300), complex(-0.0, -0.0)]])
+    return {
+        "1x1": np.array([[1.5 - 2.0j]]),
+        "1xK": rng.standard_normal((1, 7)) + 1j * rng.standard_normal((1, 7)),
+        "Kx1": rng.standard_normal((7, 1)) + 1j * rng.standard_normal((7, 1)),
+        "F-ordered": np.asfortranarray(rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))),
+        "zeros-subnormals-huge": special,
+    }
+
+
+@pytest.mark.parametrize("name", list(_grid_cases()))
+def test_save_grid_writes_the_document_bytes(tmp_path, name):
+    samples = _grid_cases()[name]
+    f = GridFunction(*samples.shape, samples)
+    path = tmp_path / "grid.json"
+    save_grid(path, f)
+    expected = grid_document_reference(f)
+    assert json.dumps(grid_to_json(f)) + "\n" == expected
+    assert path.read_bytes() == expected.encode()
+    assert load_grid(path).samples.tobytes() == np.ascontiguousarray(samples).tobytes()
 
 
 def test_matrix_json_rejects_wrong_entry_count():
@@ -337,3 +429,54 @@ def test_construction_validation():
         GridFunction(0, 4, np.zeros((0, 4), dtype=complex))
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Working memory, traced by tracemalloc (numpy reports its buffers to it)
+# ---------------------------------------------------------------------------
+
+BUDGET_GRID = 512
+GRID_BYTES = BUDGET_GRID * BUDGET_GRID * 16  # one complex128 grid
+
+
+def traced_peak(call):
+    """The peak bytes allocated while `call()` runs, above what was held before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def budget_matrix():
+    rng = np.random.default_rng(16)
+    return random_matrix(rng, BUDGET_GRID // 8, BUDGET_GRID // 8)
+
+
+@pytest.fixture(scope="module")
+def budget_grid(budget_matrix):
+    return eval_sum(budget_matrix, EvalPlan(Kx=BUDGET_GRID, Ky=BUDGET_GRID))
+
+
+@pytest.mark.parametrize("refine_check", [False, True])
+def test_lrs_norm_holds_one_working_array_beside_the_modulus(budget_grid, refine_check):
+    # The modulus and one quotient, each half a complex grid: the power is
+    # taken in place, and the half grid reuses the full grid's modulus.
+    spec = QuadratureSpec(refine_check=refine_check, rel_tol=1.0)
+    peak = traced_peak(lambda: lrs_norm(budget_grid, MixedExponents(0.25, 0.5, 0.75, 0.5), spec))
+    assert peak <= 1.1 * GRID_BYTES
+
+
+def test_eval_sum_holds_about_one_grid(budget_matrix):
+    plan = EvalPlan(Kx=BUDGET_GRID, Ky=BUDGET_GRID)
+    assert traced_peak(lambda: eval_sum(budget_matrix, plan)) <= 1.25 * GRID_BYTES
+
+
+def test_save_grid_streams_below_one_grid(tmp_path, budget_grid):
+    # A 128 x 128 corner of the grid: traced, the writer's per-float Python
+    # objects take 3 s at 512 x 512.  Building the whole document took 22
+    # grids of memory at this size; one row at a time takes a fifth of one.
+    corner = GridFunction(128, 128, budget_grid.samples[:128, :128].copy())
+    assert traced_peak(lambda: save_grid(tmp_path / "grid.json", corner)) < 128 * 128 * 16
