@@ -36,12 +36,14 @@ from .extremizers import (
 from .norms import (
     CoefficientMatrix,
     QuadratureSpec,
+    # Not called here, but span tracers rebind it as cli.grid_to_json.
     grid_to_json,
     load_grid,
     load_matrix,
     lpq_norm,
     lrs_norm,
     save_grid,
+    write_grid,
 )
 from .opnorm import (
     SearchConfig,
@@ -175,7 +177,7 @@ def _cmd_eval(args) -> int:
     if args.out:
         save_grid(args.out, f)
     else:
-        print(json.dumps(grid_to_json(f)))
+        write_grid(sys.stdout, f)
     return 0
 
 

@@ -10,8 +10,17 @@ l^{2,2} / L^{2,2} identity an exact check rather than an approximate one.
 Powers are accumulated with the largest modulus factored out, so exponents
 like p = 1000 neither overflow nor underflow.  Each reduction allocates one
 working array the size of its input, the quotient by the slice maxima, and
-takes the power in place on it; on the 2048^2 grid every extra full-grid
-temporary is another 32 MiB at peak.
+takes the power in place on it.
+
+`lrs_norm` never builds the modulus of the whole grid.  Its inner norm runs
+down each column on its own, so it walks the samples in blocks of columns
+of about CACHE_SAMPLES samples (`_column_blocks`, the column rule that
+`trigsum.synthesize` also cuts its panels by), whose modulus and quotient
+stay in cache, and joins the blocks' inner values for the outer norm.
+Every block takes the same reduction as the whole grid would, column by
+column, so the value keeps its bits: numpy sums a block of two or more
+columns row after row, as it sums the whole grid, but sums a lone column
+pairwise, so no block is one column wide unless the grid is.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -45,6 +54,7 @@ __all__ = [
     "save_matrix",
     "load_grid",
     "save_grid",
+    "write_grid",
 ]
 
 
@@ -133,12 +143,16 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     is recomputed on the half-coarse grid (every second sample in each
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds spec.rel_tol.
+
+    The value is MixedNorm.of(|samples|, gamma, delta, mean=True).value, bit
+    for bit, taken one column block at a time (see the module docstring).
     """
-    modulus = np.abs(f.samples)
-    value = MixedNorm.of(modulus, e.gamma, e.delta, mean=True).value
     # The half grid only stays uniform-periodic when both sizes are even.
-    if spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0:
-        coarse = MixedNorm.of(modulus[::2, ::2], e.gamma, e.delta, mean=True).value
+    half = spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0
+    inner, coarse_inner = _inner_norms(f.samples, e.gamma, half)
+    value = float(_reduce(inner, e.delta, True))
+    if coarse_inner is not None:
+        coarse = float(_reduce(coarse_inner, e.delta, True))
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
         if disagreement > spec.rel_tol:
@@ -151,6 +165,42 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
                 stacklevel=2,
             )
     return value
+
+
+# About the float64 samples a 2 MiB cache holds.  lrs_norm's column blocks
+# hold this many samples; trigsum.synthesize takes column panels of an
+# eighth of it on grids of more than this many.
+CACHE_SAMPLES = 2**18
+
+
+def _column_blocks(Kx: int, Ky: int, samples: int) -> list[tuple[int, int]]:
+    """Column ranges [lo, hi) covering 0..Ky, of about `samples` samples each.
+
+    Blocks are an even number of columns wide, at least four (a 64-byte line
+    of complex samples), so each starts on an even column and its half-grid
+    slice [::2, ::2] is at least two columns wide; a tail of fewer than four
+    columns joins the block before it.  A grid narrower than one block is
+    one block.
+    """
+    width = 2 * max(2, samples // (2 * Kx))
+    edges = list(range(0, Ky, width))
+    if len(edges) > 1 and Ky - edges[-1] < 4:
+        edges.pop()
+    return list(zip(edges, [*edges[1:], Ky]))
+
+
+def _inner_norms(samples: np.ndarray, recip: float, half: bool) -> tuple[np.ndarray, "np.ndarray | None"]:
+    """_reduce(|samples|, recip, True) and, with `half`, that of |samples|[::2, ::2] (else None).
+
+    Bit for bit those arrays, taken one column block at a time.
+    """
+    full, coarse = [], []
+    for lo, hi in _column_blocks(*samples.shape, CACHE_SAMPLES):
+        block = np.abs(samples[:, lo:hi])
+        full.append(_reduce(block, recip, True))
+        if half:  # blocks start on even columns, so these are the half grid's columns
+            coarse.append(_reduce(block[::2, ::2], recip, True))
+    return np.concatenate(full), np.concatenate(coarse) if half else None
 
 
 def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
@@ -343,19 +393,23 @@ def load_matrix(path: str | Path) -> CoefficientMatrix:
     return matrix_from_json(json.loads(Path(path).read_text()))
 
 
-def save_grid(path: str | Path, f: GridFunction) -> None:
-    """Write json.dumps(grid_to_json(f)) + "\\n", byte for byte, one grid row at a time.
+def write_grid(out: TextIO, f: GridFunction) -> None:
+    """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time.
 
     Only one row's pairs exist as Python objects at once, not the whole grid's.
     """
-    head = json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2]  # up to and including "["
+    out.write(json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2])  # up to and including "["
+    for j, row in enumerate(f.samples):
+        if j:
+            out.write(", ")
+        out.write(json.dumps(_pairs(row))[1:-1])
+    out.write("]}\n")
+
+
+def save_grid(path: str | Path, f: GridFunction) -> None:
+    """Write the grid's JSON document (see write_grid) to the file at `path`."""
     with Path(path).open("w") as out:
-        out.write(head)
-        for j, row in enumerate(f.samples):
-            if j:
-                out.write(", ")
-            out.write(json.dumps(_pairs(row))[1:-1])
-        out.write("]}\n")
+        write_grid(out, f)
 
 
 def load_grid(path: str | Path) -> GridFunction:

@@ -14,6 +14,19 @@ checked synthesis.  The direct double sum (two small matrix products) is the
 independent oracle: `eval_sum_at` uses it at any point, and the tests pin
 the transform convention against it.
 
+The second pass of `synthesize` transforms down the columns of a row-major
+grid.  pocketfft gathers each column into a buffer and scatters the result
+back with a stride of one row (32 KiB at Ky = 2048), so on grids beyond the
+cache each scattered sample lands on a cache line of its own.  Grids of
+more than norms.CACHE_SAMPLES samples therefore run that pass over column
+panels of an eighth of that (16 columns at Kx = 2048, cut by the column
+rule lrs_norm walks its blocks by): each panel is transformed along its
+contiguous last axis, scaled, and copied into place as one small transpose
+that stays in cache.  Each column still takes the same 1-D transform and
+the same scaling, so the samples keep their bits.  Smaller grids, and grids
+too narrow for two panels, take the pass as one call: there the panels'
+extra calls and copy cost more than the scatter.
+
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
 commensurate with the unit-periodic grid — V is 2 pi -periodic, not
@@ -27,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import CoefficientMatrix, GridFunction
+from .norms import CACHE_SAMPLES, CoefficientMatrix, GridFunction, _column_blocks
 
 __all__ = [
     "EvalPlan",
@@ -40,9 +53,15 @@ __all__ = [
 ]
 
 
+# The largest grid a plan accepts, in bytes of complex samples (16 Kx Ky):
+# 2^30 samples, 32768^2.  Beyond it a plan fails at once, before any
+# transform allocates its first pass.
+MAX_GRID_BYTES = 2**34
+
+
 @dataclass(frozen=True)
 class EvalPlan:
-    """Output grid sizes Kx x Ky, both positive."""
+    """Output grid sizes Kx x Ky, both positive, of at most MAX_GRID_BYTES of samples."""
 
     Kx: int
     Ky: int
@@ -50,6 +69,12 @@ class EvalPlan:
     def __post_init__(self) -> None:
         if self.Kx < 1 or self.Ky < 1:
             raise ValueError(f"grid sizes must be positive, got Kx={self.Kx}, Ky={self.Ky}")
+        nbytes = 16 * self.Kx * self.Ky
+        if nbytes > MAX_GRID_BYTES:
+            raise ValueError(
+                f"a {self.Kx} x {self.Ky} grid needs {nbytes / 2**30:.3g} GiB of samples, "
+                f"above the limit of {MAX_GRID_BYTES // 2**30} GiB"
+            )
 
 
 def default_grid(M: int, N: int, oversample: int = 8, floor: int = 1) -> tuple[int, int]:
@@ -72,8 +97,22 @@ def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
     Equal bit for bit to ifft2(P) * Kx * Ky, where P is `entries` embedded at
     the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky array; the
     caller guarantees Kx >= M and Ky >= N (a smaller grid would crop).
+    Grids of more than CACHE_SAMPLES samples take the second pass in column
+    panels (see the module docstring).
     """
-    return np.fft.ifft(np.fft.ifft(entries, n=Ky, axis=1), n=Kx, axis=0) * (Kx * Ky)
+    rows = np.fft.ifft(entries, n=Ky, axis=1)
+    if Kx * Ky > CACHE_SAMPLES:
+        panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 8)
+        if len(panels) > 1:
+            out = np.empty((Kx, Ky), dtype=complex)
+            for lo, hi in panels:
+                panel = np.fft.ifft(rows.T[lo:hi], n=Kx, axis=1)
+                panel *= Kx * Ky
+                out[:, lo:hi] = panel.T
+            return out
+    out = np.fft.ifft(rows, n=Kx, axis=0)
+    out *= Kx * Ky  # in place: `rows` is still held here
+    return out
 
 
 def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:

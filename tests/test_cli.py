@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,8 +15,8 @@ import pytest
 import mnlab
 from mnlab import cli, norms
 from mnlab.cli import main
-from mnlab.norms import CoefficientMatrix, QuadratureWarning, load_grid, save_matrix
-from mnlab.trigsum import EvalPlan, eval_sum
+from mnlab.norms import CoefficientMatrix, QuadratureWarning, grid_to_json, load_grid, save_matrix
+from mnlab.trigsum import EvalPlan, eval_nonortho, eval_sum
 
 
 @pytest.fixture
@@ -81,6 +82,30 @@ def test_eval_without_out_prints_grid(matrix_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["Kx"] == 8 and doc["Ky"] == 8
     assert len(doc["samples"]) == 64
+
+
+@pytest.mark.parametrize("scale", ["two-pi", "one"])
+def test_eval_stdout_is_the_grid_document(matrix_file, scale, capsys):
+    path, A = matrix_file
+    assert main(["eval", "--matrix", str(path), "--Kx", "5", "--Ky", "7", "--scale", scale]) == 0
+    evaluate = eval_nonortho if scale == "one" else eval_sum
+    f = evaluate(A, EvalPlan(Kx=5, Ky=7))
+    assert capsys.readouterr().out == json.dumps(grid_to_json(f)) + "\n"
+
+
+def test_eval_stdout_streams_the_grid(matrix_file, monkeypatch):
+    # Building the whole document before printing took 14.6 grids of
+    # complex bytes; row by row it is the grid and the transform's buffers.
+    path, _ = matrix_file
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--matrix", str(path), "--Kx", "128", "--Ky", "128"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 128 * 128 * 16
 
 
 def test_eval_unit_scale(tmp_path, matrix_file):
@@ -297,11 +322,13 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["sweep", "--M-ladder", "2,4", "--tuple", "2,2,2,2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["nonortho-check", "--sizes", "2", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
-    # Grids whose first array numpy refuses before allocating anything.
+    # Grids above the plan's ceiling, refused before any transform allocates.
     (["opnorm", "--M", "2", "--N", "2", "--Kx", "10000000000000000", "--Ky", "10000000000000000"],
-     "Unable to allocate 284. PiB for an array with shape (2, 10000000000000000) and data type complex128"),
+     "a 10000000000000000 x 10000000000000000 grid needs 1.49e+24 GiB of samples, above the limit of 16 GiB"),
     (["eval", "--Kx", "10000000000000000", "--Ky", "10000000000000000"],
-     "Unable to allocate 568. PiB for an array with shape (4, 10000000000000000) and data type complex128"),
+     "a 10000000000000000 x 10000000000000000 grid needs 1.49e+24 GiB of samples, above the limit of 16 GiB"),
+    (["opnorm", "--M", "2", "--N", "2", "--Kx", "100000000", "--Ky", "100000000"],
+     "a 100000000 x 100000000 grid needs 1.49e+08 GiB of samples, above the limit of 16 GiB"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
@@ -309,7 +336,8 @@ def test_nonortho_check_without_trials_fails(capsys):
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
-        "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large"])
+        "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
+        "opnorm-grid-1e8-too-large"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]

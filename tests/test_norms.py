@@ -1,21 +1,28 @@
 """Tests for discrete/grid mixed norms, chain inequalities, and JSON round trips."""
 
+import io
 import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mnlab import norms
 from mnlab.exponents import MixedExponents
 from mnlab.norms import (
+    CACHE_SAMPLES,
     CoefficientMatrix,
     GridFunction,
+    MixedNorm,
     QuadratureSpec,
     QuadratureWarning,
+    _column_blocks,
+    _inner_norms,
     _reduce,
     grid_from_json,
     grid_to_json,
@@ -26,6 +33,7 @@ from mnlab.norms import (
     matrix_from_json,
     matrix_to_json,
     save_grid,
+    write_grid,
 )
 from mnlab.trigsum import EvalPlan, eval_sum
 
@@ -317,6 +325,54 @@ def test_refine_check_warns_at_the_same_messages(case, message):
     assert value == mixed_norm_reference(np.abs(f.samples), e.gamma, e.delta, mean=True)
 
 
+# Exponents inf, 1, 2, 4/3, 4 and 1000: the power paths of _reduce.
+RECIPS = [0.0, 1.0, 0.5, 0.75, 0.25, 1e-3]
+
+
+def assert_blocked_norms_are_the_whole_grid_ones(samples, inner, outer):
+    modulus = np.abs(samples)
+    full, coarse = _inner_norms(samples, inner, half=True)
+    assert full.tobytes() == _reduce(modulus, inner, True).tobytes()
+    assert coarse.tobytes() == _reduce(modulus[::2, ::2], inner, True).tobytes()
+    assert _inner_norms(samples, inner, half=False)[1] is None
+    f = GridFunction(*samples.shape, samples)
+    e = MixedExponents(0.5, 0.5, inner, outer)
+    assert lrs_norm(f, e).hex() == MixedNorm.of(modulus, inner, outer, mean=True).value.hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2000), st.integers(1, 3000), st.sampled_from([8, 64, 1024, 2**18]))
+def test_column_blocks_tile_the_grid_in_even_blocks_of_four_or_more(Kx, Ky, block_samples):
+    blocks = _column_blocks(Kx, Ky, block_samples)
+    assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]] and blocks[-1][1] == Ky
+    if len(blocks) > 1:
+        assert all(lo % 2 == 0 and hi - lo >= 4 for lo, hi in blocks)
+
+
+# Grids above the real block rule (64 columns at Kx = 4096, 8 at Kx = 2^15):
+# a tail that would be one column wide, and odd sizes.
+@pytest.mark.parametrize("shape", [(4096, 129), (4096, 130), (4095, 131), (2**15, 17), (2**15, 21)],
+                         ids=["one-column-tail", "two-column-tail", "odd-both", "narrow-blocks", "odd-Ky"])
+@pytest.mark.parametrize("inner, outer", [(0.75, 0.5), (0.0, 1.0)])
+def test_blocked_norms_equal_the_whole_grid_ones_bit_for_bit(shape, inner, outer):
+    rng = np.random.default_rng([*shape, 17])
+    samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert len(_column_blocks(*shape, CACHE_SAMPLES)) > 1
+    assert_blocked_norms_are_the_whole_grid_ones(samples, inner, outer)
+
+
+# The same on small grids with small blocks, so that any shape can have many.
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 90), st.sampled_from([4, 16, 64, 200]),
+       st.sampled_from(RECIPS), st.sampled_from(RECIPS), st.integers(0, 2**31 - 1))
+def test_small_blocked_norms_equal_the_whole_grid_ones_bit_for_bit(Kx, Ky, block_samples, inner, outer, seed):
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal((Kx, Ky)) + 1j * rng.standard_normal((Kx, Ky))
+    samples[:, rng.integers(Ky)] = 0.0  # a vanishing column divides by the stand-in 1
+    with mock.patch.object(norms, "CACHE_SAMPLES", block_samples):
+        assert_blocked_norms_are_the_whole_grid_ones(samples, inner, outer)
+
+
 # ---------------------------------------------------------------------------
 # JSON formats
 # ---------------------------------------------------------------------------
@@ -355,6 +411,15 @@ def _grid_cases():
         "F-ordered": np.asfortranarray(rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))),
         "zeros-subnormals-huge": special,
     }
+
+
+@pytest.mark.parametrize("name", list(_grid_cases()))
+def test_write_grid_writes_the_document_to_a_text_handle(name):
+    samples = _grid_cases()[name]
+    f = GridFunction(*samples.shape, samples)
+    out = io.StringIO()
+    write_grid(out, f)
+    assert out.getvalue() == grid_document_reference(f)
 
 
 @pytest.mark.parametrize("name", list(_grid_cases()))
@@ -469,9 +534,32 @@ def test_lrs_norm_holds_one_working_array_beside_the_modulus(budget_grid, refine
     assert peak <= 1.1 * GRID_BYTES
 
 
+@pytest.mark.parametrize("refine_check", [False, True])
+def test_lrs_norm_holds_one_column_block_on_a_large_grid(refine_check):
+    # The evaluate benchmark's largest grid, 64 MiB of samples.  lrs_norm
+    # holds one block's modulus and quotient (2^18 samples each, 4 MiB); a
+    # whole-grid modulus and quotient took 1.0 grid here.
+    Kx = Ky = 2048
+    assert len(_column_blocks(Kx, Ky, CACHE_SAMPLES)) > 1
+    samples = np.random.default_rng(18).random((Kx, 2 * Ky)).view(np.complex128)
+    f = GridFunction(Kx, Ky, samples)
+    spec = QuadratureSpec(refine_check=refine_check, rel_tol=1.0)
+    peak = traced_peak(lambda: lrs_norm(f, MixedExponents(0.25, 0.5, 0.75, 0.5), spec))
+    assert peak <= 0.1 * Kx * Ky * 16
+
+
 def test_eval_sum_holds_about_one_grid(budget_matrix):
     plan = EvalPlan(Kx=BUDGET_GRID, Ky=BUDGET_GRID)
     assert traced_peak(lambda: eval_sum(budget_matrix, plan)) <= 1.25 * GRID_BYTES
+
+
+def test_panelled_eval_sum_holds_about_one_grid():
+    # 1024^2 is above CACHE_SAMPLES, so synthesize takes its column panels;
+    # each holds 2^15 samples, 1/32 of this grid.
+    Kx = Ky = 1024
+    assert Kx * Ky > CACHE_SAMPLES
+    A = random_matrix(np.random.default_rng(19), Kx // 8, Ky // 8)
+    assert traced_peak(lambda: eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky))) <= 1.25 * Kx * Ky * 16
 
 
 def test_save_grid_streams_below_one_grid(tmp_path, budget_grid):

@@ -9,6 +9,7 @@ import pytest
 from mnlab.exponents import MixedExponents
 from mnlab.norms import CoefficientMatrix, lpq_norm
 from mnlab.trigsum import (
+    MAX_GRID_BYTES,
     EvalPlan,
     _direct,
     default_grid,
@@ -40,7 +41,19 @@ def test_direct_and_transform_paths_agree():
     (3, 5, 24, 40),
     (3, 5, 3, 40),
     (7, 9, 7, 9),
-], ids=["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix"])
+    # Grids of more than CACHE_SAMPLES = 2^18 samples take the panelled
+    # second pass, in panels of about 2^15 samples, at least four columns.
+    (4, 4, 512, 512),
+    (4, 4, 513, 512),
+    (6, 5, 600, 500),
+    (5, 3, 65536, 10),
+    (3, 2, 65536, 5),
+    (9, 2, 16, 16411),
+    (7, 7, 1448, 200),
+], ids=["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix",
+        "at-panel-threshold", "just-above-panel-threshold", "Ky-not-a-panel-multiple",
+        "four-column-panels-with-a-folded-tail", "one-panel-wide", "wide-and-short",
+        "Kx-with-a-large-prime-factor"])
 def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
     rng = np.random.default_rng([M, N, Kx, Ky])
     entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -169,6 +182,13 @@ def test_plan_validation():
         eval_sum(A, EvalPlan(Kx=2, Ky=8))
     with pytest.raises(ValueError, match="grid sizes must be positive"):
         EvalPlan(Kx=0, Ky=4)
+    # The ceiling is on the samples' bytes, checked before anything is allocated.
+    assert 16 * 2**15 * 2**15 == MAX_GRID_BYTES
+    EvalPlan(Kx=2**15, Ky=2**15)
+    with pytest.raises(ValueError, match="above the limit of 16 GiB"):
+        EvalPlan(Kx=2**15, Ky=2**15 + 1)
+    with pytest.raises(ValueError, match="^a 65536 x 32768 grid needs 32 GiB of samples, above the limit of 16 GiB$"):
+        EvalPlan(Kx=2**16, Ky=2**15)
     for oversample in (1, 0, -5):
         with pytest.raises(ValueError, match=f"oversample must be >= 2, got {oversample}"):
             default_grid(4, 4, oversample)
