@@ -1,9 +1,13 @@
 """Time mnlab's layers on the size ladder M = N, on the default 8x grid.
 
-    python3 scripts/bench_ladder.py [--sizes 4,8,16,32,64] [--repeats 5] [--out FILE --label NAME]
+    python3 scripts/bench_ladder.py [--sizes 4,8,16,32,64,256] [--repeats 5] [--out FILE --label NAME]
 
 Run from the root of a source checkout; mnlab is imported from its ``src/``.
-At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2):
+At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2),
+the layers below.  Rows above M = SEARCH_MAX_M = 64 time only the grid
+layers ``eval_sum``, ``lrs_norm`` and ``lpq_norm``: the default M = 256 row
+(a 2048 x 2048 grid, 64 MiB of samples) shows the memory-bound costs that
+the smaller rows' grids, which fit in cache, hide.
 
 * ``eval_sum``: one synthesis of a random M x M matrix on the 8M x 8M grid;
 * ``lrs_norm`` of those samples and ``lpq_norm`` of the matrix;
@@ -65,7 +69,8 @@ from mnlab.trigsum import EvalPlan, default_grid, eval_sum  # noqa: E402
 EXPONENTS = MixedExponents(0.25, 0.5, 0.75, 0.5)
 CLOSED_EXPONENTS = MixedExponents(1.0, 1.0, 0.0, 0.0)
 ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
-DEFAULT_SIZES = (4, 8, 16, 32, 64)
+DEFAULT_SIZES = (4, 8, 16, 32, 64, 256)
+SEARCH_MAX_M = 64
 PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "objective")
 
 
@@ -91,11 +96,16 @@ def _layer_calls(M: int) -> dict:
     grid = default_grid(M, M)
     plan = EvalPlan(*grid)
     f = eval_sum(A, plan)
-    start = _random_entries(rng, M)
-    return {
+    grid_calls = {
         "eval_sum": functools.partial(eval_sum, A, plan),
         "lrs_norm": functools.partial(lrs_norm, f, EXPONENTS),
         "lpq_norm": functools.partial(lpq_norm, A, EXPONENTS),
+    }
+    if M > SEARCH_MAX_M:
+        return grid_calls
+    start = _random_entries(rng, M)
+    return {
+        **grid_calls,
         "objective": functools.partial(objective, A, EXPONENTS, grid),
         "gradient": _gradient_call(entries, grid),
         "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
@@ -210,6 +220,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "sizes": args.sizes,
             "repeats": args.repeats,
             "grid": "default_grid(M, M): 8M x 8M",
+            "search_max_m": SEARCH_MAX_M,
             "exponents": list(EXPONENTS.as_tuple()),
             "estimate_closed_exponents": list(CLOSED_EXPONENTS.as_tuple()),
             "estimate": {"restarts": ESTIMATE_CONFIG.restarts, "max_iters": ESTIMATE_CONFIG.max_iters,

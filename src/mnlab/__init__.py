@@ -2,18 +2,14 @@
 double trigonometric sums.
 
 The package evaluates S_{M,N}(x,y) = sum_{n,m} a_{mn} e^{2 pi i ((m-1)x + (n-1)y)}
-on grids, computes discrete l^{p,q} and grid L^{r,s} mixed norms, classifies
-exponent quadruples into the piecewise regions of the governing bound exponent,
+on grids, computes discrete l^{p,q} and grid L^{r,s} mixed norms, evaluates
+the governing bound exponent theta = max(1/2, alpha, beta, 1 - gamma, 1 - delta),
 builds candidate extremizer matrices with certified lower bounds, and brackets
 the operator norm sup ||S|| / ||A|| by multi-start ascent.
 """
 
 from .exponents import (
-    Branch,
-    CoverageError,
     MixedExponents,
-    RegionLabel,
-    classify,
     phi,
     theta,
     upper_bound_magnitude,
@@ -23,18 +19,13 @@ from .norms import (
     GridFunction,
     QuadratureSpec,
     QuadratureWarning,
-    holder_matrix_chain,
     lpq_norm,
     lrs_norm,
 )
 from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum, eval_sum_at
 
 __all__ = [
-    "Branch",
-    "CoverageError",
     "MixedExponents",
-    "RegionLabel",
-    "classify",
     "phi",
     "theta",
     "upper_bound_magnitude",
@@ -42,7 +33,6 @@ __all__ = [
     "GridFunction",
     "QuadratureSpec",
     "QuadratureWarning",
-    "holder_matrix_chain",
     "lpq_norm",
     "lrs_norm",
     "EvalPlan",

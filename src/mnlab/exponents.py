@@ -10,27 +10,25 @@ delta) in [1/2, 1] that governs the growth bound
 
     ||S_{M,N}||_{L^{r,s}}  <=  (M N)^theta / (M^alpha N^beta) * ||A||_{l^{p,q}}
 
-for the truncated double trigonometric sum with coefficient matrix A.  Five
-closed regions cover Q; on overlaps the branch values agree, which `classify`
-exposes for testing.  `phi` is the restriction of theta to the region where
-the bound is known to give the exact growth order (it matches theta wherever
-it is defined and is None elsewhere).
+for the truncated double trigonometric sum with coefficient matrix A.  The
+paper states theta branch by branch over five closed regions that cover Q;
+each region is where its branch value is the largest of 1/2, alpha, beta,
+1 - gamma and 1 - delta, so theta is that maximum.  `phi` is the
+restriction of theta to the region where the bound is known to give the
+exact growth order (it matches theta wherever it is defined and is None
+elsewhere).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
-    "Branch",
-    "CoverageError",
     "MixedExponents",
-    "RegionLabel",
     "check_dimensions",
-    "classify",
     "phi",
     "theta",
     "upper_bound_magnitude",
@@ -42,24 +40,6 @@ __all__ = [
 PHI_EQUALITY_TOL = 1e-12
 
 
-class CoverageError(Exception):
-    """No branch of the piecewise exponent matched a point of Q.
-
-    The five closed regions are expected to cover the whole hypercube; this
-    exception existing (and never firing) is the detector for that claim.
-    """
-
-
-class Branch(Enum):
-    """The five branches of theta, in fixed precedence order."""
-
-    HALF = "half"
-    ALPHA = "alpha"
-    BETA = "beta"
-    ONE_MINUS_GAMMA = "one_minus_gamma"
-    ONE_MINUS_DELTA = "one_minus_delta"
-
-
 @dataclass(frozen=True)
 class MixedExponents:
     """A point (alpha, beta, gamma, delta) = (1/p, 1/q, 1/r, 1/s) of Q.
@@ -67,7 +47,9 @@ class MixedExponents:
     alpha, beta are the reciprocals of the discrete-norm exponents (p inner
     over the row index, q outer over the column index); gamma, delta are the
     reciprocals of the integral-norm exponents (r in x, s in y).  Each lies
-    in [0, 1]; the value 0 encodes an infinite exponent.
+    in [0, 1]; the value 0 encodes an infinite exponent.  Any real number
+    type is accepted (numpy scalars included) and stored as a float; bool
+    is not a number here.
     """
 
     alpha: float
@@ -78,7 +60,7 @@ class MixedExponents:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
@@ -121,73 +103,18 @@ def _reciprocal(exponent: float, name: str) -> float:
     return 1.0 / float(exponent)
 
 
-@dataclass(frozen=True)
-class RegionLabel:
-    """Which branches of theta hold at a point.
-
-    `branch` is the first matching branch in the fixed order HALF, ALPHA,
-    BETA, ONE_MINUS_GAMMA, ONE_MINUS_DELTA; `all_matching` lists every branch
-    whose closed constraints hold.  Well-definedness (all matching branches
-    produce the same theta value) is a tested invariant, not assumed here.
-    """
-
-    branch: Branch
-    all_matching: tuple[Branch, ...]
-
-
-def _branch_holds(b: Branch, e: MixedExponents) -> bool:
-    a, be, g, d = e.alpha, e.beta, e.gamma, e.delta
-    if b is Branch.HALF:
-        return a <= 0.5 and be <= 0.5 and g >= 0.5 and d >= 0.5
-    if b is Branch.ALPHA:
-        return a >= 0.5 and a >= be and a + g >= 1.0 and a + d >= 1.0
-    if b is Branch.BETA:
-        return be >= 0.5 and be >= a and be + g >= 1.0 and be + d >= 1.0
-    if b is Branch.ONE_MINUS_GAMMA:
-        return g <= 0.5 and g <= d and a + g <= 1.0 and be + g <= 1.0
-    if b is Branch.ONE_MINUS_DELTA:
-        return d <= 0.5 and d <= g and a + d <= 1.0 and be + d <= 1.0
-    raise AssertionError(f"unknown branch {b!r}")
-
-
-def _branch_value(b: Branch, e: MixedExponents) -> float:
-    if b is Branch.HALF:
-        return 0.5
-    if b is Branch.ALPHA:
-        return e.alpha
-    if b is Branch.BETA:
-        return e.beta
-    if b is Branch.ONE_MINUS_GAMMA:
-        return 1.0 - e.gamma
-    if b is Branch.ONE_MINUS_DELTA:
-        return 1.0 - e.delta
-    raise AssertionError(f"unknown branch {b!r}")
-
-
-def classify(e: MixedExponents) -> RegionLabel:
-    """Classify a point of Q into the theta branches that hold there.
-
-    All branch conditions are closed (<=, >=), so boundary points belong to
-    every adjacent region.  Raises CoverageError if no branch matches, which
-    would falsify the tested coverage invariant.
-    """
-    matching = tuple(b for b in Branch if _branch_holds(b, e))
-    if not matching:
-        raise CoverageError(f"no branch covers {e.as_tuple()}")
-    return RegionLabel(branch=matching[0], all_matching=matching)
-
-
 def theta(e: MixedExponents) -> float:
-    """The piecewise-linear bound exponent, a value in [1/2, 1].
+    """The piecewise-linear bound exponent max(1/2, alpha, beta, 1 - gamma, 1 - delta).
 
-    Branch values: 1/2 on the central region (alpha, beta <= 1/2 <= gamma,
-    delta); alpha where alpha dominates (alpha >= 1/2, alpha >= beta,
-    alpha + gamma >= 1, alpha + delta >= 1); symmetrically beta; 1 - gamma
-    where gamma is small (gamma <= 1/2, gamma <= delta, alpha + gamma <= 1,
-    beta + gamma <= 1); symmetrically 1 - delta.  When several branches
-    match, their values agree (tested) and the first is returned.
+    The paper's five branches (1/2 on the central region alpha, beta <= 1/2
+    <= gamma, delta; alpha where alpha >= 1/2, alpha >= beta, alpha + gamma
+    >= 1 and alpha + delta >= 1; symmetrically beta; 1 - gamma where gamma
+    <= 1/2, gamma <= delta, alpha + gamma <= 1 and beta + gamma <= 1;
+    symmetrically 1 - delta) are each the largest of these five values on
+    their region.  Rounding is monotone and 1/2, alpha and beta are exact,
+    so the result is the correctly rounded theta of the stored reciprocals.
     """
-    return _branch_value(classify(e).branch, e)
+    return max(0.5, e.alpha, e.beta, 1.0 - e.gamma, 1.0 - e.delta)
 
 
 def phi(e: MixedExponents) -> float | None:

@@ -45,7 +45,6 @@ __all__ = [
     "lpq_norm",
     "lrs_norm",
     "MixedNorm",
-    "holder_matrix_chain",
     "matrix_to_json",
     "matrix_from_json",
     "grid_to_json",
@@ -274,35 +273,6 @@ class MixedNorm(NamedTuple):
         return _reduce_gradient(self.a, self.inner_values, self.inner, self.mean) * _reduce_gradient(
             self.inner_values, self.value, self.outer, self.mean
         )
-
-
-def holder_matrix_chain(
-    A: CoefficientMatrix, e: MixedExponents, e_bar: MixedExponents
-) -> tuple[float, float]:
-    """Both sides of the dimension-power norm comparison, as a self-test primitive.
-
-    For a first-slot chain (e.alpha >= e_bar.alpha, same beta) returns
-    (||A||_{l^{p,q}}, M^(alpha - alpha_bar) * ||A||_{l^{p_bar,q}}); for a
-    second-slot chain (same alpha, e.beta >= e_bar.beta) the comparison
-    factor is N^(beta - beta_bar).  Asserts first <= second within 1e-12
-    relative before returning.
-    """
-    if e.alpha >= e_bar.alpha and e.beta == e_bar.beta:
-        factor = float(A.M) ** (e.alpha - e_bar.alpha)
-    elif e.beta >= e_bar.beta and e.alpha == e_bar.alpha:
-        factor = float(A.N) ** (e.beta - e_bar.beta)
-    else:
-        raise ValueError(
-            "exponent pair must differ in exactly one slot, with e at least as "
-            f"large there: got {e.as_tuple()} vs {e_bar.as_tuple()}"
-        )
-    first = lpq_norm(A, e)
-    second = factor * lpq_norm(A, e_bar)
-    if first > second * (1.0 + 1e-12):
-        raise AssertionError(
-            f"norm chain violated: {first!r} > {factor!r} * {lpq_norm(A, e_bar)!r}"
-        )
-    return first, second
 
 
 # ----------------------------------------------------------------------------

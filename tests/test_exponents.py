@@ -1,16 +1,16 @@
-"""Tests for the exponent hypercube: region classification, theta, phi, bounds."""
+"""Tests for the exponent hypercube: theta against the paper's region table, phi, bounds."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from regions import REGIONS, matching
 
 from mnlab.exponents import (
-    Branch,
-    CoverageError,
     MixedExponents,
-    classify,
     phi,
     theta,
     upper_bound_magnitude,
@@ -43,22 +43,35 @@ def test_upper_bound_magnitude_known_points():
 
 
 def test_classify_center_matches_every_branch():
-    label = classify(MixedExponents(0.5, 0.5, 0.5, 0.5))
-    assert label.all_matching == tuple(Branch)
-    assert label.branch is Branch.HALF
+    assert matching(0.5, 0.5, 0.5, 0.5) == [name for name, _, _ in REGIONS]
+    assert theta(MixedExponents(0.5, 0.5, 0.5, 0.5)) == 0.5
 
 
 def test_classify_two_branch_overlap():
     # At (1, 0, 0, 0.3) both the alpha branch (value 1) and the 1-gamma
     # branch (value 1 - 0 = 1) hold and agree.
-    label = classify(MixedExponents(1.0, 0.0, 0.0, 0.3))
-    assert label.branch is Branch.ALPHA
-    assert set(label.all_matching) == {Branch.ALPHA, Branch.ONE_MINUS_GAMMA}
+    assert matching(1.0, 0.0, 0.0, 0.3) == ["alpha", "one_minus_gamma"]
+    assert theta(MixedExponents(1.0, 0.0, 0.0, 0.3)) == 1.0
 
 
 def test_classify_single_branch():
-    label = classify(MixedExponents(0.6, 0.3, 0.9, 0.2))
-    assert label.all_matching == (Branch.ONE_MINUS_DELTA,)
+    assert matching(0.6, 0.3, 0.9, 0.2) == ["one_minus_delta"]
+    assert theta(MixedExponents(0.6, 0.3, 0.9, 0.2)) == 0.8
+
+
+def test_theta_at_ties_is_the_correctly_rounded_max():
+    # Where two branches tie in exact arithmetic on the decimal inputs, their
+    # rounded values can differ by an ulp; theta takes the larger, which is
+    # the correctly rounded max of the stored reciprocals.
+    assert theta(MixedExponents(0.0, 2 / 3, 1 / 3, 1 / 3)).hex() == "0x1.5555555555556p-1"
+    assert theta(MixedExponents(0.74, 0.82, 1.0, 0.18)).hex() == "0x1.a3d70a3d70a3ep-1"
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit, unit, unit, unit)
+def test_theta_is_the_correctly_rounded_exact_max(a, b, g, d):
+    exact = max(Fraction(1, 2), Fraction(a), Fraction(b), 1 - Fraction(g), 1 - Fraction(d))
+    assert theta(MixedExponents(a, b, g, d)) == float(exact)
 
 
 def test_phi_central_region():
@@ -79,13 +92,10 @@ def test_phi_undefined_off_domain():
 @settings(max_examples=300, deadline=None)
 @given(unit, unit, unit, unit)
 def test_every_point_is_covered_and_well_defined(a, b, g, d):
-    label = classify(MixedExponents(a, b, g, d))  # must not raise CoverageError
-    values = [
-        {Branch.HALF: 0.5, Branch.ALPHA: a, Branch.BETA: b,
-         Branch.ONE_MINUS_GAMMA: 1.0 - g, Branch.ONE_MINUS_DELTA: 1.0 - d}[br]
-        for br in label.all_matching
-    ]
-    assert max(values) - min(values) <= 1e-12
+    t = theta(MixedExponents(a, b, g, d))
+    values = [value(a, b, g, d) for _, holds, value in REGIONS if holds(a, b, g, d)]
+    assert values, f"no region of the paper's table covers {(a, b, g, d)}"
+    assert max(abs(v - t) for v in values) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,8 +135,6 @@ def test_phi_defined_on_the_small_gamma_diagonal(g, a, b):
 
 
 def test_theta_is_one_lipschitz_along_axes():
-    import numpy as np
-
     rng = np.random.default_rng(42)
     h = 1e-3
     for _ in range(200):
@@ -142,8 +150,6 @@ def test_theta_is_one_lipschitz_along_axes():
 def test_central_region_magnitude_formula():
     # With alpha, beta <= 1/2 <= gamma, delta the constant reduces to
     # M^(1/2 - alpha) * N^(1/2 - beta).
-    import numpy as np
-
     rng = np.random.default_rng(7)
     for _ in range(100):
         a, b = rng.uniform(0.0, 0.5, size=2)
@@ -173,7 +179,13 @@ def test_rejects_out_of_range_values():
         upper_bound_magnitude(0, 4, MixedExponents(0.5, 0.5, 0.5, 0.5))
 
 
-def test_coverage_error_is_reachable_type():
-    # The classifier promises this exception type for uncovered points; the
-    # covered hypercube never produces it, so only the contract is checked.
-    assert issubclass(CoverageError, Exception)
+@pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(1), np.int8(0), Fraction(1, 4)])
+def test_accepts_any_real_number_type(value):
+    e = MixedExponents(value, 0.5, 0.5, 0.5)
+    assert type(e.alpha) is float and e.alpha == float(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, complex(0.5)])
+def test_rejects_bool_and_non_real_values(value):
+    with pytest.raises(ValueError, match="alpha must be a finite number"):
+        MixedExponents(value, 0.5, 0.5, 0.5)

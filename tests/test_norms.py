@@ -26,7 +26,6 @@ from mnlab.norms import (
     _reduce,
     grid_from_json,
     grid_to_json,
-    holder_matrix_chain,
     load_grid,
     lpq_norm,
     lrs_norm,
@@ -125,51 +124,6 @@ def test_second_slot_chain_inequality():
         lhs = lpq_norm(A, MixedExponents(a, b_big, 0.5, 0.5))
         rhs = A.N ** (b_big - b_small) * lpq_norm(A, MixedExponents(a, b_small, 0.5, 0.5))
         assert lhs <= rhs * (1 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# holder_matrix_chain
-# ---------------------------------------------------------------------------
-
-
-def test_chain_equality_for_constant_modulus():
-    A = CoefficientMatrix(2, 2, np.ones((2, 2), dtype=complex))
-    first, second = holder_matrix_chain(
-        A, MixedExponents(1.0, 1.0, 0.5, 0.5), MixedExponents(0.5, 1.0, 0.5, 0.5)
-    )
-    assert first == pytest.approx(4.0, rel=1e-15)
-    assert second == pytest.approx(4.0, rel=1e-12)
-
-
-def test_chain_single_entry():
-    A = CoefficientMatrix(2, 2, np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
-    first, second = holder_matrix_chain(
-        A, MixedExponents(1.0, 1.0, 0.5, 0.5), MixedExponents(0.5, 1.0, 0.5, 0.5)
-    )
-    assert first == 1.0
-    assert second == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-
-def test_chain_zero_matrix():
-    A = CoefficientMatrix(2, 2, np.zeros((2, 2), dtype=complex))
-    assert holder_matrix_chain(
-        A, MixedExponents(1.0, 0.5, 0.5, 0.5), MixedExponents(0.5, 0.5, 0.5, 0.5)
-    ) == (0.0, 0.0)
-
-
-def test_chain_rejects_incomparable_pairs():
-    A = CoefficientMatrix(2, 2, np.ones((2, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        holder_matrix_chain(A, MixedExponents(0.3, 0.5, 0.5, 0.5), MixedExponents(0.7, 0.5, 0.5, 0.5))
-
-
-def test_chain_second_slot():
-    rng = np.random.default_rng(3)
-    A = random_matrix(rng, 3, 5)
-    first, second = holder_matrix_chain(
-        A, MixedExponents(0.5, 0.9, 0.5, 0.5), MixedExponents(0.5, 0.2, 0.5, 0.5)
-    )
-    assert first <= second * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
