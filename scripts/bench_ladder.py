@@ -11,8 +11,10 @@ the smaller rows' grids, which fit in cache, hide.
 
 * ``eval_sum``: one synthesis of a random M x M matrix on the 8M x 8M grid;
 * ``lrs_norm`` of those samples and ``lpq_norm`` of the matrix;
+* ``load_grid`` of those samples from the file ``save_grid`` wrote of them
+  (a temporary directory holds it);
 * ``objective`` of the matrix on that grid;
-  these four rows also give ``peak_bytes``, the tracemalloc peak of one
+  these five rows also give ``peak_bytes``, the tracemalloc peak of one
   separate untimed call: the working memory it allocates above what it was
   handed (numpy reports its buffers to tracemalloc);
 * ``gradient``: one ``opnorm._adjoint_gradient``, handed what the ascent
@@ -32,7 +34,9 @@ the smaller rows' grids, which fit in cache, hide.
   so the bracket closes at the first start.
 
 Each figure is the median over ``--repeats`` samples of the mean time per
-call, a sample lasting at least 0.2 s (``timeit``'s autorange) or one call.
+call, a sample lasting at least 0.2 s (``timeit``'s autorange) or one call,
+with the garbage collector on as in a CLI run: ``timeit`` turns it off, which
+hides the collections that a Python object per number sets off.
 The document records the machine (cores, CPU, Python, numpy) and the git
 commit of the checkout.  Without ``--out`` it is printed; with it, it is
 stored under ``--label`` in the JSON object in FILE, which keeps its other
@@ -51,6 +55,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 import tracemalloc
 from pathlib import Path
@@ -62,7 +67,7 @@ import numpy as np  # noqa: E402
 
 from mnlab import opnorm  # noqa: E402
 from mnlab.exponents import MixedExponents  # noqa: E402
-from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm  # noqa: E402
+from mnlab.norms import CoefficientMatrix, load_grid, lpq_norm, lrs_norm, save_grid  # noqa: E402
 from mnlab.opnorm import SearchConfig, estimate, objective  # noqa: E402
 from mnlab.trigsum import EvalPlan, default_grid, eval_sum  # noqa: E402
 
@@ -71,7 +76,7 @@ CLOSED_EXPONENTS = MixedExponents(1.0, 1.0, 0.0, 0.0)
 ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
 DEFAULT_SIZES = (4, 8, 16, 32, 64, 256)
 SEARCH_MAX_M = 64
-PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "objective")
+PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "load_grid", "objective")
 
 
 def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
@@ -88,7 +93,7 @@ def _gradient_call(entries: np.ndarray, grid: tuple[int, int]):
     return functools.partial(opnorm._adjoint_gradient, **{name: available[name] for name in names})
 
 
-def _layer_calls(M: int) -> dict:
+def _layer_calls(M: int, workdir: Path) -> dict:
     rng = np.random.default_rng([M, 7])
     entries = _random_entries(rng, M)
     entries /= np.linalg.norm(entries)
@@ -103,9 +108,12 @@ def _layer_calls(M: int) -> dict:
     }
     if M > SEARCH_MAX_M:
         return grid_calls
+    grid_path = workdir / f"grid_{M}.json"
+    save_grid(grid_path, f)
     start = _random_entries(rng, M)
     return {
         **grid_calls,
+        "load_grid": functools.partial(load_grid, grid_path),
         "objective": functools.partial(objective, A, EXPONENTS, grid),
         "gradient": _gradient_call(entries, grid),
         "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
@@ -116,7 +124,7 @@ def _layer_calls(M: int) -> dict:
 
 
 def _median_us(call, repeats: int) -> dict:
-    timer = timeit.Timer(call)
+    timer = timeit.Timer(call, setup="gc.enable()")
     number, _ = timer.autorange()
     samples = timer.repeat(repeat=repeats, number=number)
     return {"median_us": statistics.median(samples) / number * 1e6, "calls_per_sample": number}
@@ -206,13 +214,14 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("give --out and --label together, or neither")
 
     layers: dict[str, dict] = {}
-    for M in args.sizes:
-        for name, call in _layer_calls(M).items():
-            layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
-            if name == "ascent":
-                layers[name][str(M)]["evaluations"] = _evaluations(call)
-            if name in PEAK_LAYERS:
-                layers[name][str(M)]["peak_bytes"] = _peak_bytes(call)
+    with tempfile.TemporaryDirectory() as workdir:
+        for M in args.sizes:
+            for name, call in _layer_calls(M, Path(workdir)).items():
+                layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
+                if name == "ascent":
+                    layers[name][str(M)]["evaluations"] = _evaluations(call)
+                if name in PEAK_LAYERS:
+                    layers[name][str(M)]["peak_bytes"] = _peak_bytes(call)
     run = {
         **_git_commit(),
         "machine": _machine(),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -278,7 +279,8 @@ class MixedNorm(NamedTuple):
 # ----------------------------------------------------------------------------
 # Shared JSON formats.  Matrices: {"M", "N", "entries": [[re, im], ...]} in
 # row-major order (column index n fastest).  Grids: the analogous
-# {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly.
+# {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly,
+# and the loaders parse the savers' bytes without json.loads (_canonical_array).
 # Reports: one key per dataclass field (see JsonReport).
 # ----------------------------------------------------------------------------
 
@@ -319,6 +321,8 @@ def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
     if not isinstance(doc, dict) or any(key not in doc for key in keys):
         raise ValueError(f"{what} JSON must be an object with keys {', '.join(keys)}")
     try:
+        if any(isinstance(doc[key], bool) for key in size_keys):
+            raise TypeError("sizes must be integers, not booleans")
         rows, cols = (operator.index(doc[key]) for key in size_keys)
         pairs = np.asarray(doc[data_key])
     except (TypeError, ValueError) as exc:
@@ -360,7 +364,46 @@ def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:
 
 
 def load_matrix(path: str | Path) -> CoefficientMatrix:
-    return matrix_from_json(json.loads(Path(path).read_text()))
+    canonical = _canonical_array(path, ("M", "N"), "entries")
+    return CoefficientMatrix(*canonical) if canonical else matrix_from_json(json.loads(Path(path).read_text()))
+
+
+# np.fromstring parses by strtod, looser than JSON.  With "[" a space and "]",
+# "}" and "\n" tabs, no number runs into the next and a space precedes each: -?,
+# 0 or [1-9][0-9]*, and a fraction or exponent with a digit or sign after its
+# "." or "e".  So +1, .5, 5., 01, 1.e5, "[, ]" (strtod reads -1.0) and integers
+# (json.loads reads -0 as +0) take the general path.  A literal start scans fast.
+_NOT_A_FLOAT = re.compile(rb" (?! |-?(?:0|[1-9][0-9]*)[.eE][0-9+-])")
+
+
+def _canonical_array(path: str | Path, size_keys: tuple[str, str], data_key: str):
+    """(rows, cols, complex array) of a file in the savers' exact layout, else None: the general path decides."""
+    path = Path(path)
+    data = path.read_bytes() if path.is_file() else b""  # a pipe is read once, by the general path
+    size = "([1-9][0-9]{0,17})"  # int() takes at most 4300 digits
+    head = re.match(rf'\{{"{size_keys[0]}": {size}, "{size_keys[1]}": {size}, "{data_key}":'.encode(), data)
+    if head is None:
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    n = rows * cols
+    body = data[head.end():]  # ' [[re, im], ..., [re, im]]}\n'
+    del data, head  # the match holds the whole text too
+    # The bytes between the numbers, 6 a pair; their count is compared first,
+    # so nothing is sized from the header before the file is.
+    layout = body.translate(None, b"0123456789.eE+-")
+    if len(layout) != 6 * n + 3 or layout != b" [" + b"[, ], " * (n - 1) + b"[, ]]}\n":
+        return None
+    numbers = body.translate(bytes.maketrans(b"[]}\n", b" \t\t\t"))  # '   re, im\t,  re, im\t\t\t\t'
+    del body, layout
+    if _NOT_A_FLOAT.search(numbers):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(numbers, sep=",")
+        except (ValueError, Warning):
+            return None
+    return (rows, cols, values.view(np.complex128).reshape(rows, cols)) if values.size == 2 * n else None
 
 
 def write_grid(out: TextIO, f: GridFunction) -> None:
@@ -383,4 +426,5 @@ def save_grid(path: str | Path, f: GridFunction) -> None:
 
 
 def load_grid(path: str | Path) -> GridFunction:
-    return grid_from_json(json.loads(Path(path).read_text()))
+    canonical = _canonical_array(path, ("Kx", "Ky"), "samples")
+    return GridFunction(*canonical) if canonical else grid_from_json(json.loads(Path(path).read_text()))

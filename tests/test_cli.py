@@ -391,6 +391,31 @@ def test_malformed_matrix_file_fails_with_one_line(tmp_path, document, capsys):
     assert err.startswith("error: matrix JSON") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, what, keys", [("--grid", "grid", ("Kx", "Ky", "samples")),
+                                              ("--matrix", "matrix", ("M", "N", "entries"))])
+def test_file_smaller_than_its_header_claims_fails_with_the_shape_message(tmp_path, capsys, flag, what, keys):
+    # The canonical layout but one pair for 10^22: nothing is sized from the header.
+    size = 100_000_000_000
+    path = tmp_path / "huge.json"
+    path.write_text('{"%s": %d, "%s": %d, "%s": [[1.0, 0.0]]}\n' % (keys[0], size, keys[1], size, keys[2]))
+    assert main(["norm", flag, str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: {what} JSON: expected {size * size} [re, im] pairs for "
+                                       f"{size} x {size}, got an array of shape (1, 2)\n")
+
+
+def test_grid_file_in_any_json_layout_loads_through_a_pipe(tmp_path, capsys):
+    # A pipe is read once, so a file outside the layout save_grid writes still loads.
+    f = eval_sum(CoefficientMatrix(2, 2, np.eye(2)), EvalPlan(4, 4))
+    pretty = json.dumps(grid_to_json(f), indent=2)
+    path = tmp_path / "grid.json"
+    path.write_text(pretty)
+    assert main(["norm", "--grid", str(path)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(mnlab.__file__).parent.parent)}
+    done = subprocess.run([sys.executable, "-m", "mnlab.cli", "norm", "--grid", "/dev/stdin"],
+                          input=pretty, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
 def test_unknown_flag_exits_one(capsys):
     # The last three are not search flags: the line search is fixed and the starts complex.
     for argv in (["bound", "--M", "4", "--N", "4", "--bogus", "1"],

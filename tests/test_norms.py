@@ -3,13 +3,14 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mnlab import norms
@@ -27,11 +28,13 @@ from mnlab.norms import (
     grid_from_json,
     grid_to_json,
     load_grid,
+    load_matrix,
     lpq_norm,
     lrs_norm,
     matrix_from_json,
     matrix_to_json,
     save_grid,
+    save_matrix,
     write_grid,
 )
 from mnlab.trigsum import EvalPlan, eval_sum
@@ -410,6 +413,8 @@ def test_matrix_json_rejects_wrong_entry_count():
     {"M": 1, "N": 2, "entries": [["1.0", "0.0"], ["2.0", "0.0"]]},
     {"M": 1, "N": 2, "entries": [[True, False], [False, True]]},
     {"M": 1, "N": 2, "entries": 7},
+    {"M": True, "N": 1, "entries": [[1.0, 0.0]]},
+    {"M": 1, "N": False, "entries": []},
 ])
 def test_json_loaders_reject_malformed_documents(doc):
     with pytest.raises(ValueError):
@@ -424,6 +429,131 @@ def test_json_round_trip_keeps_signed_zeros():
     entries = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-1.5, -0.0), 2.0]])
     back = matrix_from_json(json.loads(json.dumps(matrix_to_json(CoefficientMatrix(2, 2, entries)))))
     assert back.entries.tobytes() == entries.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The file loaders: the canonical reader against the general path as oracle
+# ---------------------------------------------------------------------------
+
+# kind: (file loader, general path from the document, writer, size keys, data key)
+LOADERS = {
+    "grid": (load_grid, grid_from_json, lambda path, z: save_grid(path, GridFunction(*z.shape, z)),
+             ("Kx", "Ky"), "samples"),
+    "matrix": (load_matrix, matrix_from_json, lambda path, z: save_matrix(path, CoefficientMatrix(*z.shape, z)),
+               ("M", "N"), "entries"),
+}
+
+
+def loaded(call):
+    """The array a loader returns, as (shape, bytes), or the (type, message) of what it raised."""
+    try:
+        value = call()
+    except Exception as exc:  # the rejection is what is compared
+        return type(exc), str(exc)
+    array = value.samples if isinstance(value, GridFunction) else value.entries
+    return array.shape, array.tobytes()
+
+
+def assert_loads_as_the_general_path(path, kind):
+    load, from_json = LOADERS[kind][:2]
+    assert loaded(lambda: load(path)) == loaded(lambda: from_json(json.loads(path.read_text())))
+
+
+def canonical_text(kind, shape, tokens):
+    """The document of `shape` with these number tokens, two a sample, in the layout the savers write."""
+    (rows_key, cols_key), data_key = LOADERS[kind][3:]
+    pairs = ", ".join(f"[{real}, {imag}]" for real, imag in zip(tokens[::2], tokens[1::2]))
+    return f'{{"{rows_key}": {shape[0]}, "{cols_key}": {shape[1]}, "{data_key}": [{pairs}]}}\n'
+
+
+# Each a token that strtod (np.fromstring) and JSON (json.loads) read
+# differently, or that one of them refuses.
+TRAP_TOKENS = ["-0", "1" + "0" * 29, "9007199254740993", "18446744073709551616", "+1", "+1.5", ".5", ".5e1",
+               "5.", "-.5", "01", "-01", "01.5", "-00.5", "1.e5", "1e", "1e+", "1.5e", "e5", "-", "--1.5", "1.5-",
+               "1.5.5", "1e5e5", "NaN", "-Infinity", "1e999", "1e-400", "0e5", "-0e5", "1E+5", "1e-05", "-0.0"]
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("token", TRAP_TOKENS)
+def test_trap_tokens_load_as_the_general_path_reads_them(tmp_path, kind, token):
+    for at in range(4):  # each position in a 1 x 2 document, the last number included
+        tokens = ["0.5", "-1.25", "3.0", "4e-05"]
+        tokens[at] = token
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_text(kind, (1, 2), tokens))
+        assert_loads_as_the_general_path(path, kind)
+
+
+# A number outside its slot, or a slot left empty, leaves the bytes between
+# the numbers as the layout has them.
+MISPLACED = [("[[", "[5["), ("], [", "]5, ["), ("], [", "],5 ["), (", -1.25", ",5 -1.25"), ("]]}", "]]5}"),
+             ("}\n", "}5\n"), ("\n", "\n5"), (": [[", ":5 [["), ("0.5", ""), ("-1.25", ""), ("4e-05", "")]
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("old, new", MISPLACED)
+def test_numbers_out_of_their_slots_load_as_the_general_path_reads_them(tmp_path, kind, old, new):
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_text(kind, (1, 2), ["0.5", "-1.25", "3.0", "4e-05"]).replace(old, new, 1))
+    assert_loads_as_the_general_path(path, kind)
+
+
+def test_integer_tokens_keep_the_general_path_values(tmp_path):
+    # json.loads reads -0 as the int 0, so the sample is +0.0 where strtod gives -0.0.
+    path = tmp_path / "grid.json"
+    path.write_text('{"Kx": 1, "Ky": 1, "samples": [[-0, -0.0]]}\n')
+    z = load_grid(path).samples[0, 0]
+    assert not np.signbit(z.real) and np.signbit(z.imag)
+    # An integer above 2**64 makes the pairs an object array, which is refused.
+    path.write_text('{"Kx": 1, "Ky": 1, "samples": [[%s, 0.0]]}\n' % ("1" + "0" * 29))
+    with pytest.raises(ValueError, match="samples must hold numbers only"):
+        load_grid(path)
+
+
+EDIT_TOKENS = TRAP_TOKENS + ["2.5", "-3.75e-300", "6.02e+23", '"1.0"', "true", "null", ",", "[", "]", "{", "}", ":",
+                             " ", "\n", ""]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(list(LOADERS)), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_edited_canonical_files_load_as_the_general_path_reads_them(tmp_path, kind, rows, cols, data):
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=2 * rows * cols, max_size=2 * rows * cols))
+    text = canonical_text(kind, (rows, cols), [repr(value) for value in values])
+    tokens = re.findall(r'-?[0-9.eE+]+|"[^"]*"|.', text, flags=re.S)
+    numbers = [i for i, token in enumerate(tokens) if token[-1].isdigit()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        # Half the edits replace a number, so that many files keep the canonical layout.
+        if data.draw(st.booleans()):
+            at, edit = data.draw(st.sampled_from(numbers)), "replace"
+        else:
+            at = data.draw(st.integers(0, len(tokens) - 1))
+            edit = data.draw(st.sampled_from(["insert", "replace", "delete"]))
+        token = data.draw(st.sampled_from(EDIT_TOKENS))
+        tokens[at:at + (edit != "insert")] = [] if edit == "delete" else [token]
+    path = tmp_path / "doc.json"
+    path.write_text("".join(tokens))
+    assert_loads_as_the_general_path(path, kind)
+
+
+float_bits = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))).filter(math.isfinite)
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1e-05, 1e16]
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.lists(float_bits, min_size=2, max_size=24).map(lambda v: v[:len(v) // 2 * 2]))
+def test_saved_files_load_bit_for_bit_on_the_canonical_path(tmp_path, kind, values):
+    load, _, save = LOADERS[kind][:3]
+    for samples in (np.array(values).view(np.complex128), np.array(EXTREME_FLOATS).view(np.complex128)):
+        samples = samples.reshape(1, -1) if len(samples) % 2 else samples.reshape(2, -1)
+        path = tmp_path / "doc.json"
+        save(path, samples)
+        tokens = [repr(value) for value in samples.view(float).ravel().tolist()]
+        assert path.read_text() == canonical_text(kind, samples.shape, tokens)
+        with mock.patch.object(norms.json, "loads", side_effect=AssertionError("general path taken")):
+            assert loaded(lambda: load(path)) == (samples.shape, samples.tobytes())
 
 
 def test_row_major_entry_order():
@@ -514,6 +644,15 @@ def test_panelled_eval_sum_holds_about_one_grid():
     assert Kx * Ky > CACHE_SAMPLES
     A = random_matrix(np.random.default_rng(19), Kx // 8, Ky // 8)
     assert traced_peak(lambda: eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky))) <= 1.25 * Kx * Ky * 16
+
+
+def test_load_grid_parses_without_a_python_float_per_number(tmp_path, budget_grid):
+    # The file is 2.7 grids of bytes, and the reader holds at most two copies
+    # of it at once (as read and sliced, or sliced and translated): 5.6 grids
+    # at its peak.  json.loads, a Python float per number, peaked at 12.0.
+    path = tmp_path / "grid.json"
+    save_grid(path, budget_grid)
+    assert traced_peak(lambda: load_grid(path)) <= 6.5 * GRID_BYTES
 
 
 def test_save_grid_streams_below_one_grid(tmp_path, budget_grid):
