@@ -236,14 +236,16 @@ def chirp_residual_sweep(
     for x in xs_arr.tolist():
         if not max(Ms) * x * x / eta < 2.0**52:
             raise ValueError(f"x={x!r} is too large: M*x*x/eta reaches 2**52 at M={max(Ms)}")
+    largest = max(Ms)
     max_residuals = []
     for M in Ms:
         sums = quadratic_phase_sum(M, eta, xs_arr)
+        if M == largest:  # a repeated size gives the same bits each time
+            largest_sums = sums
         mains = np.array([quadratic_phase_main_term(M, eta, float(x)) for x in xs_arr])
         max_residuals.append(float(np.max(np.abs(sums - mains))))
     slope = float(np.polyfit(np.log(np.asarray(Ms, dtype=float)), np.log(max_residuals), 1)[0])
-    largest = max(Ms)
-    amp = float(np.max(np.abs(quadratic_phase_sum(largest, eta, xs_arr)))) / math.sqrt(largest)
+    amp = float(np.max(np.abs(largest_sums))) / math.sqrt(largest)
     return ChirpResidualReport(
         eta=float(eta),
         Ms=tuple(int(M) for M in Ms),

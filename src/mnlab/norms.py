@@ -168,8 +168,8 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
 
 
 # About the float64 samples a 2 MiB cache holds.  lrs_norm's column blocks
-# hold this many samples; trigsum.synthesize takes column panels of an
-# eighth of it on grids of more than this many.
+# hold this many samples; trigsum.synthesize takes column panels of a
+# quarter of it on grids of more than this many.
 CACHE_SAMPLES = 2**18
 
 
@@ -409,13 +409,16 @@ def _canonical_array(path: str | Path, size_keys: tuple[str, str], data_key: str
 def write_grid(out: TextIO, f: GridFunction) -> None:
     """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time.
 
-    Only one row's pairs exist as Python objects at once, not the whole grid's.
+    Only one row's floats exist as Python objects at once, not the whole
+    grid's.  Each row is formatted by one `%r` template: json writes a
+    finite float as float.__repr__, and the samples are finite.
     """
     out.write(json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2])  # up to and including "["
+    template = ", ".join(["[%r, %r]"] * f.Ky)
     for j, row in enumerate(f.samples):
         if j:
             out.write(", ")
-        out.write(json.dumps(_pairs(row))[1:-1])
+        out.write(template % tuple(np.ascontiguousarray(row).view(np.float64).tolist()))
     out.write("]}\n")
 
 

@@ -203,17 +203,17 @@ def _evaluate(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> _T
 # ----------------------------------------------------------------------------
 
 
-def _phase(z: np.ndarray) -> np.ndarray:
-    """z / |z|, and 0 where z = 0."""
-    modulus = np.abs(z)
+def _phase(z: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """z / |z|, and 0 where z = 0, given modulus = |z|."""
     return np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0.0)
 
 
 def _adjoint_gradient(trial: _Trial) -> np.ndarray:
     """Gradient of the objective at the trial's entries, as d/dRe + i d/dIm of its 2MN real parameters."""
     M, N = trial.entries.shape
-    pulled_back = synthesize_adjoint(trial.lrs.gradient() * _phase(trial.samples), M, N)
-    return (pulled_back - trial.value * trial.lpq.gradient() * _phase(trial.entries)) / trial.lpq.value
+    lrs, lpq = trial.lrs, trial.lpq
+    pulled_back = synthesize_adjoint(lrs.gradient() * _phase(trial.samples, lrs.a), M, N)
+    return (pulled_back - trial.value * lpq.gradient() * _phase(trial.entries, lpq.a)) / lpq.value
 
 
 def _escape_direction(entries: np.ndarray) -> np.ndarray:

@@ -5,27 +5,37 @@ S_{M,N}(x, y) = sum_{n=1}^{N} sum_{m=1}^{M} a_{mn} e^{2 pi i ((m-1)x + (n-1)y)}
 is a trigonometric polynomial with nonnegative frequencies, so it is
 sampled on the unit-periodic Kx x Ky grid by the inverse FFT of the
 coefficient matrix zero-padded to Kx x Ky.  `synthesize` prunes that
-transform: it never builds the padded array, and its first pass runs over
-the M nonzero rows only.  `synthesize_adjoint` is the forward FFT cropped to
-the first M x N frequencies, pruned the same way.  Both take the same 1-D
-passes in the same order as ifft2 / fft2 of the padded grid, so their
-output is bit-for-bit that of the unpruned transforms.  `eval_sum` is the
-checked synthesis.  The direct double sum (two small matrix products) is the
+transform: its first pass runs over the M nonzero rows only.
+`synthesize_adjoint` is the forward FFT cropped to the first M x N
+frequencies, pruned the same way.  Both take the same 1-D passes in the
+same order as ifft2 / fft2 of the padded grid, so their output is
+bit-for-bit that of the unpruned transforms.  `eval_sum` is the checked
+synthesis.  The direct double sum (two small matrix products) is the
 independent oracle: `eval_sum_at` uses it at any point, and the tests pin
 the transform convention against it.
+
+Every pass of `synthesize` runs in place (`out=`, numpy >= 2.0) on a
+buffer that already holds its zero padding: the first pass on the M rows
+padded to Ky, the second on the whole output grid or on one column panel
+padded to Kx.  numpy's own padding path, ifft(..., n=), costs more than
+the transform it pads for: a 32-column panel of a 2048^2 grid took ~1.0 ms
+through it and ~0.63 ms pre-padded (2-vCPU x86-64 host, numpy 2.4.6).  The
+adjoint's second pass runs in place on a contiguous copy of the cropped
+first pass.
 
 The second pass of `synthesize` transforms down the columns of a row-major
 grid.  pocketfft gathers each column into a buffer and scatters the result
 back with a stride of one row (32 KiB at Ky = 2048), so on grids beyond the
 cache each scattered sample lands on a cache line of its own.  Grids of
 more than norms.CACHE_SAMPLES samples therefore run that pass over column
-panels of an eighth of that (16 columns at Kx = 2048, cut by the column
-rule lrs_norm walks its blocks by): each panel is transformed along its
-contiguous last axis, scaled, and copied into place as one small transpose
-that stays in cache.  Each column still takes the same 1-D transform and
-the same scaling, so the samples keep their bits.  Smaller grids, and grids
-too narrow for two panels, take the pass as one call: there the panels'
-extra calls and copy cost more than the scatter.
+panels of a quarter of that (32 columns at Kx = 2048, cut by the column
+rule lrs_norm walks its blocks by): each panel's columns are copied, as
+rows, into one reused zero-padded buffer, transformed along its contiguous
+last axis, and scaled into the grid as one small transpose that stays in
+cache.  Each column still takes the same 1-D transform and the same
+scaling, so the samples keep their bits.  Smaller grids, and grids too
+narrow for two panels, take the pass as one call: there the panels' extra
+calls and copy cost more than the scatter.
 
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
@@ -85,39 +95,53 @@ def default_grid(M: int, N: int, oversample: int = 8, floor: int = 1) -> tuple[i
 
 
 def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) -> np.ndarray:
-    """The literal double sum at the points xs x ys, with frequencies scaled by `scale`."""
+    """The literal double sum at the points xs x ys, with frequencies scaled by `scale`.
+
+    When `ys is xs` and N == M the two exponential tables are one (same
+    expression, same bits), computed once.
+    """
     ex = np.exp(1j * scale * np.outer(xs, np.arange(A.M)))
-    ey = np.exp(1j * scale * np.outer(ys, np.arange(A.N)))
+    ey = ex if ys is xs and A.N == A.M else np.exp(1j * scale * np.outer(ys, np.arange(A.N)))
     return ex @ A.entries @ ey.T
 
 
 def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
     """The Kx x Ky samples of S for the M x N array `entries`, unchecked.
 
-    Equal bit for bit to ifft2(P) * Kx * Ky, where P is `entries` embedded at
-    the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky array; the
+    Equal bit for bit to ifft2(P) * (Kx * Ky), where P is `entries` embedded
+    at the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky array; the
     caller guarantees Kx >= M and Ky >= N (a smaller grid would crop).
     Grids of more than CACHE_SAMPLES samples take the second pass in column
     panels (see the module docstring).
     """
-    rows = np.fft.ifft(entries, n=Ky, axis=1)
-    if Kx * Ky > CACHE_SAMPLES:
-        panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 8)
-        if len(panels) > 1:
-            out = np.empty((Kx, Ky), dtype=complex)
-            for lo, hi in panels:
-                panel = np.fft.ifft(rows.T[lo:hi], n=Kx, axis=1)
-                panel *= Kx * Ky
-                out[:, lo:hi] = panel.T
-            return out
-    out = np.fft.ifft(rows, n=Kx, axis=0)
-    out *= Kx * Ky  # in place: `rows` is still held here
+    M, N = entries.shape
+    panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 4) if Kx * Ky > CACHE_SAMPLES else []
+    one_call = len(panels) < 2
+    # The first pass runs in place on the padded rows: the first M rows of
+    # the output grid itself, or their own array when panels follow.
+    grid = np.zeros((Kx if one_call else M, Ky), dtype=complex)
+    rows = grid[:M]
+    rows[:, :N] = entries
+    np.fft.ifft(rows, axis=1, out=rows)
+    if one_call:
+        np.fft.ifft(grid, axis=0, out=grid)
+        grid *= Kx * Ky
+        return grid
+    out = np.empty((Kx, Ky), dtype=complex)
+    buffer = np.zeros((max(hi - lo for lo, hi in panels), Kx), dtype=complex)
+    for lo, hi in panels:
+        panel = buffer[: hi - lo]
+        panel[:, :M] = rows[:, lo:hi].T
+        panel[:, M:] = 0.0  # the previous panel's transform overwrote the padding
+        np.fft.ifft(panel, axis=1, out=panel)
+        np.multiply(panel.T, Kx * Ky, out=out[:, lo:hi])
     return out
 
 
 def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:
     """The adjoint of `synthesize` up to the grid scale: fft2(samples)[:M, :N], bit for bit."""
-    return np.fft.fft(np.fft.fft(samples, axis=1)[:, :N], axis=0)[:M]
+    cropped = np.ascontiguousarray(np.fft.fft(samples, axis=1)[:, :N])
+    return np.fft.fft(cropped, axis=0, out=cropped)[:M]
 
 
 def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
@@ -142,5 +166,5 @@ def eval_sum_at(A: CoefficientMatrix, x: float, y: float, scale: float = 2.0 * n
 def eval_nonortho(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
     """Sample V_{M,N} (frequency scale one) on the plan's grid over the unit square."""
     x = np.arange(plan.Kx) / plan.Kx
-    y = np.arange(plan.Ky) / plan.Ky
+    y = x if plan.Ky == plan.Kx else np.arange(plan.Ky) / plan.Ky
     return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=_direct(A, x, y, 1.0))

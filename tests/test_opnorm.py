@@ -188,8 +188,8 @@ def from_scratch_gradient(entries, samples, e):
     M, N = entries.shape
     lrs, lrs_weights = norm_and_weights(np.abs(samples), e.gamma, e.delta, True)
     lpq, lpq_weights = norm_and_weights(np.abs(entries), e.alpha, e.beta, False)
-    pulled_back = synthesize_adjoint(lrs_weights * opnorm._phase(samples), M, N)
-    return (pulled_back - (lrs / lpq) * lpq_weights * opnorm._phase(entries)) / lpq
+    pulled_back = synthesize_adjoint(lrs_weights * opnorm._phase(samples, np.abs(samples)), M, N)
+    return (pulled_back - (lrs / lpq) * lpq_weights * opnorm._phase(entries, np.abs(entries))) / lpq
 
 
 def fd_gradient(entries, e, grid):

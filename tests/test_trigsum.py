@@ -42,7 +42,7 @@ def test_direct_and_transform_paths_agree():
     (3, 5, 3, 40),
     (7, 9, 7, 9),
     # Grids of more than CACHE_SAMPLES = 2^18 samples take the panelled
-    # second pass, in panels of about 2^15 samples, at least four columns.
+    # second pass, in panels of about 2^16 samples, at least four columns.
     (4, 4, 512, 512),
     (4, 4, 513, 512),
     (6, 5, 600, 500),
@@ -50,10 +50,16 @@ def test_direct_and_transform_paths_agree():
     (3, 2, 65536, 5),
     (9, 2, 16, 16411),
     (7, 7, 1448, 200),
+    (600, 3, 600, 500),
+    (5, 520, 520, 520),
+    (1, 7, 1024, 512),
+    (9, 1, 1024, 512),
+    (6, 6, 1024, 1024),
 ], ids=["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix",
         "at-panel-threshold", "just-above-panel-threshold", "Ky-not-a-panel-multiple",
         "four-column-panels-with-a-folded-tail", "one-panel-wide", "wide-and-short",
-        "Kx-with-a-large-prime-factor"])
+        "Kx-with-a-large-prime-factor", "panels-with-no-zero-tail", "first-pass-with-no-padding",
+        "one-row-matrix-on-panels", "one-column-matrix-on-panels", "sixteen-panels"])
 def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
     rng = np.random.default_rng([M, N, Kx, Ky])
     entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
@@ -62,6 +68,19 @@ def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
     assert np.array_equal(synthesize(entries, Kx, Ky), np.fft.ifft2(padded) * (Kx * Ky))
     samples = rng.standard_normal((Kx, Ky)) + 1j * rng.standard_normal((Kx, Ky))
     assert np.array_equal(synthesize_adjoint(samples, M, N), np.fft.fft2(samples)[:M, :N])
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 * np.pi])
+def test_direct_sum_on_a_square_grid_computes_one_exponential_table_with_the_same_bits(scale):
+    # `_direct` reuses its x table for y when `ys is xs` and N == M; a copy
+    # of the nodes takes the two-table form.
+    rng = np.random.default_rng(29)
+    nodes = np.arange(72) / 72
+    for M, N in [(9, 9), (9, 5)]:
+        A = random_matrix(rng, M, N)
+        assert np.array_equal(_direct(A, nodes, nodes, scale), _direct(A, nodes, nodes.copy(), scale))
+        assert np.array_equal(eval_nonortho(A, EvalPlan(Kx=72, Ky=72)).samples,
+                              _direct(A, nodes, nodes.copy(), 1.0))
 
 
 def test_transform_convention_matches_pointwise_sum():
