@@ -144,14 +144,17 @@ def phi(e: MixedExponents) -> float | None:
     return None
 
 
-def check_dimensions(M: int, N: int) -> tuple[int, int]:
-    """The one rule for matrix sizes: (M, N) as Python ints if both are positive integers."""
+def check_dimensions(M: int, N: int, names: tuple[str, str] = ("M", "N")) -> tuple[int, int]:
+    """The one rule for matrix and grid sizes: (M, N) as Python ints if both are positive integers.
+
+    Bools are not sizes.  `names` name the pair in the message, e.g. ("Kx", "Ky") for a grid.
+    """
     try:
         sizes = (operator.index(M), operator.index(N))
     except TypeError:  # not integers, e.g. 2.0
         sizes = (0, 0)
-    if min(sizes) < 1:
-        raise ValueError(f"dimensions must be positive, got M={M}, N={N}")
+    if min(sizes) < 1 or isinstance(M, bool) or isinstance(N, bool):
+        raise ValueError(f"dimensions must be positive, got {names[0]}={M}, {names[1]}={N}")
     return sizes
 
 

@@ -108,32 +108,21 @@ class UnitE:
 
 ExtremizerKind = Union[ChirpB, ColumnC, RowR, OnesD, UnitE]
 
-# Each kind's name and, for column, row and ones, the axes along which its sum
-# is a Dirichlet kernel: "x" of length M, "y" of length N.  The search takes
-# its warm starts in this order.
+# Each kind's name and, except for the chirp, its (x, y) factors: "unit" puts
+# the kind's value at its `row` (x, length M) or `col` (y, length N), "ones"
+# fills the whole axis, along which the sum is a Dirichlet kernel.  The search
+# takes its warm starts in this order.
 KINDS = {
-    UnitE: ("unit", None),
-    OnesD: ("ones", ("x", "y")),
-    ColumnC: ("column", ("x",)),
-    RowR: ("row", ("y",)),
+    UnitE: ("unit", ("unit", "unit")),
+    OnesD: ("ones", ("ones", "ones")),
+    ColumnC: ("column", ("ones", "unit")),
+    RowR: ("row", ("unit", "ones")),
     ChirpB: ("chirp", None),
 }
 
 
 def kind_name(kind: ExtremizerKind) -> str:
     return KINDS[type(kind)][0]
-
-
-def _check_index(value: int, upper: int, what: str) -> None:
-    if not 1 <= value <= upper:
-        raise ValueError(f"{what} must lie in 1..{upper}, got {value}")
-
-
-def _check_value(value: complex) -> complex:
-    value = complex(value)
-    if value == 0:
-        raise ValueError("entry value must be nonzero")
-    return value
 
 
 def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
@@ -143,24 +132,22 @@ def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
         j = np.arange(M, dtype=np.float64)  # j-1 for 1-based j
         k = np.arange(N, dtype=np.float64)
         phase = (math.pi / 2.0) * kind.eta * (np.add.outer(j * j / M, k * k / N))
-        entries = np.exp(-1j * phase)
-    elif isinstance(kind, ColumnC):
-        _check_index(kind.col, N, "column index")
-        entries = np.zeros((M, N), dtype=np.complex128)
-        entries[:, kind.col - 1] = _check_value(kind.value)
-    elif isinstance(kind, RowR):
-        _check_index(kind.row, M, "row index")
-        entries = np.zeros((M, N), dtype=np.complex128)
-        entries[kind.row - 1, :] = _check_value(kind.value)
-    elif isinstance(kind, OnesD):
-        entries = np.full((M, N), _check_value(kind.value), dtype=np.complex128)
-    elif isinstance(kind, UnitE):
-        _check_index(kind.row, M, "row index")
-        _check_index(kind.col, N, "column index")
-        entries = np.zeros((M, N), dtype=np.complex128)
-        entries[kind.row - 1, kind.col - 1] = _check_value(kind.value)
-    else:
+        return CoefficientMatrix(M=M, N=N, entries=np.exp(-1j * phase))
+    if type(kind) not in KINDS:
         raise TypeError(f"unknown extremizer kind {kind!r}")
+    index = []
+    for factor, dim, attr, what in zip(KINDS[type(kind)][1], (M, N), ("row", "col"), ("row", "column")):
+        if factor == "ones":
+            index.append(slice(None))
+        elif not 1 <= (i := getattr(kind, attr)) <= dim:
+            raise ValueError(f"{what} index must lie in 1..{dim}, got {i}")
+        else:
+            index.append(i - 1)
+    value = complex(kind.value)
+    if value == 0:
+        raise ValueError("entry value must be nonzero")
+    entries = np.zeros((M, N), dtype=np.complex128)
+    entries[tuple(index)] = value
     return CoefficientMatrix(M=M, N=N, entries=entries)
 
 
@@ -345,12 +332,13 @@ def _check_dirichlet_pointwise(dim: int, samples: int) -> None:
 
 
 def _dirichlet_axes(kind: ExtremizerKind, M: int, N: int, e: MixedExponents) -> list:
-    """(length, r-reciprocal, p-reciprocal) per Dirichlet axis of a column, row or ones kind."""
-    axes = KINDS.get(type(kind), (None, None))[1]
-    if axes is None:
+    """(length, r-reciprocal, p-reciprocal) per "ones" factor of a kind, x before y."""
+    factors = KINDS.get(type(kind), (None, None))[1] or ()
+    axes = [axis for factor, axis in zip(factors, [(M, e.gamma, e.alpha), (N, e.delta, e.beta)])
+            if factor == "ones"]
+    if not axes:
         raise TypeError(f"certified bounds exist for column/row/ones kinds, got {kind!r}")
-    terms = {"x": (M, e.gamma, e.alpha), "y": (N, e.delta, e.beta)}
-    return [terms[axis] for axis in axes]
+    return axes
 
 
 def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: MixedExponents) -> float:

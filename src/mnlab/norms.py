@@ -75,15 +75,19 @@ class CoefficientMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        M, N = check_dimensions(self.M, self.N)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "N", N)
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        if arr.shape != (self.M, self.N):
-            raise ValueError(f"entries shape {arr.shape} does not match (M, N)=({self.M}, {self.N})")
-        if not np.isfinite(arr).all():
-            raise ValueError("entries must all be finite")
-        object.__setattr__(self, "entries", arr)
+        _check_array(self, ("M", "N"), "entries")
+
+
+def _check_array(obj, size_keys: tuple[str, str], data_key: str) -> None:
+    """Store a matrix's or grid's sizes as Python ints and its values as a finite complex128 array."""
+    shape = check_dimensions(*(getattr(obj, key) for key in size_keys), size_keys)
+    arr = np.asarray(getattr(obj, data_key), dtype=np.complex128)
+    if arr.shape != shape:
+        raise ValueError(f"{data_key} shape {arr.shape} does not match ({', '.join(size_keys)})={shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{data_key} must all be finite")
+    for key, value in zip((*size_keys, data_key), (*shape, arr)):
+        object.__setattr__(obj, key, value)
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,7 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.Kx < 1 or self.Ky < 1:
-            raise ValueError(f"grid sizes must be positive, got Kx={self.Kx}, Ky={self.Ky}")
-        arr = np.asarray(self.samples, dtype=np.complex128)
-        if arr.shape != (self.Kx, self.Ky):
-            raise ValueError(f"samples shape {arr.shape} does not match (Kx, Ky)=({self.Kx}, {self.Ky})")
-        if not np.isfinite(arr).all():
-            raise ValueError("samples must all be finite")
-        object.__setattr__(self, "samples", arr)
+        _check_array(self, ("Kx", "Ky"), "samples")
 
 
 @dataclass(frozen=True)
@@ -142,14 +139,16 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     e.gamma and e.delta are consulted.  With spec.refine_check set, the value
     is recomputed on the half-coarse grid (every second sample in each
     direction) and a QuadratureWarning is issued when the relative
-    disagreement exceeds spec.rel_tol.
+    disagreement exceeds spec.rel_tol; a grid with an odd size has no
+    half grid and raises ValueError.
 
     The value is MixedNorm.of(|samples|, gamma, delta, mean=True).value, bit
     for bit, taken one column block at a time (see the module docstring).
     """
     # The half grid only stays uniform-periodic when both sizes are even.
-    half = spec.refine_check and f.Kx % 2 == 0 and f.Ky % 2 == 0
-    inner, coarse_inner = _inner_norms(f.samples, e.gamma, half)
+    if spec.refine_check and (f.Kx % 2 or f.Ky % 2):
+        raise ValueError(f"the refinement check needs even grid sizes, got Kx={f.Kx}, Ky={f.Ky}")
+    inner, coarse_inner = _inner_norms(f.samples, e.gamma, spec.refine_check)
     value = float(_reduce(inner, e.delta, True))
     if coarse_inner is not None:
         coarse = float(_reduce(coarse_inner, e.delta, True))

@@ -15,8 +15,8 @@ independent oracle: `eval_sum_at` uses it at any point, and the tests pin
 the transform convention against it.
 
 Every pass of `synthesize` runs in place (`out=`, numpy >= 2.0) on a
-buffer that already holds its zero padding: the first pass on the M rows
-padded to Ky, the second on the whole output grid or on one column panel
+buffer that already holds its zero padding: the first pass on the output
+grid's first M rows, the second on the whole grid or on one column panel
 padded to Kx.  numpy's own padding path, ifft(..., n=), costs more than
 the transform it pads for: a 32-column panel of a 2048^2 grid took ~1.0 ms
 through it and ~0.63 ms pre-padded (2-vCPU x86-64 host, numpy 2.4.6).  The
@@ -31,8 +31,8 @@ more than norms.CACHE_SAMPLES samples therefore run that pass over column
 panels of a quarter of that (32 columns at Kx = 2048, cut by the column
 rule lrs_norm walks its blocks by): each panel's columns are copied, as
 rows, into one reused zero-padded buffer, transformed along its contiguous
-last axis, and scaled into the grid as one small transpose that stays in
-cache.  Each column still takes the same 1-D transform and the same
+last axis, and scaled back into the same columns of the grid as one small
+transpose that stays in cache.  Each column still takes the same 1-D transform and the same
 scaling, so the samples keep their bits.  Smaller grids, and grids too
 narrow for two panels, take the pass as one call: there the panels' extra
 calls and copy cost more than the scatter.
@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exponents import check_dimensions
 from .norms import CACHE_SAMPLES, CoefficientMatrix, GridFunction, _column_blocks
 
 __all__ = [
@@ -77,8 +78,8 @@ class EvalPlan:
     Ky: int
 
     def __post_init__(self) -> None:
-        if self.Kx < 1 or self.Ky < 1:
-            raise ValueError(f"grid sizes must be positive, got Kx={self.Kx}, Ky={self.Ky}")
+        for name, size in zip(("Kx", "Ky"), check_dimensions(self.Kx, self.Ky, ("Kx", "Ky"))):
+            object.__setattr__(self, name, size)
         nbytes = 16 * self.Kx * self.Ky
         if nbytes > MAX_GRID_BYTES:
             raise ValueError(
@@ -116,26 +117,25 @@ def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
     """
     M, N = entries.shape
     panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 4) if Kx * Ky > CACHE_SAMPLES else []
-    one_call = len(panels) < 2
-    # The first pass runs in place on the padded rows: the first M rows of
-    # the output grid itself, or their own array when panels follow.
-    grid = np.zeros((Kx if one_call else M, Ky), dtype=complex)
+    # The first pass runs in place on the first M rows of the output grid.
+    grid = np.zeros((Kx, Ky), dtype=complex)
     rows = grid[:M]
     rows[:, :N] = entries
     np.fft.ifft(rows, axis=1, out=rows)
-    if one_call:
+    if len(panels) < 2:
         np.fft.ifft(grid, axis=0, out=grid)
         grid *= Kx * Ky
         return grid
-    out = np.empty((Kx, Ky), dtype=complex)
+    # Each panel copies its columns of the first pass out before its scaled
+    # transform overwrites them in the grid.
     buffer = np.zeros((max(hi - lo for lo, hi in panels), Kx), dtype=complex)
     for lo, hi in panels:
         panel = buffer[: hi - lo]
         panel[:, :M] = rows[:, lo:hi].T
         panel[:, M:] = 0.0  # the previous panel's transform overwrote the padding
         np.fft.ifft(panel, axis=1, out=panel)
-        np.multiply(panel.T, Kx * Ky, out=out[:, lo:hi])
-    return out
+        np.multiply(panel.T, Kx * Ky, out=grid[:, lo:hi])
+    return grid
 
 
 def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:

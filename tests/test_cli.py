@@ -15,7 +15,15 @@ import pytest
 import mnlab
 from mnlab import cli, norms
 from mnlab.cli import main
-from mnlab.norms import CoefficientMatrix, QuadratureWarning, grid_to_json, load_grid, save_matrix
+from mnlab.norms import (
+    CoefficientMatrix,
+    GridFunction,
+    QuadratureWarning,
+    grid_to_json,
+    load_grid,
+    save_grid,
+    save_matrix,
+)
 from mnlab.trigsum import EvalPlan, eval_nonortho, eval_sum
 
 
@@ -295,7 +303,7 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["chirp-check", "--eta", "-0.2", "--M-ladder", "8:16"], "eta must lie in (0, 1), got -0.2"),
     (["chirp-check", "--M-ladder", "0,16"], "every M must be >= 1, got [0, 16]"),
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
-    (["eval", "--Kx", "0", "--Ky", "0"], "grid sizes must be positive, got Kx=0, Ky=0"),
+    (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
     (["eval", "--Kx", "16"], "give --Kx and --Ky together, or neither"),
     (["eval", "--oversample", "1"], "oversample must be >= 2, got 1"),
     (["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "-5"],
@@ -329,6 +337,8 @@ def test_nonortho_check_without_trials_fails(capsys):
      "a 10000000000000000 x 10000000000000000 grid needs 1.49e+24 GiB of samples, above the limit of 16 GiB"),
     (["opnorm", "--M", "2", "--N", "2", "--Kx", "100000000", "--Ky", "100000000"],
      "a 100000000 x 100000000 grid needs 1.49e+08 GiB of samples, above the limit of 16 GiB"),
+    # A 3 x 3 grid has no half grid to check against.
+    (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
         "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
@@ -337,10 +347,13 @@ def test_nonortho_check_without_trials_fails(capsys):
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
-        "opnorm-grid-1e8-too-large"])
-def test_bad_input_fails_with_one_line(argv, message, matrix_file, capsys):
+        "opnorm-grid-1e8-too-large", "norm-refine-check-odd-grid"])
+def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
+    if argv[0] == "norm":
+        save_grid(tmp_path / "odd.json", GridFunction(3, 3, np.ones((3, 3))))
+        argv = [*argv, "--grid", str(tmp_path / "odd.json")]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -3,9 +3,11 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from branch_build import branch_build
 
 from mnlab.exponents import MixedExponents, upper_bound_magnitude
 from mnlab.extremizers import (
@@ -79,6 +81,44 @@ def test_build_validation():
         ChirpB(eta=1.5)
     with pytest.raises(TypeError):
         build("chirp", 4, 4)
+
+
+# Values whose bits a fill could lose: signs of zero parts, a subnormal, a
+# value that underflows when squared.
+BUILD_VALUES = (1, -2, 3j, -1 - 1j, complex(-0.0, 1), 1e-300, -5e-324)
+
+
+def _non_chirp_kinds(M, N, value):
+    """Every non-chirp kind at its first and last row and column."""
+    yield OnesD(value)
+    for row in (1, M):
+        yield RowR(row, value)
+        for col in (1, N):
+            yield UnitE(row, col, value)
+    for col in (1, N):
+        yield ColumnC(col, value)
+
+
+@pytest.mark.parametrize("M, N", [(1, 1), (1, 5), (4, 1), (3, 4), (8, 8), (5, 7)])
+def test_build_equals_the_branch_oracle_bit_for_bit(M, N):
+    for value in BUILD_VALUES:
+        for kind in _non_chirp_kinds(M, N, value):
+            entries = build(kind, M, N).entries
+            assert entries.dtype == np.complex128 and entries.shape == (M, N)
+            assert entries.tobytes() == branch_build(kind, M, N).tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", [
+    ColumnC(col=0), ColumnC(col=5), ColumnC(col=5, value=0), ColumnC(value=0),
+    RowR(row=0), RowR(row=4), RowR(row=4, value=0), RowR(value=0),
+    UnitE(row=0, col=9, value=0), UnitE(row=4, col=1), UnitE(row=3, col=0), UnitE(row=3, col=5, value=0),
+    UnitE(row=3, col=4, value=0), OnesD(value=0), OnesD(value=-0.0j), "chirp",
+], ids=repr)
+def test_build_rejects_as_the_branch_oracle(kind):
+    with pytest.raises((ValueError, TypeError)) as expected:
+        branch_build(kind, 3, 4)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        build(kind, 3, 4)
 
 
 def test_kind_names():

@@ -225,6 +225,15 @@ def test_refine_check_quiet_on_resolved_grid():
         lrs_norm(f, e, QuadratureSpec(refine_check=True, rel_tol=1e-3))
 
 
+@pytest.mark.parametrize("Kx, Ky", [(3, 3), (3, 4), (4, 3)])
+def test_refine_check_rejects_odd_grids(Kx, Ky):
+    f = GridFunction(Kx, Ky, np.ones((Kx, Ky)))
+    e = MixedExponents(0.5, 0.5, 0.25, 0.25)
+    assert lrs_norm(f, e) == 1.0
+    with pytest.raises(ValueError, match=f"^the refinement check needs even grid sizes, got Kx={Kx}, Ky={Ky}$"):
+        lrs_norm(f, e, QuadratureSpec(refine_check=True))
+
+
 # The reduction with the power taken on a second temporary, as it was written
 # before the power went in place: the reference for _reduce's bits.
 def reduce_reference(a, recip, mean):
@@ -639,11 +648,14 @@ def test_eval_sum_holds_about_one_grid(budget_matrix):
 
 def test_panelled_eval_sum_holds_about_one_grid():
     # 1024^2 is above CACHE_SAMPLES, so synthesize takes its column panels;
-    # each holds 2^15 samples, 1/32 of this grid.
+    # each holds 2^16 samples, 1/16 of this grid.  The first pass runs on
+    # the grid's own first M rows: at M = Kx a separate first-pass array
+    # took a second whole grid (2.08 grids).
     Kx = Ky = 1024
     assert Kx * Ky > CACHE_SAMPLES
-    A = random_matrix(np.random.default_rng(19), Kx // 8, Ky // 8)
-    assert traced_peak(lambda: eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky))) <= 1.25 * Kx * Ky * 16
+    for M, N in [(Kx // 8, Ky // 8), (Kx, 8)]:
+        A = random_matrix(np.random.default_rng(19), M, N)
+        assert traced_peak(lambda: eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky))) <= 1.25 * Kx * Ky * 16, (M, N)
 
 
 def test_load_grid_parses_without_a_python_float_per_number(tmp_path, budget_grid):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mnlab.exponents import MixedExponents
-from mnlab.norms import CoefficientMatrix, lpq_norm
+from mnlab.norms import CoefficientMatrix, GridFunction, load_grid, lpq_norm, save_grid
 from mnlab.trigsum import (
     MAX_GRID_BYTES,
     EvalPlan,
@@ -199,7 +199,7 @@ def test_plan_validation():
     A = random_matrix(rng, 4, 4)
     with pytest.raises(ValueError, match="zero-pad transform needs"):
         eval_sum(A, EvalPlan(Kx=2, Ky=8))
-    with pytest.raises(ValueError, match="grid sizes must be positive"):
+    with pytest.raises(ValueError, match="dimensions must be positive, got Kx=0, Ky=4"):
         EvalPlan(Kx=0, Ky=4)
     # The ceiling is on the samples' bytes, checked before anything is allocated.
     assert 16 * 2**15 * 2**15 == MAX_GRID_BYTES
@@ -211,6 +211,30 @@ def test_plan_validation():
     for oversample in (1, 0, -5):
         with pytest.raises(ValueError, match=f"oversample must be >= 2, got {oversample}"):
             default_grid(4, 4, oversample)
+
+
+def test_numpy_integer_grid_sizes_round_trip_as_ints(tmp_path):
+    A = random_matrix(np.random.default_rng(8), 3, 2)
+    plan = EvalPlan(np.int64(8), np.int32(4))
+    assert type(plan.Kx) is int and type(plan.Ky) is int
+    f = eval_sum(A, plan)
+    assert type(f.Kx) is int and type(f.Ky) is int
+    save_grid(tmp_path / "grid.json", f)
+    g = load_grid(tmp_path / "grid.json")
+    assert (type(g.Kx), type(g.Ky)) == (int, int) and (g.Kx, g.Ky) == (8, 4)
+    assert g.samples.tobytes() == f.samples.tobytes()
+    assert type(GridFunction(np.int64(2), np.int64(2), np.zeros((2, 2))).Kx) is int
+
+
+@pytest.mark.parametrize("Kx, Ky", [(4.0, 4.0), (True, True), (4, False), (np.float64(4), 4)], ids=repr)
+def test_grid_sizes_must_be_integers(Kx, Ky):
+    message = f"^dimensions must be positive, got Kx={Kx}, Ky={Ky}$"
+    with pytest.raises(ValueError, match=message):
+        EvalPlan(Kx, Ky)
+    with pytest.raises(ValueError, match=message):
+        GridFunction(Kx, Ky, np.zeros((int(Kx), int(Ky))))
+    with pytest.raises(ValueError, match=f"^dimensions must be positive, got M={Kx}, N={Ky}$"):
+        CoefficientMatrix(Kx, Ky, np.zeros((int(Kx), int(Ky))))
 
 
 # Each grid-size rule that default_grid replaced, as a function of
