@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -139,10 +140,15 @@ def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
     for factor, dim, attr, what in zip(KINDS[type(kind)][1], (M, N), ("row", "col"), ("row", "column")):
         if factor == "ones":
             index.append(slice(None))
-        elif not 1 <= (i := getattr(kind, attr)) <= dim:
+            continue
+        i = getattr(kind, attr)
+        try:  # an integer, as check_dimensions takes sizes: not 1.5, and not a bool
+            position = operator.index(i)
+        except TypeError:
+            position = 0
+        if isinstance(i, bool) or not 1 <= position <= dim:
             raise ValueError(f"{what} index must lie in 1..{dim}, got {i}")
-        else:
-            index.append(i - 1)
+        index.append(position - 1)
     value = complex(kind.value)
     if value == 0:
         raise ValueError("entry value must be nonzero")
@@ -160,10 +166,14 @@ def quadratic_phase_sum(M: int, eta: float, xs: "float | np.ndarray") -> "comple
     """sum_{m=0}^{M-1} e^{2 pi i m (x - (eta/4) m / M)} for a scalar x or each x of an array.
 
     Valid for any real x; phases are reduced mod 1 before exponentiation.
+    Each x is summed on its own, so the working arrays hold M terms, not
+    M per x; each sum is the same pairwise sum over M contiguous terms
+    that one row of an (x, m) array would take, bit for bit.
     """
     m = np.arange(M, dtype=np.float64)
-    t = np.mod(np.multiply.outer(xs, m) - (eta / 4.0) * (m * m) / M, 1.0)
-    sums = np.exp(2j * np.pi * t).sum(axis=-1)
+    quadratic = (eta / 4.0) * (m * m) / M
+    sums = np.array([np.exp(2j * np.pi * np.mod(x * m - quadratic, 1.0)).sum() for x in np.ravel(xs)],
+                    dtype=np.complex128).reshape(np.shape(xs))
     return complex(sums) if np.ndim(xs) == 0 else sums
 
 

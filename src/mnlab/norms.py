@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import re
 import warnings
 from dataclasses import dataclass, fields
@@ -278,8 +279,10 @@ class MixedNorm(NamedTuple):
 # ----------------------------------------------------------------------------
 # Shared JSON formats.  Matrices: {"M", "N", "entries": [[re, im], ...]} in
 # row-major order (column index n fastest).  Grids: the analogous
-# {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly,
-# and the loaders parse the savers' bytes without json.loads (_canonical_array).
+# {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly.
+# The loaders parse the savers' bytes without json.loads, in chunks of about
+# 2^18 bytes, so they hold the loaded array and about a chunk of text
+# (_canonical_array); any other text goes through json.loads.
 # Reports: one key per dataclass field (see JsonReport).
 # ----------------------------------------------------------------------------
 
@@ -373,36 +376,82 @@ def load_matrix(path: str | Path) -> CoefficientMatrix:
 # "." or "e".  So +1, .5, 5., 01, 1.e5, "[, ]" (strtod reads -1.0) and integers
 # (json.loads reads -0 as +0) take the general path.  A literal start scans fast.
 _NOT_A_FLOAT = re.compile(rb" (?! |-?(?:0|[1-9][0-9]*)[.eE][0-9+-])")
+_NUMBER_GAPS = bytes.maketrans(b"[]}\n", b" \t\t\t")
+# The canonical reader takes the body in reads of _CHUNK_BYTES, which stay in
+# cache; a read allocates its whole size even at the end of a small file.
+_CHUNK_BYTES = 2**18
+_HEAD_BYTES = 128  # more than a header with two 18-digit sizes
+# More than the longest canonical run without a pair separator, ' [[' re
+# ', ' im ']]}\n' with reprs of at most 24 characters: 57 bytes.
+_PAIR_BYTES = 64
 
 
 def _canonical_array(path: str | Path, size_keys: tuple[str, str], data_key: str):
-    """(rows, cols, complex array) of a file in the savers' exact layout, else None: the general path decides."""
+    """(rows, cols, complex array) of a file in the savers' exact layout, else None: the general path decides.
+
+    The body ' [[re, im], [re, im], ..., [re, im]]}\n' is read in chunks,
+    each cut after the "]" of its last "], [" and the rest carried to the
+    next, so that each piece holds whole pairs (_piece_values).  Their
+    numbers fill one array, sized once the file is seen to be large enough.
+    """
     path = Path(path)
-    data = path.read_bytes() if path.is_file() else b""  # a pipe is read once, by the general path
+    if not path.is_file():  # a pipe is read once, by the general path
+        return None
     size = "([1-9][0-9]{0,17})"  # int() takes at most 4300 digits
-    head = re.match(rf'\{{"{size_keys[0]}": {size}, "{size_keys[1]}": {size}, "{data_key}":'.encode(), data)
-    if head is None:
+    with path.open("rb") as handle:
+        head = re.match(rf'\{{"{size_keys[0]}": {size}, "{size_keys[1]}": {size}, "{data_key}":'.encode(),
+                        handle.read(_HEAD_BYTES))
+        if head is None:
+            return None
+        rows, cols = int(head[1]), int(head[2])
+        # Each pair takes 6 bytes of layout and two numbers of 3 or more, so
+        # nothing is sized from the header before the file is.
+        if os.fstat(handle.fileno()).st_size - head.end() < 12 * rows * cols + 3:
+            return None
+        handle.seek(head.end())
+        values = np.empty(2 * rows * cols)
+        filled, lead, carry = 0, b" [", b""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            while True:
+                chunk = handle.read(_CHUNK_BYTES)
+                text = carry + chunk
+                cut = text.rfind(b"], [") + 1 if chunk else len(text)
+                if chunk and not cut:
+                    if len(text) > _PAIR_BYTES:  # no canonical pair is this long: do not gather the file
+                        return None
+                    carry = text
+                    continue
+                parsed = _piece_values(text[:cut], lead, b"" if chunk else b"]}\n")
+                if parsed is None or filled + parsed.size > values.size:
+                    return None
+                values[filled:filled + parsed.size] = parsed
+                filled += parsed.size
+                if not chunk:
+                    break
+                carry, lead = text[cut + 1:], b" "  # the "," of the separator dropped
+    return (rows, cols, values.view(np.complex128).reshape(rows, cols)) if filled == values.size else None
+
+
+def _piece_values(piece: bytes, lead: bytes, tail: bytes) -> "np.ndarray | None":
+    """The numbers of a piece of whole pairs, else None.
+
+    Between its numbers the piece must read `lead` (' [' for the first piece,
+    ' ' for the others), '[, ]', ', [, ]' for each further pair, then `tail`
+    (']}\n' for the last piece).  Parses under warnings raised as errors.
+    """
+    layout = piece.translate(None, b"0123456789.eE+-")
+    pairs = (len(layout) - len(lead) - len(tail) + 2) // 6
+    if layout != lead + b"[, ]" + b", [, ]" * (pairs - 1) + tail:
         return None
-    rows, cols = int(head[1]), int(head[2])
-    n = rows * cols
-    body = data[head.end():]  # ' [[re, im], ..., [re, im]]}\n'
-    del data, head  # the match holds the whole text too
-    # The bytes between the numbers, 6 a pair; their count is compared first,
-    # so nothing is sized from the header before the file is.
-    layout = body.translate(None, b"0123456789.eE+-")
-    if len(layout) != 6 * n + 3 or layout != b" [" + b"[, ], " * (n - 1) + b"[, ]]}\n":
-        return None
-    numbers = body.translate(bytes.maketrans(b"[]}\n", b" \t\t\t"))  # '   re, im\t,  re, im\t\t\t\t'
-    del body, layout
+    numbers = piece.translate(_NUMBER_GAPS)  # '   re, im\t,  re, im\t'
     if _NOT_A_FLOAT.search(numbers):
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(numbers, sep=",")
-        except (ValueError, Warning):
-            return None
-    return (rows, cols, values.view(np.complex128).reshape(rows, cols)) if values.size == 2 * n else None
+    try:
+        parsed = np.fromstring(numbers, sep=",")
+    except (ValueError, Warning):
+        return None
+    return parsed if parsed.size == 2 * pairs else None
 
 
 def write_grid(out: TextIO, f: GridFunction) -> None:

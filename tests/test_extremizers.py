@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_build_rejects_as_the_branch_oracle(kind):
         build(kind, 3, 4)
 
 
+@pytest.mark.parametrize("kind", [UnitE(row=1.5, col=1), UnitE(row=1, col=2.0), RowR(row=True), ColumnC(col=False)],
+                         ids=repr)
+def test_build_takes_integer_indices_only(kind):
+    # Range alone let 1.5 through to numpy's IndexError, and True build row 1.
+    with pytest.raises(ValueError, match=r"^(row|column) index must lie in 1\.\.3, got [^\n]+$"):
+        build(kind, 3, 3)
+
+
+def test_build_takes_numpy_integer_indices():
+    E = build(UnitE(row=np.int64(2), col=np.int32(3)), 3, 3)
+    assert E.entries.tobytes() == build(UnitE(row=2, col=3), 3, 3).entries.tobytes()
+
+
 def test_kind_names():
     assert kind_name(ChirpB()) == "chirp"
     assert kind_name(ColumnC()) == "column"
@@ -146,6 +160,35 @@ def test_chirp_sum_takes_a_scalar_or_an_array():
         value = quadratic_phase_sum(64, 0.2, float(x))
         assert isinstance(value, complex)
         assert value == total
+
+
+def outer_chirp_sums(M, eta, xs):
+    """The chirp sums from one (x, m) array, each row summed down its last axis: the reference."""
+    m = np.arange(M, dtype=np.float64)
+    t = np.mod(np.multiply.outer(xs, m) - (eta / 4.0) * (m * m) / M, 1.0)
+    return np.exp(2j * np.pi * t).sum(axis=-1)
+
+
+@pytest.mark.parametrize("M", [1, 2, 7, 64, 1000, 8191, 8192, 8193, 65536])
+def test_chirp_sums_equal_the_row_sums_of_one_array_bit_for_bit(M):
+    xs = np.array([0.02, 0.2, 0.35, 0.5, 0.8, -1.7, 2.25])
+    for eta in (0.2, 0.37):
+        assert quadratic_phase_sum(M, eta, xs).tobytes() == outer_chirp_sums(M, eta, xs).tobytes()
+        grid = xs[:6].reshape(2, 3)
+        assert quadratic_phase_sum(M, eta, grid).tobytes() == outer_chirp_sums(M, eta, grid).tobytes()
+
+
+def test_chirp_residual_sweep_holds_one_x_at_a_time():
+    # chirp-check's largest rung and its stated window.  One x at a time
+    # peaks at 3.0 MiB; one (x, m) array of the seven x's peaked at 18.0.
+    xs = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+    tracemalloc.start()
+    try:
+        chirp_residual_sweep(0.2, [1024, 65536], xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_two_term_chirp_sum_by_hand():

@@ -463,9 +463,26 @@ def loaded(call):
     return array.shape, array.tobytes()
 
 
+# The canonical reader's read sizes: reads of 1 byte put a chunk boundary at
+# every offset inside a pair, reads of 7 cut pair separators at varied
+# offsets and leave a carry after them, and the default reads a small file
+# whole.
+CHUNK_SIZES = (1, 7, norms._CHUNK_BYTES)
+
+
+def loaded_in_chunks(load, path):
+    """loaded(load(path)) at each of CHUNK_SIZES, which must all agree."""
+    results = []
+    for chunk_bytes in CHUNK_SIZES:
+        with mock.patch.object(norms, "_CHUNK_BYTES", chunk_bytes):
+            results.append(loaded(lambda: load(path)))
+    assert all(result == results[0] for result in results), CHUNK_SIZES
+    return results[0]
+
+
 def assert_loads_as_the_general_path(path, kind):
     load, from_json = LOADERS[kind][:2]
-    assert loaded(lambda: load(path)) == loaded(lambda: from_json(json.loads(path.read_text())))
+    assert loaded_in_chunks(load, path) == loaded(lambda: from_json(json.loads(path.read_text())))
 
 
 def canonical_text(kind, shape, tokens):
@@ -562,7 +579,43 @@ def test_saved_files_load_bit_for_bit_on_the_canonical_path(tmp_path, kind, valu
         tokens = [repr(value) for value in samples.view(float).ravel().tolist()]
         assert path.read_text() == canonical_text(kind, samples.shape, tokens)
         with mock.patch.object(norms.json, "loads", side_effect=AssertionError("general path taken")):
-            assert loaded(lambda: load(path)) == (samples.shape, samples.tobytes())
+            assert loaded_in_chunks(load, path) == (samples.shape, samples.tobytes())
+
+
+def test_a_multi_chunk_grid_file_loads_on_the_canonical_path(tmp_path, budget_grid):
+    path = tmp_path / "grid.json"
+    save_grid(path, budget_grid)
+    assert path.stat().st_size > 40 * norms._CHUNK_BYTES
+    with mock.patch.object(norms.json, "loads", side_effect=AssertionError("general path taken")):
+        assert load_grid(path).samples.tobytes() == budget_grid.samples.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_files_cut_short_or_closed_otherwise_load_as_the_general_path_reads_them(tmp_path, kind):
+    save = LOADERS[kind][2]
+    z = np.random.default_rng(20).standard_normal((4, 6)).view(np.complex128)
+    whole = tmp_path / "whole.json"
+    save(whole, z)
+    data = whole.read_bytes()
+    middle = data.index(b"], [", len(data) // 2)
+    path = tmp_path / "cut.json"
+    # Every cut inside one pair and its separators, and cuts in the closing "]]}\n".
+    for end in [*range(middle - 50, middle + 5), *range(len(data) - 4, len(data))]:
+        path.write_bytes(data[:end])
+        assert_loads_as_the_general_path(path, kind)
+    for ending in [b"]]}}", b"]]]\n", b"]}}\n", b"]]} ", b"]]}\n\n", b"]]}\n}"]:
+        path.write_bytes(data[:-4] + ending)
+        assert_loads_as_the_general_path(path, kind)
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("shape", [(4, 5), (4, 7), (3, 8), (1, 1), (4, 60)])
+def test_sizes_that_disagree_with_the_pairs_load_as_the_general_path_reads_them(tmp_path, kind, shape):
+    # 24 pairs under each header: fewer, more or as many pairs as it calls for.
+    path = tmp_path / "doc.json"
+    tokens = [repr(value) for value in np.random.default_rng(21).standard_normal(48).tolist()]
+    path.write_text(canonical_text(kind, shape, tokens))
+    assert_loads_as_the_general_path(path, kind)
 
 
 def test_row_major_entry_order():
@@ -659,12 +712,36 @@ def test_panelled_eval_sum_holds_about_one_grid():
 
 
 def test_load_grid_parses_without_a_python_float_per_number(tmp_path, budget_grid):
-    # The file is 2.7 grids of bytes, and the reader holds at most two copies
-    # of it at once (as read and sliced, or sliced and translated): 5.6 grids
-    # at its peak.  json.loads, a Python float per number, peaked at 12.0.
+    # The file is 2.7 grids of bytes.  The reader holds the loaded grid and
+    # a few copies of one 256 KiB chunk of the file: 1.32 grids at its peak.
+    # Reading the whole file, it held two copies of it (5.6 grids), and
+    # json.loads, a Python float per number, peaked at 12.0.
     path = tmp_path / "grid.json"
     save_grid(path, budget_grid)
-    assert traced_peak(lambda: load_grid(path)) <= 6.5 * GRID_BYTES
+    assert traced_peak(lambda: load_grid(path)) <= 1.5 * GRID_BYTES
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_sizes_beyond_the_file_take_the_general_path_without_allocating(tmp_path, kind):
+    # A 4096 x 4096 header over one pair: the canonical reader would need
+    # 256 MiB for the values, and checks the file's size before it sizes them.
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_text(kind, (4096, 4096), ["0.5", "-1.25"]))
+    with pytest.raises(ValueError, match=r"expected 16777216 \[re, im\] pairs for 4096 x 4096"):
+        LOADERS[kind][0](path)
+    assert_loads_as_the_general_path(path, kind)
+    peak = traced_peak(lambda: loaded(lambda: LOADERS[kind][0](path)))
+    assert peak < 64 * 1024
+
+
+def test_a_body_without_pair_separators_is_refused_within_a_chunk(tmp_path):
+    # No canonical pair runs 64 bytes without a "], [".  Gathering this 2 MB
+    # body until one came would copy it once a read: quadratic time.
+    path = tmp_path / "grid.json"
+    path.write_text('{"Kx": 1, "Ky": 1, "samples": [[' + "0.5, " * 400_000 + "0.5]]}\n")
+    result = []
+    peak = traced_peak(lambda: result.append(norms._canonical_array(path, ("Kx", "Ky"), "samples")))
+    assert result == [None] and peak < 3 * norms._CHUNK_BYTES
 
 
 def test_save_grid_streams_below_one_grid(tmp_path, budget_grid):
