@@ -173,7 +173,7 @@ def _cmd_eval(args) -> int:
     grid = _grid_from_args(args)
     A = load_matrix(args.matrix)
     evaluate = eval_nonortho if args.scale == "one" else eval_sum
-    f = evaluate(A, EvalPlan(*(grid or default_grid(A.M, A.N, args.oversample))))
+    f = evaluate(A, EvalPlan(*(grid or default_grid(A.M, A.N))))
     if args.out:
         save_grid(args.out, f)
     else:
@@ -200,16 +200,14 @@ def _cmd_bound(args) -> int:
 def _cmd_extremal(args) -> int:
     e = _exponents_from_args(args)
     if args.kind == "chirp":
-        report = verify_chirp_lower(args.M, args.N, eta=args.eta, grid_points=args.grid_points)
+        report = verify_chirp_lower(args.M, args.N, eta=args.eta)
     elif args.kind in {"column", "row", "ones"}:
         kind = {"column": ColumnC(col=args.col, value=args.value),
                 "row": RowR(row=args.row, value=args.value),
                 "ones": OnesD(value=args.value)}[args.kind]
-        report = verify_dirichlet_lower(kind, args.M, args.N, e, samples=args.samples,
-                                        oversample=args.oversample)
+        report = verify_dirichlet_lower(kind, args.M, args.N, e)
     else:
-        report = unit_sharpness(UnitE(row=args.row, col=args.col, value=args.value),
-                                args.M, args.N, e, oversample=args.oversample)
+        report = unit_sharpness(UnitE(row=args.row, col=args.col, value=args.value), args.M, args.N, e)
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -289,7 +287,7 @@ def _cmd_nonortho_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_ratios = []
     for size in sizes:
-        plan = EvalPlan(*default_grid(size, size, args.oversample, floor=64))
+        plan = EvalPlan(*default_grid(size, size, floor=64))
         worst = 0.0
         for _ in range(args.trials):
             entries = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -329,7 +327,6 @@ def main(argv=None) -> int:
     p_eval.add_argument("--out")
     p_eval.add_argument("--Kx", type=int, default=None)
     p_eval.add_argument("--Ky", type=int, default=None)
-    p_eval.add_argument("--oversample", type=int, default=8)
     p_eval.add_argument("--scale", choices=["two-pi", "one"], default="two-pi")
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -345,12 +342,9 @@ def main(argv=None) -> int:
     p_ext.add_argument("--M", type=int, required=True)
     p_ext.add_argument("--N", type=int, required=True)
     p_ext.add_argument("--eta", type=float, default=0.2)
-    p_ext.add_argument("--grid-points", type=int, default=33)
     p_ext.add_argument("--row", type=int, default=1)
     p_ext.add_argument("--col", type=int, default=1)
     p_ext.add_argument("--value", type=complex, default=1 + 0j)
-    p_ext.add_argument("--samples", type=int, default=64)
-    p_ext.add_argument("--oversample", type=int, default=8)
     p_ext.add_argument("--out")
     _add_exponent_flags(p_ext)
     p_ext.set_defaults(func=_cmd_extremal)
@@ -383,7 +377,6 @@ def main(argv=None) -> int:
     p_non.add_argument("--sizes", default="2,4,8,16,32")
     p_non.add_argument("--trials", type=int, default=50)
     p_non.add_argument("--seed", type=int, default=0)
-    p_non.add_argument("--oversample", type=int, default=8)
     p_non.add_argument("--out")
     p_non.set_defaults(func=_cmd_nonortho_check)
 
@@ -391,7 +384,7 @@ def main(argv=None) -> int:
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError, MemoryError) as exc:
         return _fail(str(exc))
     except AssertionError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

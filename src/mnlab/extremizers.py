@@ -59,6 +59,12 @@ __all__ = [
 
 SIN1 = math.sin(1.0)
 
+# The checks' fixed sampling: the chirp's minimum is taken over CHIRP_POINTS
+# equispaced points of [eta, 1 - eta] per axis, and the kernel inequality is
+# checked at LOBE_SAMPLES interior points of each main lobe and at both ends.
+CHIRP_POINTS = 33
+LOBE_SAMPLES = 64
+
 # ----------------------------------------------------------------------------
 # Matrix constructions
 # ----------------------------------------------------------------------------
@@ -279,8 +285,8 @@ class ExtremalReport(JsonReport):
         object.__setattr__(self, "ratio", self.lower / self.upper)
 
 
-def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) -> ExtremalReport:
-    """Minimum of |T B| over a grid on [eta, 1-eta]^2 against sqrt(M N).
+def verify_chirp_lower(M: int, N: int, eta: float = 0.2) -> ExtremalReport:
+    """Minimum of |T B| over a CHIRP_POINTS^2 grid on [eta, 1-eta]^2 against sqrt(M N).
 
     T B (x, y) splits into the product of one x-chirp sum of length M and one
     y-chirp sum of length N, so the grid minimum of the modulus is the
@@ -293,9 +299,7 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2, grid_points: int = 33) 
     M, N = check_dimensions(M, N)
     if not 0.0 < eta < 0.5:
         raise ValueError(f"eta must lie in (0, 0.5) for a non-empty window, got {eta}")
-    if grid_points < 2:
-        raise ValueError(f"need at least two grid points, got {grid_points}")
-    xs = np.linspace(eta, 1.0 - eta, grid_points)
+    xs = np.linspace(eta, 1.0 - eta, CHIRP_POINTS)
     fx = np.abs(quadratic_phase_sum(M, eta, xs))
     fy = np.abs(quadratic_phase_sum(N, eta, xs))
     return ExtremalReport(kind=kind_name(ChirpB(eta)), M=M, N=N, exponents=None,
@@ -323,14 +327,9 @@ def dirichlet_quotient(M: int, x: "float | np.ndarray") -> "float | np.ndarray":
     return quot
 
 
-def _dirichlet_sample(dim: int, samples: int) -> np.ndarray:
-    """Equispaced points of [0, 1/(pi * dim)], both endpoints included."""
-    return np.linspace(0.0, 1.0 / (math.pi * dim), samples + 2)
-
-
-def _check_dirichlet_pointwise(dim: int, samples: int) -> None:
-    """Verify sin(pi*dim*x)/sin(pi*x) >= sin(1)*dim at every sample."""
-    pts = _dirichlet_sample(dim, samples)
+def _check_dirichlet_pointwise(dim: int) -> None:
+    """Verify sin(pi*dim*x)/sin(pi*x) >= sin(1)*dim on [0, 1/(pi*dim)], both ends included."""
+    pts = np.linspace(0.0, 1.0 / (math.pi * dim), LOBE_SAMPLES + 2)
     values = np.asarray(dirichlet_quotient(dim, pts))
     margins = values - SIN1 * dim
     if margins.min() < 0.0:
@@ -367,30 +366,21 @@ def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mix
     return bound
 
 
-def verify_dirichlet_lower(
-    kind: "ColumnC | RowR | OnesD",
-    M: int,
-    N: int,
-    e: MixedExponents,
-    samples: int = 64,
-    oversample: int = 8,
-) -> ExtremalReport:
+def verify_dirichlet_lower(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: MixedExponents) -> ExtremalReport:
     """Check the kernel inequality pointwise, then certify the closed-form lower bound.
 
     The pointwise stage samples x in [0, 1/(pi M)] (and/or y in [0, 1/(pi N)]
-    for the kinds extending in that direction) at `samples` equispaced points
-    plus both endpoints, comparing against sin(1) * dimension exactly — a
-    failure raises, since the inequality is theorem-backed.  The certified
-    ratio is then compared against the growth bound constant, and the
-    observed ratio is measured on the oversampled grid (at least 8 per side).
+    for the kinds extending in that direction) at LOBE_SAMPLES equispaced
+    points plus both endpoints, comparing against sin(1) * dimension exactly
+    — a failure raises, since the inequality is theorem-backed.  The
+    certified ratio is then compared against the growth bound constant, and
+    the observed ratio is measured on the default grid (at least 8 per side).
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
-    grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
-    axes = _dirichlet_axes(kind, M, N, e)
     M, N = check_dimensions(M, N)
+    grid = EvalPlan(*default_grid(M, N, floor=8))
+    axes = _dirichlet_axes(kind, M, N, e)
     for dim, _, _ in axes:
-        _check_dirichlet_pointwise(dim, samples)
+        _check_dirichlet_pointwise(dim)
     certified = certified_lower_bound(kind, M, N, e)
     upper = upper_bound_magnitude(M, N, e)
     if certified > upper * (1.0 + 1e-12):
@@ -409,16 +399,14 @@ def verify_dirichlet_lower(
 # ----------------------------------------------------------------------------
 
 
-def unit_sharpness(
-    kind: UnitE, M: int, N: int, e: MixedExponents, oversample: int = 8
-) -> ExtremalReport:
+def unit_sharpness(kind: UnitE, M: int, N: int, e: MixedExponents) -> ExtremalReport:
     """Confirm that a single-entry matrix gives operator ratio exactly one.
 
     |T E| is constant (equal to the entry's modulus), so every grid L^{r,s}
     norm is exact regardless of resolution and the ratio is 1 up to roundoff
     for every exponent tuple and entry position.
     """
-    grid = EvalPlan(*default_grid(M, N, oversample, floor=8))
+    grid = EvalPlan(*default_grid(M, N, floor=8))
     A = build(kind, M, N)
     return ExtremalReport(kind=kind_name(kind), M=A.M, N=A.N, exponents=e,
                           lower=lrs_norm(eval_sum(A, grid), e), upper=lpq_norm(A, e))

@@ -60,7 +60,7 @@ __all__ = [
 
 
 class QuadratureWarning(UserWarning):
-    """The refinement check found the half-coarse grid disagreeing beyond rel_tol."""
+    """The refinement check found the half-coarse grid disagreeing beyond REFINE_REL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -107,20 +107,19 @@ class GridFunction:
         _check_array(self, ("Kx", "Ky"), "samples")
 
 
+# The refinement check warns above this relative disagreement with the half grid.
+REFINE_REL_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Grid-quadrature policy: the optional refinement check of lrs_norm.
 
     With `refine_check` set, lrs_norm recomputes on the half-coarse grid and
-    warns when the two values disagree by more than `rel_tol` relatively.
+    warns when the two values disagree by more than REFINE_REL_TOL relatively.
     """
 
     refine_check: bool = False
-    rel_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
@@ -140,7 +139,7 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     e.gamma and e.delta are consulted.  With spec.refine_check set, the value
     is recomputed on the half-coarse grid (every second sample in each
     direction) and a QuadratureWarning is issued when the relative
-    disagreement exceeds spec.rel_tol; a grid with an odd size has no
+    disagreement exceeds REFINE_REL_TOL; a grid with an odd size has no
     half grid and raises ValueError.
 
     The value is MixedNorm.of(|samples|, gamma, delta, mean=True).value, bit
@@ -155,11 +154,11 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
         coarse = float(_reduce(coarse_inner, e.delta, True))
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
-        if disagreement > spec.rel_tol:
+        if disagreement > REFINE_REL_TOL:
             warnings.warn(
                 QuadratureWarning(
                     f"half-grid value {coarse:.12g} vs {value:.12g} "
-                    f"(relative disagreement {disagreement:.3e} > {spec.rel_tol:.3e}); "
+                    f"(relative disagreement {disagreement:.3e} > {REFINE_REL_TOL:.3e}); "
                     "increase the oversampling factor"
                 ),
                 stacklevel=2,

@@ -108,8 +108,8 @@ CSV_COLUMNS = [
 class SearchConfig:
     """Multi-start ascent configuration; identical configs give identical reports.
 
-    `grid` fixes the quadrature grid (Kx, Ky) for the objective; None selects
-    8x oversampling of the matrix dimensions, at least 16 per side.
+    `grid` fixes the quadrature grid (Kx, Ky) for the objective, checked as
+    an EvalPlan; None selects `default_grid`, at least 16 per side.
     """
 
     restarts: int = 8
@@ -124,6 +124,9 @@ class SearchConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.grid is not None:
+            plan = EvalPlan(*self.grid)
+            object.__setattr__(self, "grid", (plan.Kx, plan.Ky))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,9 @@ The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
 commensurate with the unit-periodic grid — V is 2 pi -periodic, not
 1-periodic — so `eval_nonortho` uses the direct sum and no periodicity in
-the unit cell may be assumed.  `default_grid` is the one grid-size rule.
+the unit cell may be assumed.  `default_grid` is the one grid-size rule:
+OVERSAMPLE = 8 samples per frequency along each axis, raised to a floor
+that each caller fixes.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ __all__ = [
     "synthesize_adjoint",
 ]
 
+
+# Samples per frequency along each axis of every default grid.
+OVERSAMPLE = 8
 
 # The largest grid a plan accepts, in bytes of complex samples (16 Kx Ky):
 # 2^30 samples, 32768^2.  Beyond it a plan fails at once, before any
@@ -88,11 +93,10 @@ class EvalPlan:
             )
 
 
-def default_grid(M: int, N: int, oversample: int = 8, floor: int = 1) -> tuple[int, int]:
-    """(max(oversample * M, floor), max(oversample * N, floor)); oversample must be >= 2."""
-    if oversample < 2:
-        raise ValueError(f"oversample must be >= 2, got {oversample}")
-    return (max(oversample * M, floor), max(oversample * N, floor))
+def default_grid(M: int, N: int, *, floor: int = 1) -> tuple[int, int]:
+    """(max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor)) for positive integer sizes M, N."""
+    M, N = check_dimensions(M, N)
+    return (max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor))
 
 
 def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) -> np.ndarray:

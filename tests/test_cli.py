@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -24,7 +25,7 @@ from mnlab.norms import (
     save_grid,
     save_matrix,
 )
-from mnlab.trigsum import EvalPlan, eval_nonortho, eval_sum
+from mnlab.trigsum import OVERSAMPLE, EvalPlan, eval_nonortho, eval_sum
 
 
 @pytest.fixture
@@ -39,6 +40,29 @@ def matrix_file(tmp_path):
 def last_json(text):
     """Parse the JSON object that ends a mixed text/JSON stdout capture."""
     return json.loads(text[text.index("{"):])
+
+
+# ----------------------------------------------------------------------------
+# The README's examples
+# ----------------------------------------------------------------------------
+
+
+def readme_examples():
+    """The argv of each `mnlab ...` line in the README's "Command line" code block, in order."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mnlab ")]
+
+
+def test_every_readme_example_runs(tmp_path, monkeypatch, capsys):
+    examples = readme_examples()
+    assert len(examples) == 9
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(3)
+    save_matrix("A.json", CoefficientMatrix(4, 3, rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))))
+    for argv in examples:  # in order: `norm` reads the S.json that `eval` writes
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 # ----------------------------------------------------------------------------
@@ -237,8 +261,7 @@ def test_sweep_runs_a_ladder(tmp_path, capsys):
 
 
 def test_nonortho_check_reports_ratios(capsys):
-    assert main(["nonortho-check", "--sizes", "2,4", "--trials", "3",
-                 "--oversample", "4"]) == 0
+    assert main(["nonortho-check", "--sizes", "2,4", "--trials", "3"]) == 0
     doc = last_json(capsys.readouterr().out)
     assert len(doc["max_ratios"]) == 2
     assert doc["empirical_constant"] >= 1.0
@@ -298,6 +321,10 @@ def test_nonortho_check_without_trials_fails(capsys):
     assert captured.err.strip() == "error: --trials must be >= 1, got 0"
 
 
+# A size with 401 digits, beyond float range.
+HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("argv, message", [
     (["chirp-check", "--eta", "0", "--M-ladder", "8:16"], "eta must lie in (0, 1), got 0.0"),
     (["chirp-check", "--eta", "-0.2", "--M-ladder", "8:16"], "eta must lie in (0, 1), got -0.2"),
@@ -305,17 +332,6 @@ def test_nonortho_check_without_trials_fails(capsys):
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
     (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
     (["eval", "--Kx", "16"], "give --Kx and --Ky together, or neither"),
-    (["eval", "--oversample", "1"], "oversample must be >= 2, got 1"),
-    (["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "-5"],
-     "oversample must be >= 2, got -5"),
-    (["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "0"],
-     "oversample must be >= 2, got 0"),
-    (["extremal", "--kind", "column", "--M", "3", "--N", "2", "--oversample", "1"],
-     "oversample must be >= 2, got 1"),
-    (["extremal", "--kind", "unit", "--M", "3", "--N", "2", "--oversample", "1"],
-     "oversample must be >= 2, got 1"),
-    (["extremal", "--kind", "column", "--M", "3", "--N", "2", "--samples", "-2"],
-     "samples must be >= 0, got -2"),
     (["extremal", "--kind", "ones", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
     (["extremal", "--kind", "row", "--M", "4", "--N", "0"], "dimensions must be positive, got M=4, N=0"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "nan"], "every x must be finite, got [nan]"),
@@ -339,15 +355,21 @@ def test_nonortho_check_without_trials_fails(capsys):
      "a 100000000 x 100000000 grid needs 1.49e+08 GiB of samples, above the limit of 16 GiB"),
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
+    # Sizes beyond float range: each command's first float conversion overflows.
+    (["bound", "--M", HUGE, "--N", "1"], "int too large to convert to float"),
+    (["opnorm", "--M", HUGE, "--N", "1"], "int too large to convert to float"),
+    (["sweep", "--M-ladder", HUGE, "--tuple", "2,2,2,2"], "int too large to convert to float"),
+    (["extremal", "--kind", "ones", "--M", HUGE, "--N", "1"], "integer division result too large for a float"),
+    (["nonortho-check", "--sizes", HUGE], "integer division result too large for a float"),
+    (["chirp-check", "--M-ladder", f"8,{HUGE}", "--xs", "0.01"], "int too large to convert to float"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
-        "eval-Kx-Ky-zero", "eval-Kx-alone", "eval-oversample-1", "nonortho-oversample-negative",
-        "nonortho-oversample-0", "extremal-column-oversample-1", "extremal-unit-oversample-1",
-        "extremal-negative-samples", "extremal-ones-M-zero", "extremal-row-N-zero",
+        "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
-        "opnorm-grid-1e8-too-large", "norm-refine-check-odd-grid"])
+        "opnorm-grid-1e8-too-large", "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
+        "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -384,9 +406,39 @@ def test_refine_check_warning_is_one_fixed_line(tmp_path, matrix_file, capsys):
 
 def test_eval_default_grid_is_oversample_times_the_matrix(matrix_file, capsys):
     path, A = matrix_file
-    assert main(["eval", "--matrix", str(path), "--oversample", "3"]) == 0
+    assert main(["eval", "--matrix", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["Kx"], doc["Ky"]) == (3 * A.M, 3 * A.N)
+    assert (doc["Kx"], doc["Ky"]) == (OVERSAMPLE * A.M, OVERSAMPLE * A.N) == (8 * A.M, 8 * A.N)
+
+
+# Each removed resolution flag, at a value its validation once refused and at
+# its old default: both are argparse errors.
+@pytest.mark.parametrize("argv", [
+    ["eval", "--oversample", "1"],
+    ["eval", "--oversample", "8"],
+    ["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "-5"],
+    ["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "0"],
+    ["nonortho-check", "--sizes", "2", "--trials", "1", "--oversample", "8"],
+    ["extremal", "--kind", "column", "--M", "3", "--N", "2", "--oversample", "1"],
+    ["extremal", "--kind", "unit", "--M", "3", "--N", "2", "--oversample", "1"],
+    ["extremal", "--kind", "column", "--M", "3", "--N", "2", "--oversample", "8"],
+    ["extremal", "--kind", "column", "--M", "3", "--N", "2", "--samples", "-2"],
+    ["extremal", "--kind", "ones", "--M", "3", "--N", "2", "--samples", "64"],
+    ["extremal", "--kind", "chirp", "--M", "3", "--N", "2", "--grid-points", "1"],
+    ["extremal", "--kind", "chirp", "--M", "3", "--N", "2", "--grid-points", "33"],
+], ids=["eval-oversample-1", "eval-oversample-default", "nonortho-oversample-negative", "nonortho-oversample-0",
+        "nonortho-oversample-default", "extremal-column-oversample-1", "extremal-unit-oversample-1",
+        "extremal-oversample-default", "extremal-negative-samples", "extremal-samples-default",
+        "extremal-grid-points-1", "extremal-grid-points-default"])
+def test_removed_sampling_flags_are_unrecognized(argv, matrix_file, capsys):
+    if argv[0] == "eval":
+        argv = ["eval", "--matrix", str(matrix_file[0]), *argv[1:]]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 @pytest.mark.parametrize("document", [

@@ -12,6 +12,8 @@ from branch_build import branch_build
 
 from mnlab.exponents import MixedExponents, upper_bound_magnitude
 from mnlab.extremizers import (
+    CHIRP_POINTS,
+    LOBE_SAMPLES,
     SIN1,
     ChirpB,
     ColumnC,
@@ -269,7 +271,10 @@ def test_residual_sweep_report_shape():
 
 
 def test_chirp_lower_report():
-    report = verify_chirp_lower(16, 8, eta=0.2, grid_points=17)
+    report = verify_chirp_lower(16, 8, eta=0.2)
+    xs = np.linspace(0.2, 0.8, CHIRP_POINTS)
+    minima = [np.abs(quadratic_phase_sum(size, 0.2, xs)).min() for size in (16, 8)]
+    assert report.lower == minima[0] * minima[1]
     assert report.lower >= 0.0
     assert report.ratio == pytest.approx(report.lower / math.sqrt(16 * 8), rel=1e-12)
     d = report.to_json_dict()
@@ -280,7 +285,8 @@ def test_chirp_lower_report():
     assert trivial.lower == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         verify_chirp_lower(8, 8, eta=0.6)
-    with pytest.raises(ValueError):
+    # The window's sampling is the constant CHIRP_POINTS, not a parameter.
+    with pytest.raises(TypeError):
         verify_chirp_lower(8, 8, grid_points=1)
 
 
@@ -372,6 +378,29 @@ def test_numpy_integer_sizes_serialize():
     for report in reports:
         assert type(report.M) is int and type(report.N) is int
         json.dumps(report.to_json_dict())
+
+
+@pytest.mark.parametrize("check, kind", [(verify_dirichlet_lower, ColumnC()), (verify_dirichlet_lower, OnesD()),
+                                         (unit_sharpness, UnitE())], ids=["column", "ones", "unit"])
+def test_checks_name_the_sizes_they_were_given(check, kind):
+    # The sizes are checked before the grid is derived from them: M=2.5 is
+    # reported as given, not as the grid's Kx=20.0.
+    e = MixedExponents(0.5, 0.5, 0.5, 0.5)
+    for M, N in [(2.5, 3), (0, 3), (3, True)]:
+        with pytest.raises(ValueError, match=f"^dimensions must be positive, got M={M}, N={N}$"):
+            check(kind, M, N, e)
+
+
+@pytest.mark.parametrize("check, kind, knob", [
+    (verify_dirichlet_lower, ColumnC(), {"samples": 64}),
+    (verify_dirichlet_lower, ColumnC(), {"oversample": 8}),
+    (unit_sharpness, UnitE(), {"oversample": 8}),
+], ids=["dirichlet-samples", "dirichlet-oversample", "unit-oversample"])
+def test_checks_sample_at_one_fixed_resolution(check, kind, knob):
+    with pytest.raises(TypeError):
+        check(kind, 4, 4, MixedExponents(0.5, 0.5, 0.5, 0.5), **knob)
+    # The constants are the removed parameters' defaults, so no report moved.
+    assert (CHIRP_POINTS, LOBE_SAMPLES) == (33, 64)
 
 
 def test_dirichlet_lower_rejects_other_kinds():

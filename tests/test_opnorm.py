@@ -466,6 +466,24 @@ def test_search_config_validation():
         SearchConfig(seed=-1)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ((0, 4), "^dimensions must be positive, got Kx=0, Ky=4$"),
+    ((8, -1), "^dimensions must be positive, got Kx=8, Ky=-1$"),
+    ((8.0, 8), "^dimensions must be positive, got Kx=8.0, Ky=8$"),
+    ((2**16, 2**15), "^a 65536 x 32768 grid needs 32 GiB of samples, above the limit of 16 GiB$"),
+])
+def test_search_config_checks_its_grid_when_built(grid, message):
+    # Checked as an EvalPlan is, before any estimate runs a start.
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(grid=grid)
+
+
+def test_search_config_stores_its_grid_as_python_ints():
+    cfg = SearchConfig(restarts=1, max_iters=1, grid=(np.int64(32), np.int32(48)))
+    assert cfg.grid == (32, 48) and {type(size) for size in cfg.grid} == {int}
+    json.dumps(estimate(2, 2, E2222, cfg).to_json_dict())
+
+
 def test_numpy_integer_sizes_are_accepted():
     M, N = np.int64(3), np.int32(2)
     assert upper_bound_magnitude(M, N, INTERIOR) == upper_bound_magnitude(3, 2, INTERIOR)

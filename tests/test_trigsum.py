@@ -10,6 +10,7 @@ from mnlab.exponents import MixedExponents
 from mnlab.norms import CoefficientMatrix, GridFunction, load_grid, lpq_norm, save_grid
 from mnlab.trigsum import (
     MAX_GRID_BYTES,
+    OVERSAMPLE,
     EvalPlan,
     _direct,
     default_grid,
@@ -208,9 +209,19 @@ def test_plan_validation():
         EvalPlan(Kx=2**15, Ky=2**15 + 1)
     with pytest.raises(ValueError, match="^a 65536 x 32768 grid needs 32 GiB of samples, above the limit of 16 GiB$"):
         EvalPlan(Kx=2**16, Ky=2**15)
-    for oversample in (1, 0, -5):
-        with pytest.raises(ValueError, match=f"oversample must be >= 2, got {oversample}"):
-            default_grid(4, 4, oversample)
+    # The rate is the constant OVERSAMPLE; a third positional argument is refused, not taken as the floor.
+    assert default_grid(4, 3) == (32, 24) and OVERSAMPLE == 8
+    with pytest.raises(TypeError):
+        default_grid(4, 4, 3)
+    with pytest.raises(TypeError):
+        default_grid(4, 4, oversample=3)
+
+
+@pytest.mark.parametrize("M, N", [(2.5, 3), (0, 4), (4, -1), (True, 2)], ids=repr)
+def test_default_grid_names_the_sizes_it_was_given(M, N):
+    # Checked before the grid is derived: the message names M and N, not 8M x 8N.
+    with pytest.raises(ValueError, match=f"^dimensions must be positive, got M={M}, N={N}$"):
+        default_grid(M, N, floor=8)
 
 
 def test_numpy_integer_grid_sizes_round_trip_as_ints(tmp_path):
@@ -238,23 +249,24 @@ def test_grid_sizes_must_be_integers(Kx, Ky):
 
 
 # Each grid-size rule that default_grid replaced, as a function of
-# (M, N, oversample), next to the call its caller now makes.
+# (M, N, oversample), next to the call its caller now makes.  Every caller's
+# oversampling defaulted to 8, the one rate left.
 LEGACY_GRIDS = {
     "opnorm": (
         lambda M, N, k: (max(8 * M, 16), max(8 * N, 16)),
-        lambda M, N, k: default_grid(M, N, floor=16),
+        lambda M, N: default_grid(M, N, floor=16),
     ),
     "extremal": (
         lambda M, N, k: (max(k * M, 8), max(k * N, 8)),
-        lambda M, N, k: default_grid(M, N, k, floor=8),
+        lambda M, N: default_grid(M, N, floor=8),
     ),
     "eval": (
         lambda M, N, k: (k * M, k * N),
-        lambda M, N, k: default_grid(M, N, k),
+        lambda M, N: default_grid(M, N),
     ),
     "nonortho-check": (
         lambda M, N, k: (max(k * M, 64), max(k * M, 64)),
-        lambda M, N, k: default_grid(M, M, k, floor=64),
+        lambda M, N: default_grid(M, M, floor=64),
     ),
 }
 
@@ -264,6 +276,5 @@ def test_default_grid_reproduces_every_legacy_grid(caller):
     legacy, current = LEGACY_GRIDS[caller]
     for M in (1, 2, 3, 8, 33):
         for N in (1, 5, 16):
-            for k in (2, 3, 8, 16):
-                assert current(M, N, k) == legacy(M, N, k), (M, N, k)
+            assert current(M, N) == legacy(M, N, 8), (M, N)
 
