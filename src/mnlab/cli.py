@@ -202,12 +202,10 @@ def _cmd_extremal(args) -> int:
     if args.kind == "chirp":
         report = verify_chirp_lower(args.M, args.N, eta=args.eta)
     elif args.kind in {"column", "row", "ones"}:
-        kind = {"column": ColumnC(col=args.col, value=args.value),
-                "row": RowR(row=args.row, value=args.value),
-                "ones": OnesD(value=args.value)}[args.kind]
+        kind = {"column": ColumnC(col=args.col), "row": RowR(row=args.row), "ones": OnesD()}[args.kind]
         report = verify_dirichlet_lower(kind, args.M, args.N, e)
     else:
-        report = unit_sharpness(UnitE(row=args.row, col=args.col, value=args.value), args.M, args.N, e)
+        report = unit_sharpness(UnitE(row=args.row, col=args.col), args.M, args.N, e)
     _emit(report.to_json_dict(), args.out)
     return 0
 
@@ -344,7 +342,6 @@ def main(argv=None) -> int:
     p_ext.add_argument("--eta", type=float, default=0.2)
     p_ext.add_argument("--row", type=int, default=1)
     p_ext.add_argument("--col", type=int, default=1)
-    p_ext.add_argument("--value", type=complex, default=1 + 0j)
     p_ext.add_argument("--out")
     _add_exponent_flags(p_ext)
     p_ext.set_defaults(func=_cmd_extremal)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -71,23 +72,6 @@ class MixedExponents:
         """Build from Lebesgue exponents in [1, inf] (math.inf allowed)."""
         return cls(_reciprocal(p, "p"), _reciprocal(q, "q"),
                    _reciprocal(r, "r"), _reciprocal(s, "s"))
-
-    # Round-trip view: p = 1/alpha for alpha > 0, p = inf for alpha = 0.
-    @property
-    def p(self) -> float:
-        return math.inf if self.alpha == 0.0 else 1.0 / self.alpha
-
-    @property
-    def q(self) -> float:
-        return math.inf if self.beta == 0.0 else 1.0 / self.beta
-
-    @property
-    def r(self) -> float:
-        return math.inf if self.gamma == 0.0 else 1.0 / self.gamma
-
-    @property
-    def s(self) -> float:
-        return math.inf if self.delta == 0.0 else 1.0 / self.delta
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -144,18 +128,24 @@ def phi(e: MixedExponents) -> float | None:
     return None
 
 
-def check_dimensions(M: int, N: int, names: tuple[str, str] = ("M", "N")) -> tuple[int, int]:
-    """The one rule for matrix and grid sizes: (M, N) as Python ints if both are positive integers.
+def check_dimensions(*sizes: int, names: tuple[str, ...] = ("M", "N")) -> tuple[int, ...]:
+    """The one rule for matrix and grid sizes: the sizes as Python ints if all are positive integers.
 
-    Bools are not sizes.  `names` name the pair in the message, e.g. ("Kx", "Ky") for a grid.
+    Bools are not sizes, and neither is an integer too large for a float.
+    `names` name the sizes in order in the message, e.g. ("Kx", "Ky") for a
+    grid; a single size is "M".
     """
     try:
-        sizes = (operator.index(M), operator.index(N))
+        ints = tuple(map(operator.index, sizes))
     except TypeError:  # not integers, e.g. 2.0
-        sizes = (0, 0)
-    if min(sizes) < 1 or isinstance(M, bool) or isinstance(N, bool):
-        raise ValueError(f"dimensions must be positive, got {names[0]}={M}, {names[1]}={N}")
-    return sizes
+        ints = (0,)
+    if min(ints) < 1 or any(isinstance(size, bool) for size in sizes):
+        got = ", ".join(f"{n}={v!r}" if isinstance(v, str) else f"{n}={v}" for n, v in zip(names, sizes))
+        raise ValueError(f"dimensions must be positive, got {got}")
+    for name, size in zip(names, ints):
+        if size > sys.float_info.max:
+            raise ValueError(f"dimensions must fit in a float, got {name} of {size.bit_length()} bits")
+    return ints
 
 
 def upper_bound_magnitude(M: int, N: int, e: MixedExponents) -> float:

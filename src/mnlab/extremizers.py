@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -148,11 +147,11 @@ def build(kind: ExtremizerKind, M: int, N: int) -> CoefficientMatrix:
             index.append(slice(None))
             continue
         i = getattr(kind, attr)
-        try:  # an integer, as check_dimensions takes sizes: not 1.5, and not a bool
-            position = operator.index(i)
-        except TypeError:
-            position = 0
-        if isinstance(i, bool) or not 1 <= position <= dim:
+        try:  # a 1-based position is a size no larger than its axis: not 1.5, and not a bool
+            position = check_dimensions(i)[0]
+        except ValueError:
+            position = dim + 1
+        if position > dim:
             raise ValueError(f"{what} index must lie in 1..{dim}, got {i}")
         index.append(position - 1)
     value = complex(kind.value)
@@ -176,6 +175,7 @@ def quadratic_phase_sum(M: int, eta: float, xs: "float | np.ndarray") -> "comple
     M per x; each sum is the same pairwise sum over M contiguous terms
     that one row of an (x, m) array would take, bit for bit.
     """
+    M = check_dimensions(M)[0]
     m = np.arange(M, dtype=np.float64)
     quadratic = (eta / 4.0) * (m * m) / M
     sums = np.array([np.exp(2j * np.pi * np.mod(x * m - quadratic, 1.0)).sum() for x in np.ravel(xs)],
@@ -228,8 +228,7 @@ def chirp_residual_sweep(
     """Measure |chirp sum - main term| over an (M, x) grid and fit its growth."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
-    if any(M < 1 for M in Ms):
-        raise ValueError(f"every M must be >= 1, got {list(Ms)}")
+    Ms = [check_dimensions(M)[0] for M in Ms]
     if len(set(Ms)) < 2:
         raise ValueError("need at least two distinct M values to fit a slope")
     xs_arr = np.asarray(xs, dtype=np.float64)
@@ -251,7 +250,7 @@ def chirp_residual_sweep(
     amp = float(np.max(np.abs(largest_sums))) / math.sqrt(largest)
     return ChirpResidualReport(
         eta=float(eta),
-        Ms=tuple(int(M) for M in Ms),
+        Ms=tuple(Ms),
         xs=tuple(float(x) for x in xs_arr),
         max_residuals=tuple(max_residuals),
         slope=slope,
@@ -359,7 +358,7 @@ def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mix
     per Dirichlet axis.  Independent of the nonzero entry value, which
     cancels in the ratio.
     """
-    axes = _dirichlet_axes(kind, M, N, e)
+    axes = _dirichlet_axes(kind, *check_dimensions(M, N), e)
     bound = SIN1 ** len(axes) / math.pi ** sum(r for _, r, _ in axes)
     for dim, r, p in axes:
         bound *= float(dim) ** (1.0 - r - p)
@@ -374,10 +373,10 @@ def verify_dirichlet_lower(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mi
     points plus both endpoints, comparing against sin(1) * dimension exactly
     — a failure raises, since the inequality is theorem-backed.  The
     certified ratio is then compared against the growth bound constant, and
-    the observed ratio is measured on the default grid (at least 8 per side).
+    the observed ratio is measured on the default grid.
     """
     M, N = check_dimensions(M, N)
-    grid = EvalPlan(*default_grid(M, N, floor=8))
+    grid = EvalPlan(*default_grid(M, N))
     axes = _dirichlet_axes(kind, M, N, e)
     for dim, _, _ in axes:
         _check_dirichlet_pointwise(dim)
@@ -406,7 +405,7 @@ def unit_sharpness(kind: UnitE, M: int, N: int, e: MixedExponents) -> ExtremalRe
     norm is exact regardless of resolution and the ratio is 1 up to roundoff
     for every exponent tuple and entry position.
     """
-    grid = EvalPlan(*default_grid(M, N, floor=8))
+    grid = EvalPlan(*default_grid(M, N))
     A = build(kind, M, N)
     return ExtremalReport(kind=kind_name(kind), M=A.M, N=A.N, exponents=e,
                           lower=lrs_norm(eval_sum(A, grid), e), upper=lpq_norm(A, e))

@@ -26,7 +26,6 @@ pairwise, so no block is one column wide unless the grid is.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import re
 import warnings
@@ -47,7 +46,6 @@ __all__ = [
     "lpq_norm",
     "lrs_norm",
     "MixedNorm",
-    "matrix_to_json",
     "matrix_from_json",
     "grid_to_json",
     "grid_from_json",
@@ -81,7 +79,7 @@ class CoefficientMatrix:
 
 def _check_array(obj, size_keys: tuple[str, str], data_key: str) -> None:
     """Store a matrix's or grid's sizes as Python ints and its values as a finite complex128 array."""
-    shape = check_dimensions(*(getattr(obj, key) for key in size_keys), size_keys)
+    shape = check_dimensions(*(getattr(obj, key) for key in size_keys), names=size_keys)
     arr = np.asarray(getattr(obj, data_key), dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"{data_key} shape {arr.shape} does not match ({', '.join(size_keys)})={shape}")
@@ -159,7 +157,7 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
                 QuadratureWarning(
                     f"half-grid value {coarse:.12g} vs {value:.12g} "
                     f"(relative disagreement {disagreement:.3e} > {REFINE_REL_TOL:.3e}); "
-                    "increase the oversampling factor"
+                    "resample on a finer grid with eval --Kx/--Ky"
                 ),
                 stacklevel=2,
             )
@@ -306,32 +304,23 @@ class JsonReport:
         return doc
 
 
-def _pairs(flat: np.ndarray) -> list[list[float]]:
-    """[[re, im], ...] of a 1-D complex array, as Python floats with every bit kept."""
-    return np.ascontiguousarray(flat).view(np.float64).reshape(-1, 2).tolist()
-
-
 def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
     """(rows, cols, complex rows x cols array) from a matrix or grid document.
 
     Every malformed document raises ValueError: a non-object, a missing key,
-    a non-integer or non-positive size, values that are not numbers (numeric
+    sizes that check_dimensions refuses, values that are not numbers (numeric
     strings included), or pairs of the wrong count or length.
     """
     keys = (*size_keys, data_key)
     if not isinstance(doc, dict) or any(key not in doc for key in keys):
         raise ValueError(f"{what} JSON must be an object with keys {', '.join(keys)}")
     try:
-        if any(isinstance(doc[key], bool) for key in size_keys):
-            raise TypeError("sizes must be integers, not booleans")
-        rows, cols = (operator.index(doc[key]) for key in size_keys)
+        rows, cols = check_dimensions(*(doc[key] for key in size_keys), names=size_keys)
         pairs = np.asarray(doc[data_key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} JSON: {exc}") from exc
     if pairs.dtype.kind not in "iuf":
         raise ValueError(f"{what} JSON: {data_key} must hold numbers only")
-    if rows < 1 or cols < 1:
-        raise ValueError(f"{what} JSON: sizes must be positive, got {rows} x {cols}")
     if pairs.shape != (rows * cols, 2):
         raise ValueError(
             f"{what} JSON: expected {rows * cols} [re, im] pairs for {rows} x {cols}, "
@@ -342,17 +331,14 @@ def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
     return rows, cols, flat.reshape(rows, cols)
 
 
-def matrix_to_json(A: CoefficientMatrix) -> dict:
-    return {"M": A.M, "N": A.N, "entries": _pairs(A.entries.ravel(order="C"))}
-
-
 def matrix_from_json(doc: dict) -> CoefficientMatrix:
     M, N, entries = _document_array(doc, ("M", "N"), "entries", "matrix")
     return CoefficientMatrix(M=M, N=N, entries=entries)
 
 
 def grid_to_json(f: GridFunction) -> dict:
-    return {"Kx": f.Kx, "Ky": f.Ky, "samples": _pairs(f.samples.ravel(order="C"))}
+    pairs = np.ascontiguousarray(f.samples).view(np.float64).reshape(-1, 2)  # [re, im] with every bit kept
+    return {"Kx": f.Kx, "Ky": f.Ky, "samples": pairs.tolist()}
 
 
 def grid_from_json(doc: dict) -> GridFunction:
@@ -361,7 +347,9 @@ def grid_from_json(doc: dict) -> GridFunction:
 
 
 def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json(A)) + "\n")
+    """Write the matrix's JSON document to the file at `path`, one row at a time (see _write_array)."""
+    with Path(path).open("w") as out:
+        _write_array(out, {"M": A.M, "N": A.N, "entries": []}, A.entries)
 
 
 def load_matrix(path: str | Path) -> CoefficientMatrix:
@@ -453,20 +441,24 @@ def _piece_values(piece: bytes, lead: bytes, tail: bytes) -> "np.ndarray | None"
     return parsed if parsed.size == 2 * pairs else None
 
 
-def write_grid(out: TextIO, f: GridFunction) -> None:
-    """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time.
+def _write_array(out: TextIO, header: dict, array: np.ndarray) -> None:
+    """Write json.dumps(header) + "\\n" to `out`, its empty list filled with the [re, im] pairs of `array`.
 
-    Only one row's floats exist as Python objects at once, not the whole
-    grid's.  Each row is formatted by one `%r` template: json writes a
-    finite float as float.__repr__, and the samples are finite.
+    Row by row, so only one row's floats exist as Python objects at once.  Each row is one `%r`
+    template: json writes a finite float as float.__repr__, and matrices and grids are finite.
     """
-    out.write(json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2])  # up to and including "["
-    template = ", ".join(["[%r, %r]"] * f.Ky)
-    for j, row in enumerate(f.samples):
+    out.write(json.dumps(header)[:-2])  # up to and including "["
+    template = ", ".join(["[%r, %r]"] * array.shape[1])
+    for j, row in enumerate(array):
         if j:
             out.write(", ")
         out.write(template % tuple(np.ascontiguousarray(row).view(np.float64).tolist()))
     out.write("]}\n")
+
+
+def write_grid(out: TextIO, f: GridFunction) -> None:
+    """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time."""
+    _write_array(out, {"Kx": f.Kx, "Ky": f.Ky, "samples": []}, f.samples)
 
 
 def save_grid(path: str | Path, f: GridFunction) -> None:

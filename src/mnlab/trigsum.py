@@ -83,12 +83,17 @@ class EvalPlan:
     Ky: int
 
     def __post_init__(self) -> None:
-        for name, size in zip(("Kx", "Ky"), check_dimensions(self.Kx, self.Ky, ("Kx", "Ky"))):
+        for name, size in zip(("Kx", "Ky"), check_dimensions(self.Kx, self.Ky, names=("Kx", "Ky"))):
             object.__setattr__(self, name, size)
         nbytes = 16 * self.Kx * self.Ky
         if nbytes > MAX_GRID_BYTES:
+            # The GiB figure as "%.3g" prints a float, rounded as a Decimal: it can pass the largest float.
+            from decimal import Decimal  # imported here, as only this message needs it (2 ms at import)
+            digits, power = f"{Decimal(nbytes) / 2**30:.2e}".split("e")
+            power = int(power)
+            gib = f"{float(digits):g}e{power:+03d}" if power > 2 else f"{float(digits) * 10**power:g}"
             raise ValueError(
-                f"a {self.Kx} x {self.Ky} grid needs {nbytes / 2**30:.3g} GiB of samples, "
+                f"a {self.Kx} x {self.Ky} grid needs {gib} GiB of samples, "
                 f"above the limit of {MAX_GRID_BYTES // 2**30} GiB"
             )
 

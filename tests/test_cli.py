@@ -249,6 +249,16 @@ def test_opnorm_stdout_is_deterministic(capsys):
     assert first == second
 
 
+def test_sweep_pairs_the_m_and_n_ladders(capsys):
+    assert main(["sweep", "--M-ladder", "2:4", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf",
+                 "--restarts", "1", "--max-iters", "1"]) == 0
+    doc = last_json(capsys.readouterr().out)
+    assert doc[str((1.0, 1.0, 0.0, 0.0))]["sizes"] == [[2, 1], [4, 2]]
+    assert main(["sweep", "--M-ladder", "2:8", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: M_list and N_list must pair up rung for rung\n")
+
+
 def test_sweep_runs_a_ladder(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--M-ladder", "1:2", "--rtuple", "0.5,0.5,0.5,0.5",
@@ -321,14 +331,15 @@ def test_nonortho_check_without_trials_fails(capsys):
     assert captured.err.strip() == "error: --trials must be >= 1, got 0"
 
 
-# A size with 401 digits, beyond float range.
+# A size with 401 digits, beyond float range, and one with 301 digits, within it.
 HUGE = "1" + "0" * 400
+BIG = "1" + "0" * 300
 
 
 @pytest.mark.parametrize("argv, message", [
     (["chirp-check", "--eta", "0", "--M-ladder", "8:16"], "eta must lie in (0, 1), got 0.0"),
     (["chirp-check", "--eta", "-0.2", "--M-ladder", "8:16"], "eta must lie in (0, 1), got -0.2"),
-    (["chirp-check", "--M-ladder", "0,16"], "every M must be >= 1, got [0, 16]"),
+    (["chirp-check", "--M-ladder", "0,16"], "dimensions must be positive, got M=0"),
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
     (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
     (["eval", "--Kx", "16"], "give --Kx and --Ky together, or neither"),
@@ -355,13 +366,19 @@ HUGE = "1" + "0" * 400
      "a 100000000 x 100000000 grid needs 1.49e+08 GiB of samples, above the limit of 16 GiB"),
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
-    # Sizes beyond float range: each command's first float conversion overflows.
-    (["bound", "--M", HUGE, "--N", "1"], "int too large to convert to float"),
-    (["opnorm", "--M", HUGE, "--N", "1"], "int too large to convert to float"),
-    (["sweep", "--M-ladder", HUGE, "--tuple", "2,2,2,2"], "int too large to convert to float"),
-    (["extremal", "--kind", "ones", "--M", HUGE, "--N", "1"], "integer division result too large for a float"),
-    (["nonortho-check", "--sizes", HUGE], "integer division result too large for a float"),
-    (["chirp-check", "--M-ladder", f"8,{HUGE}", "--xs", "0.01"], "int too large to convert to float"),
+    # Sizes beyond float range, refused by the size rule before any float conversion.
+    (["bound", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
+    (["opnorm", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
+    (["sweep", "--M-ladder", HUGE, "--tuple", "2,2,2,2"], "dimensions must fit in a float, got M of 1329 bits"),
+    (["extremal", "--kind", "ones", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
+    (["nonortho-check", "--sizes", HUGE], "dimensions must fit in a float, got M of 1329 bits"),
+    (["chirp-check", "--M-ladder", f"8,{HUGE}", "--xs", "0.01"],
+     "dimensions must fit in a float, got M of 1329 bits"),
+    # Sizes within float range whose grid's byte count is not: the figure is still printed.
+    (["extremal", "--kind", "ones", "--M", BIG, "--N", BIG],
+     f"a {8 * int(BIG)} x {8 * int(BIG)} grid needs 9.54e+593 GiB of samples, above the limit of 16 GiB"),
+    (["eval", "--Kx", BIG, "--Ky", BIG],
+     f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
@@ -369,7 +386,8 @@ HUGE = "1" + "0" * 400
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
         "opnorm-grid-1e8-too-large", "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
-        "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge"])
+        "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
+        "eval-Kx-Ky-big"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -380,6 +398,11 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_bound_takes_a_size_beyond_int64(capsys):
+    assert main(["bound", "--M", "100000000000000000000", "--N", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] == 10**20
 
 
 def test_refine_check_warning_is_one_fixed_line(tmp_path, matrix_file, capsys):
@@ -400,6 +423,7 @@ def test_refine_check_warning_is_one_fixed_line(tmp_path, matrix_file, capsys):
     done = subprocess.run([sys.executable, "-m", "mnlab.cli", *argv], env=env, capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stderr.startswith("warning: half-grid value ")
+    assert done.stderr.endswith("; resample on a finer grid with eval --Kx/--Ky\n")
     assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
     assert ".py" not in done.stderr
 
@@ -479,6 +503,14 @@ def test_grid_file_in_any_json_layout_loads_through_a_pipe(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "mnlab.cli", "norm", "--grid", "/dev/stdin"],
                           input=pretty, env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_extremal_takes_no_value_flag(capsys):
+    # The entry value cancels in every extremal ratio; the library kinds keep it.
+    with pytest.raises(SystemExit) as exc_info:
+        main(["extremal", "--kind", "unit", "--M", "3", "--N", "3", "--value", "2"])
+    assert exc_info.value.code == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --value 2\n")
 
 
 def test_unknown_flag_exits_one(capsys):

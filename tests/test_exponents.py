@@ -1,5 +1,6 @@
 """Tests for the exponent hypercube: theta against the paper's region table, phi, bounds."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -15,6 +16,22 @@ from mnlab.exponents import (
     theta,
     upper_bound_magnitude,
 )
+from mnlab.extremizers import (
+    ChirpB,
+    ColumnC,
+    OnesD,
+    UnitE,
+    build,
+    certified_lower_bound,
+    chirp_residual_sweep,
+    quadratic_phase_sum,
+    unit_sharpness,
+    verify_chirp_lower,
+    verify_dirichlet_lower,
+)
+from mnlab.norms import CoefficientMatrix, GridFunction, load_grid, load_matrix
+from mnlab.opnorm import SearchConfig, estimate
+from mnlab.trigsum import EvalPlan, default_grid
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -163,7 +180,7 @@ def test_central_region_magnitude_formula():
 def test_reciprocal_round_trip():
     e = MixedExponents.from_exponents(2.0, math.inf, 1.0, 4.0)
     assert e.as_tuple() == (0.5, 0.0, 1.0, 0.25)
-    assert e.p == 2.0 and e.q == math.inf and e.r == 1.0 and e.s == 4.0
+    assert MixedExponents.from_exponents(*(math.inf if x == 0.0 else 1.0 / x for x in e.as_tuple())) == e
 
 
 def test_rejects_out_of_range_values():
@@ -189,3 +206,73 @@ def test_accepts_any_real_number_type(value):
 def test_rejects_bool_and_non_real_values(value):
     with pytest.raises(ValueError, match="alpha must be a finite number"):
         MixedExponents(value, 0.5, 0.5, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The one size rule, through every public function that takes a size
+# ---------------------------------------------------------------------------
+
+E22 = MixedExponents(0.5, 0.5, 0.5, 0.5)
+
+
+def _write_document(path, keys, first_size):
+    """A document whose sizes are the JSON text `first_size` and 3, over the 6 pairs of a 2 x 3 array."""
+    path.write_text('{"%s": %s, "%s": 3, "%s": %s}' % (keys[0], first_size, keys[1], keys[2], [[1.0, 0.0]] * 6))
+    return path
+
+
+# name -> (the call with first size M, the names of its sizes; one name when it takes one size)
+SIZE_TAKERS = {
+    "CoefficientMatrix": (lambda M: CoefficientMatrix(M, 3, np.ones((2, 3))), ("M", "N")),
+    "GridFunction": (lambda M: GridFunction(M, 3, np.ones((2, 3))), ("Kx", "Ky")),
+    "EvalPlan": (lambda M: EvalPlan(M, 3), ("Kx", "Ky")),
+    "default_grid": (lambda M: default_grid(M, 3), ("M", "N")),
+    "build-ones": (lambda M: build(OnesD(), M, 3), ("M", "N")),
+    "build-chirp": (lambda M: build(ChirpB(), M, 3), ("M", "N")),
+    "upper_bound_magnitude": (lambda M: upper_bound_magnitude(M, 3, E22), ("M", "N")),
+    "certified_lower_bound": (lambda M: certified_lower_bound(ColumnC(), M, 3, E22), ("M", "N")),
+    "quadratic_phase_sum": (lambda M: quadratic_phase_sum(M, 0.2, 0.3), ("M",)),
+    "chirp_residual_sweep": (lambda M: chirp_residual_sweep(0.2, [M, 4], [0.05]), ("M",)),
+    "verify_chirp_lower": (lambda M: verify_chirp_lower(M, 3), ("M", "N")),
+    "verify_dirichlet_lower": (lambda M: verify_dirichlet_lower(ColumnC(), M, 3, E22), ("M", "N")),
+    "unit_sharpness": (lambda M: unit_sharpness(UnitE(), M, 3, E22), ("M", "N")),
+    "estimate": (lambda M: estimate(M, 3, E22, SearchConfig(restarts=1, max_iters=1)), ("M", "N")),
+}
+# A numeric string shows as one in the message: M='2', not M=2.
+BAD_SIZES = [0, -1, 2.5, True, 10**400, "2"]
+BAD_IDS = ["0", "-1", "2.5", "True", "1e400", "str"]
+
+
+def _size_message(names, bad):
+    if isinstance(bad, int) and bad >= 2**1024:
+        return f"dimensions must fit in a float, got {names[0]} of {bad.bit_length()} bits"
+    shown = repr(bad) if isinstance(bad, str) else bad
+    return "dimensions must be positive, got " + ", ".join(f"{n}={v}" for n, v in zip(names, (shown, 3)))
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES, ids=BAD_IDS)
+@pytest.mark.parametrize("name", list(SIZE_TAKERS))
+def test_every_size_goes_through_the_one_rule(name, bad):
+    call, names = SIZE_TAKERS[name]
+    with pytest.raises(ValueError) as raised:
+        call(bad)
+    assert str(raised.value) == _size_message(names, bad)
+
+
+@pytest.mark.parametrize("name", list(SIZE_TAKERS))
+def test_numpy_integer_sizes_give_what_python_ints_give(name):
+    # Sizes are stored as Python ints, so even the reprs agree (numpy 2 shows np.int64(2)).
+    call, _ = SIZE_TAKERS[name]
+    assert repr(call(np.int64(2))) == repr(call(2))
+
+
+@pytest.mark.parametrize("bad", BAD_SIZES, ids=BAD_IDS)
+@pytest.mark.parametrize("loader, keys, what", [(load_matrix, ("M", "N", "entries"), "matrix"),
+                                                (load_grid, ("Kx", "Ky", "samples"), "grid")],
+                         ids=["load_matrix", "load_grid"])
+def test_file_headers_go_through_the_one_rule(tmp_path, loader, keys, what, bad):
+    with pytest.raises(ValueError) as raised:
+        loader(_write_document(tmp_path / "bad.json", keys, json.dumps(bad)))
+    assert str(raised.value) == f"{what} JSON: {_size_message(keys[:2], bad)}"
+    loaded = loader(_write_document(tmp_path / "good.json", keys, "2"))
+    assert (getattr(loaded, keys[0]), getattr(loaded, keys[1])) == (2, 3)

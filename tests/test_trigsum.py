@@ -258,7 +258,7 @@ LEGACY_GRIDS = {
     ),
     "extremal": (
         lambda M, N, k: (max(k * M, 8), max(k * N, 8)),
-        lambda M, N: default_grid(M, N, floor=8),
+        lambda M, N: default_grid(M, N),  # the floor of 8 never bound: 8 M >= 8
     ),
     "eval": (
         lambda M, N, k: (k * M, k * N),
