@@ -18,9 +18,8 @@ the smaller rows' grids, which fit in cache, hide.
   separate untimed call: the working memory it allocates above what it was
   handed (numpy reports its buffers to tracemalloc);
 * ``gradient``: one ``opnorm._adjoint_gradient``, handed what the ascent
-  has from its accepted trial, by parameter name: the trial's record
-  (``opnorm._evaluate``, its samples and both norms with their reductions)
-  where the signature takes ``trial``, else the matrix and its samples;
+  has from its accepted trial: the trial's record (``opnorm._evaluate``,
+  its samples and both norms with their reductions);
 * ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
   the start's value, one gradient and the line-search trials up to the
   first accepted step;
@@ -48,7 +47,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import os
 import platform
@@ -84,13 +82,9 @@ def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
 
 
 def _gradient_call(entries: np.ndarray, grid: tuple[int, int]):
-    """One adjoint gradient at `entries`, with the arguments its signature names."""
+    """One adjoint gradient at `entries`, handed the trial record the ascent keeps."""
     samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
-    available = {"entries": entries, "e": EXPONENTS, "grid": grid, "samples": samples}
-    names = inspect.signature(opnorm._adjoint_gradient).parameters
-    if "trial" in names:
-        available["trial"] = opnorm._evaluate(entries, samples, EXPONENTS)
-    return functools.partial(opnorm._adjoint_gradient, **{name: available[name] for name in names})
+    return functools.partial(opnorm._adjoint_gradient, opnorm._evaluate(entries, samples, EXPONENTS))
 
 
 def _layer_calls(M: int, workdir: Path) -> dict:

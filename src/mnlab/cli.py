@@ -48,7 +48,6 @@ from .norms import (
 from .opnorm import (
     SearchConfig,
     estimate,
-    ladder_diagnostics,
     sharpness_sweep,
     write_reports_csv,
     write_reports_jsonl,
@@ -119,8 +118,9 @@ def _parse_ladder(text: str) -> list[int]:
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
-        if lo < 1 or hi < lo:
+        if hi < lo:
             raise ValueError(f"bad ladder {text!r}")
+        check_dimensions(lo)  # a rung below one would double forever
         out = []
         while lo <= hi:
             out.append(lo)
@@ -265,8 +265,7 @@ def _cmd_sweep(args) -> int:
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     reports = sharpness_sweep(Ms, Ns, tuples, cfg)
     _write_reports(args, reports)
-    diagnostics = {str(key): value for key, value in ladder_diagnostics(reports).items()}
-    _emit(diagnostics, args.out)
+    _emit([report.to_json_dict() for report in reports], args.out)
     if any(not report.sandwich_ok for report in reports):
         print("error: sandwich invariant violated in at least one report", file=sys.stderr)
         return 2

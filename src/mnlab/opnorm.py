@@ -78,7 +78,6 @@ __all__ = [
     "objective",
     "estimate",
     "sharpness_sweep",
-    "ladder_diagnostics",
     "write_reports_jsonl",
     "write_reports_csv",
     "CSV_COLUMNS",
@@ -331,6 +330,7 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     """
     M, N = check_dimensions(M, N)
     grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
+    EvalPlan(*grid)  # the grid is checked before any start is built
     upper = upper_bound_magnitude(M, N, e)
     slack = 1.0 + 3.0 * GRID_TOL
     target = upper / slack
@@ -384,31 +384,6 @@ def sharpness_sweep(
         for e in e_list
         for M, N in zip(M_list, N_list)
     ]
-
-
-def ladder_diagnostics(reports: Iterable[BoundReport]) -> dict:
-    """Per-exponent stabilization of ratio_searched along the size ladder.
-
-    For each exponent tuple, collects ratio_searched in rung order and
-    measures the relative drift (max/min - 1) over the top three rungs;
-    drift at or below 20% counts as stable, supporting a size-independent
-    ratio on that tuple.
-    """
-    by_exponents: dict[tuple, list[BoundReport]] = {}
-    for report in reports:
-        by_exponents.setdefault(report.exponents.as_tuple(), []).append(report)
-    out = {}
-    for key, group in by_exponents.items():
-        ratios = [r.ratio_searched for r in group]
-        top = ratios[-3:]
-        drift = max(top) / min(top) - 1.0 if min(top) > 0 else float("inf")
-        out[key] = {
-            "sizes": [(r.M, r.N) for r in group],
-            "ratio_searched": ratios,
-            "top_drift": drift,
-            "stable": drift <= 0.2,
-        }
-    return out
 
 
 def write_reports_jsonl(path: "str | Path", reports: Iterable[BoundReport]) -> None:

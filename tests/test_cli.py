@@ -16,6 +16,7 @@ import pytest
 import mnlab
 from mnlab import cli, norms
 from mnlab.cli import main
+from mnlab.exponents import MixedExponents
 from mnlab.norms import (
     CoefficientMatrix,
     GridFunction,
@@ -25,6 +26,7 @@ from mnlab.norms import (
     save_grid,
     save_matrix,
 )
+from mnlab.opnorm import SearchConfig, estimate
 from mnlab.trigsum import OVERSAMPLE, EvalPlan, eval_nonortho, eval_sum
 
 
@@ -252,8 +254,8 @@ def test_opnorm_stdout_is_deterministic(capsys):
 def test_sweep_pairs_the_m_and_n_ladders(capsys):
     assert main(["sweep", "--M-ladder", "2:4", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf",
                  "--restarts", "1", "--max-iters", "1"]) == 0
-    doc = last_json(capsys.readouterr().out)
-    assert doc[str((1.0, 1.0, 0.0, 0.0))]["sizes"] == [[2, 1], [4, 2]]
+    docs = json.loads(capsys.readouterr().out)
+    assert [(doc["M"], doc["N"]) for doc in docs] == [(2, 1), (4, 2)]
     assert main(["sweep", "--M-ladder", "2:8", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: M_list and N_list must pair up rung for rung\n")
@@ -263,11 +265,26 @@ def test_sweep_runs_a_ladder(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--M-ladder", "1:2", "--rtuple", "0.5,0.5,0.5,0.5",
                  "--restarts", "1", "--max-iters", "1", "--csv", str(csv_path)]) == 0
-    doc = last_json(capsys.readouterr().out)
-    key = str((0.5, 0.5, 0.5, 0.5))
-    assert doc[key]["sizes"] == [[1, 1], [2, 2]]
+    docs = json.loads(capsys.readouterr().out)
+    assert [(doc["M"], doc["N"]) for doc in docs] == [(1, 1), (2, 2)]
+    assert all(doc["exponents"] == [0.5, 0.5, 0.5, 0.5] for doc in docs)
     rows = csv_path.read_text().splitlines()
     assert len(rows) == 3
+
+
+def test_sweep_prints_the_reports_it_writes(tmp_path, capsys):
+    # Tuple by tuple, rung by rung: each printed document is its --jsonl line and its estimate, bit for bit.
+    jsonl, out = tmp_path / "r.jsonl", tmp_path / "r.json"
+    assert main(["sweep", "--M-ladder", "2:4", "--tuple", "4,2,4,2", "--rtuple", "0.6,0.2,0.5,0.5",
+                 "--restarts", "1", "--max-iters", "3", "--seed", "3",
+                 "--jsonl", str(jsonl), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    cfg = SearchConfig(restarts=1, max_iters=3, seed=3)
+    tuples = [MixedExponents.from_exponents(4, 2, 4, 2), MixedExponents(0.6, 0.2, 0.5, 0.5)]
+    expected = [estimate(M, M, e, cfg).to_json_dict() for e in tuples for M in (2, 4)]
+    assert [json.dumps(doc, sort_keys=True) for doc in json.loads(printed)] == jsonl.read_text().splitlines()
+    assert jsonl.read_text().splitlines() == [json.dumps(doc, sort_keys=True) for doc in expected]
 
 
 def test_nonortho_check_reports_ratios(capsys):
@@ -340,6 +357,10 @@ BIG = "1" + "0" * 300
     (["chirp-check", "--eta", "0", "--M-ladder", "8:16"], "eta must lie in (0, 1), got 0.0"),
     (["chirp-check", "--eta", "-0.2", "--M-ladder", "8:16"], "eta must lie in (0, 1), got -0.2"),
     (["chirp-check", "--M-ladder", "0,16"], "dimensions must be positive, got M=0"),
+    (["chirp-check", "--M-ladder", "0:16"], "dimensions must be positive, got M=0"),
+    (["chirp-check", "--M-ladder", "16:8"], "bad ladder '16:8'"),
+    (["sweep", "--M-ladder", "0:16", "--tuple", "2,2,2,2"], "dimensions must be positive, got M=0"),
+    (["nonortho-check", "--sizes=-1:16"], "dimensions must be positive, got M=-1"),
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
     (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
     (["eval", "--Kx", "16"], "give --Kx and --Ky together, or neither"),
@@ -364,6 +385,9 @@ BIG = "1" + "0" * 300
      "a 10000000000000000 x 10000000000000000 grid needs 1.49e+24 GiB of samples, above the limit of 16 GiB"),
     (["opnorm", "--M", "2", "--N", "2", "--Kx", "100000000", "--Ky", "100000000"],
      "a 100000000 x 100000000 grid needs 1.49e+08 GiB of samples, above the limit of 16 GiB"),
+    # A default grid over the limit, refused before the first start is built.
+    (["opnorm", "--M", "100000000000", "--N", "100000"],
+     "a 800000000000 x 800000 grid needs 9.54e+09 GiB of samples, above the limit of 16 GiB"),
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
     # Sizes beyond float range, refused by the size rule before any float conversion.
@@ -379,13 +403,14 @@ BIG = "1" + "0" * 300
      f"a {8 * int(BIG)} x {8 * int(BIG)} grid needs 9.54e+593 GiB of samples, above the limit of 16 GiB"),
     (["eval", "--Kx", BIG, "--Ky", BIG],
      f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
-], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-one-distinct-M",
+], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-ladder-from-zero",
+        "chirp-ladder-descending", "sweep-ladder-from-zero", "nonortho-ladder-from-negative", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
-        "opnorm-grid-1e8-too-large", "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
+        "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
         "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
         "eval-Kx-Ky-big"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):

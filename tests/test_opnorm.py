@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,14 +14,12 @@ from mnlab.extremizers import ColumnC, RowR, UnitE, build
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import (
     CSV_COLUMNS,
-    BoundReport,
     SearchConfig,
     _adjoint_gradient,
     _ascend,
     _escape_direction,
     _evaluate,
     estimate,
-    ladder_diagnostics,
     objective,
     sharpness_sweep,
     write_reports_csv,
@@ -457,6 +456,19 @@ def test_grid_override_recorded():
     assert report.grid == (32, 48)
 
 
+def test_estimate_checks_its_default_grid_before_any_start():
+    # The first start, a 10^11 x 10^5 matrix, would need 142 PiB: the grid's check comes first.
+    message = r"^a 800000000000 x 800000 grid needs 9\.54e\+09 GiB of samples, above the limit of 16 GiB$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            estimate(10**11, 10**5, E2222, SearchConfig(restarts=1, max_iters=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
@@ -498,7 +510,7 @@ def test_numpy_integer_sizes_are_accepted():
 
 
 # ----------------------------------------------------------------------------
-# Sweeps, diagnostics, serialization
+# Sweeps and serialization
 # ----------------------------------------------------------------------------
 
 
@@ -511,27 +523,6 @@ def test_sharpness_sweep_order_and_validation():
     assert [(r.M, r.N) for r in reports] == [(1, 1), (2, 2), (1, 1), (2, 2)]
     with pytest.raises(ValueError):
         sharpness_sweep([1, 2], [1], e_list, cfg)
-
-
-def _synthetic_report(e, M, ratio):
-    return BoundReport(
-        M=M, N=M, exponents=e, theta=theta(e), phi=phi(e), upper=1.0,
-        lower_extremizer=0.5, lower_kind="unit",
-        searched=ratio, ratio_lower=0.5, ratio_searched=ratio,
-        grid=(16, 16), sandwich_ok=True, searched_below_lower=False,
-    )
-
-
-def test_ladder_diagnostics_groups_and_flags():
-    stable = [_synthetic_report(E2222, M, r) for M, r in zip((2, 4, 8, 16), (1.0, 1.1, 1.15, 1.2))]
-    drifting = [_synthetic_report(SUP_OVER_L1, M, r) for M, r in zip((2, 4, 8), (1.0, 2.0, 0.5))]
-    out = ladder_diagnostics(stable + drifting)
-    key_stable = E2222.as_tuple()
-    key_drift = SUP_OVER_L1.as_tuple()
-    assert out[key_stable]["stable"]
-    assert out[key_stable]["top_drift"] == pytest.approx(1.2 / 1.1 - 1.0, rel=1e-12)
-    assert not out[key_drift]["stable"]
-    assert out[key_drift]["sizes"] == [(2, 2), (4, 4), (8, 8)]
 
 
 def test_jsonl_round_trip(tmp_path):
