@@ -81,9 +81,9 @@ def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
     return rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
 
 
-def _gradient_call(entries: np.ndarray, grid: tuple[int, int]):
+def _gradient_call(entries: np.ndarray, plan: EvalPlan):
     """One adjoint gradient at `entries`, handed the trial record the ascent keeps."""
-    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
+    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), plan).samples
     return functools.partial(opnorm._adjoint_gradient, opnorm._evaluate(entries, samples, EXPONENTS))
 
 
@@ -92,8 +92,7 @@ def _layer_calls(M: int, workdir: Path) -> dict:
     entries = _random_entries(rng, M)
     entries /= np.linalg.norm(entries)
     A = CoefficientMatrix(M, M, entries)
-    grid = default_grid(M, M)
-    plan = EvalPlan(*grid)
+    plan = default_grid(M, M)
     f = eval_sum(A, plan)
     grid_calls = {
         "eval_sum": functools.partial(eval_sum, A, plan),
@@ -108,10 +107,10 @@ def _layer_calls(M: int, workdir: Path) -> dict:
     return {
         **grid_calls,
         "load_grid": functools.partial(load_grid, grid_path),
-        "objective": functools.partial(objective, A, EXPONENTS, grid),
-        "gradient": _gradient_call(entries, grid),
-        "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=1)),
-        "ascent": functools.partial(opnorm._ascend, start, EXPONENTS, grid, SearchConfig(max_iters=10)),
+        "objective": functools.partial(objective, A, EXPONENTS, plan),
+        "gradient": _gradient_call(entries, plan),
+        "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, plan, SearchConfig(max_iters=1)),
+        "ascent": functools.partial(opnorm._ascend, start, EXPONENTS, plan, SearchConfig(max_iters=10)),
         "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
         "estimate_closed": functools.partial(estimate, M, M, CLOSED_EXPONENTS, ESTIMATE_CONFIG),
     }

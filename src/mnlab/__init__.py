@@ -7,37 +7,3 @@ the governing bound exponent theta = max(1/2, alpha, beta, 1 - gamma, 1 - delta)
 builds candidate extremizer matrices with certified lower bounds, and brackets
 the operator norm sup ||S|| / ||A|| by multi-start ascent.
 """
-
-from .exponents import (
-    MixedExponents,
-    phi,
-    theta,
-    upper_bound_magnitude,
-)
-from .norms import (
-    CoefficientMatrix,
-    GridFunction,
-    QuadratureSpec,
-    QuadratureWarning,
-    lpq_norm,
-    lrs_norm,
-)
-from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum, eval_sum_at
-
-__all__ = [
-    "MixedExponents",
-    "phi",
-    "theta",
-    "upper_bound_magnitude",
-    "CoefficientMatrix",
-    "GridFunction",
-    "QuadratureSpec",
-    "QuadratureWarning",
-    "lpq_norm",
-    "lrs_norm",
-    "EvalPlan",
-    "default_grid",
-    "eval_nonortho",
-    "eval_sum",
-    "eval_sum_at",
-]

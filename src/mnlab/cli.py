@@ -103,24 +103,21 @@ def _exponents_from_args(args) -> MixedExponents:
     return MixedExponents(*recips)
 
 
-def _grid_from_args(args) -> "tuple[int, int] | None":
-    """(Kx, Ky) from --Kx/--Ky, both positive, or None when neither is given."""
+def _grid_from_args(args) -> "EvalPlan | None":
+    """The plan of --Kx/--Ky, or None when neither is given."""
     if (args.Kx is None) != (args.Ky is None):
         raise ValueError("give --Kx and --Ky together, or neither")
-    if args.Kx is None:
-        return None
-    EvalPlan(args.Kx, args.Ky)  # rejects sizes below one
-    return (args.Kx, args.Ky)
+    return None if args.Kx is None else EvalPlan(args.Kx, args.Ky)
 
 
-def _parse_ladder(text: str) -> list[int]:
-    """'2:16' doubles from 2 to 16; '2,3,4' is a literal list; '8' is one rung."""
+def _parse_ladder(text: str, name: str = "M") -> list[int]:
+    """'2:16' doubles from 2 to 16; '2,3,4' is a literal list; '8' is one rung of the size `name`."""
     if ":" in text:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"bad ladder {text!r}")
-        check_dimensions(lo)  # a rung below one would double forever
+        check_dimensions(lo, names=(name,))  # a rung below one would double forever
         out = []
         while lo <= hi:
             out.append(lo)
@@ -173,7 +170,7 @@ def _cmd_eval(args) -> int:
     grid = _grid_from_args(args)
     A = load_matrix(args.matrix)
     evaluate = eval_nonortho if args.scale == "one" else eval_sum
-    f = evaluate(A, EvalPlan(*(grid or default_grid(A.M, A.N))))
+    f = evaluate(A, grid or default_grid(A.M, A.N))
     if args.out:
         save_grid(args.out, f)
     else:
@@ -257,7 +254,7 @@ def _cmd_opnorm(args) -> int:
 
 def _cmd_sweep(args) -> int:
     Ms = _parse_ladder(args.M_ladder)
-    Ns = _parse_ladder(args.N_ladder) if args.N_ladder else Ms
+    Ns = _parse_ladder(args.N_ladder, "N") if args.N_ladder else Ms
     tuples = [_parse_tuple(t) for t in args.tuple or []]
     tuples += [_parse_rtuple(t) for t in args.rtuple or []]
     if not tuples:
@@ -284,7 +281,7 @@ def _cmd_nonortho_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     max_ratios = []
     for size in sizes:
-        plan = EvalPlan(*default_grid(size, size, floor=64))
+        plan = default_grid(size, size, floor=64)
         worst = 0.0
         for _ in range(args.trials):
             entries = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))

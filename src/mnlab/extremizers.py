@@ -31,7 +31,7 @@ import numpy as np
 
 from .exponents import MixedExponents, check_dimensions, upper_bound_magnitude
 from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm
-from .trigsum import EvalPlan, default_grid, eval_sum
+from .trigsum import default_grid, eval_sum
 
 __all__ = [
     "ChirpB",
@@ -376,7 +376,7 @@ def verify_dirichlet_lower(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mi
     the observed ratio is measured on the default grid.
     """
     M, N = check_dimensions(M, N)
-    grid = EvalPlan(*default_grid(M, N))
+    grid = default_grid(M, N)
     axes = _dirichlet_axes(kind, M, N, e)
     for dim, _, _ in axes:
         _check_dirichlet_pointwise(dim)
@@ -405,7 +405,7 @@ def unit_sharpness(kind: UnitE, M: int, N: int, e: MixedExponents) -> ExtremalRe
     norm is exact regardless of resolution and the ratio is 1 up to roundoff
     for every exponent tuple and entry position.
     """
-    grid = EvalPlan(*default_grid(M, N))
+    grid = default_grid(M, N)
     A = build(kind, M, N)
     return ExtremalReport(kind=kind_name(kind), M=A.M, N=A.N, exponents=e,
                           lower=lrs_norm(eval_sum(A, grid), e), upper=lpq_norm(A, e))

@@ -17,11 +17,12 @@ forward FFT cropped to the first M x N frequencies (`trigsum.synthesize` and
 synthesis and one evaluation, which keeps its samples and both mixed norms
 with their inner reductions (`norms.MixedNorm`); the accepted trial's record
 feeds the next gradient, which then costs the two dual weights, the two
-phases and one adjoint.  Each start is validated once, as a CoefficientMatrix
-on a grid that holds its frequencies; the trials run on raw arrays and only
-check that the value is defined and finite.  Infinite exponents take the
-one-hot subgradient at the first argmax, and zero entries get weight 0,
-which is what central differences give there.
+phases and one adjoint.  `estimate` checks its grid once, as an EvalPlan
+that holds the matrix, before it builds any start.  Each start is checked
+once, as a CoefficientMatrix evaluated on that plan; the trials run on raw
+arrays and only check that the value is defined and finite.  Infinite
+exponents take the one-hot subgradient at the first argmax, and zero
+entries get weight 0, which is what central differences give there.
 
 Depending on the exponents and the size, the unit, ones, column and row warm
 starts can be exact critical points of f, where the gradient vanishes to
@@ -107,14 +108,15 @@ CSV_COLUMNS = [
 class SearchConfig:
     """Multi-start ascent configuration; identical configs give identical reports.
 
-    `grid` fixes the quadrature grid (Kx, Ky) for the objective, checked as
-    an EvalPlan; None selects `default_grid`, at least 16 per side.
+    `grid` fixes the quadrature grid (Kx, Ky) for the objective, any pair
+    the caller gives, stored as the checked EvalPlan; None selects
+    `default_grid`, at least 16 per side.
     """
 
     restarts: int = 8
     max_iters: int = 60
     seed: int = 0
-    grid: "tuple[int, int] | None" = None
+    grid: "EvalPlan | None" = None
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
@@ -124,8 +126,7 @@ class SearchConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.grid is not None:
-            plan = EvalPlan(*self.grid)
-            object.__setattr__(self, "grid", (plan.Kx, plan.Ky))
+            object.__setattr__(self, "grid", EvalPlan(*self.grid))
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class BoundReport(JsonReport):
     searched: float
     ratio_lower: float
     ratio_searched: float
-    grid: tuple[int, int]
+    grid: EvalPlan
     sandwich_ok: bool
     searched_below_lower: bool
 
@@ -165,8 +166,8 @@ class BoundReport(JsonReport):
         ]
 
 
-def objective(A: CoefficientMatrix, e: MixedExponents, grid: tuple[int, int]) -> float:
-    """||T A||_{L^{r,s}} on the grid divided by ||A||_{l^{p,q}}: the ascent's value at A."""
+def objective(A: CoefficientMatrix, e: MixedExponents, grid: Sequence[int]) -> float:
+    """||T A||_{L^{r,s}} on the grid, any pair (Kx, Ky), over ||A||_{l^{p,q}}: the ascent's value at A."""
     return _evaluate(A.entries, eval_sum(A, EvalPlan(*grid)).samples, e).value
 
 
@@ -232,7 +233,7 @@ def _escape_direction(entries: np.ndarray) -> np.ndarray:
 
 
 def _ascend(
-    start: np.ndarray, e: MixedExponents, grid: tuple[int, int], cfg: SearchConfig, target: float = math.inf
+    start: np.ndarray, e: MixedExponents, plan: EvalPlan, cfg: SearchConfig, target: float = math.inf
 ) -> tuple[float, list[float]]:
     """Backtracking gradient ascent from one start; returns (best value, history).
 
@@ -240,11 +241,11 @@ def _ascend(
     construction.  The iterate stays normalized (the objective is
     scale-invariant), and a restart stops when no step of at least STEP_TOL
     improves the value, or before the next gradient once the value reaches
-    `target`.  The start is checked once, by eval_sum; the trials run on raw
-    arrays, and each gradient reuses the accepted trial's norms.
+    `target`.  The start is checked once, by eval_sum on `plan`; the trials
+    run on raw arrays, and each gradient reuses the accepted trial's norms.
     """
     entries = start / np.linalg.norm(start)
-    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples
+    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), plan).samples
     current = _evaluate(entries, samples, e)
     history = [current.value]
     last = FIRST_STEP / 2.0  # so that the first step tries FIRST_STEP
@@ -258,7 +259,7 @@ def _ascend(
             norm = float(np.linalg.norm(grad))
             if norm <= SADDLE_TOL:
                 break
-        accepted = _line_search(current, grad / norm, e, grid, last)
+        accepted = _line_search(current, grad / norm, e, plan, last)
         if accepted is None:
             break
         current, last = accepted
@@ -274,7 +275,7 @@ def _ladder(top: float) -> Iterator[float]:
 
 
 def _line_search(
-    current: _Trial, direction: np.ndarray, e: MixedExponents, grid: tuple[int, int], last: float
+    current: _Trial, direction: np.ndarray, e: MixedExponents, plan: EvalPlan, last: float
 ) -> "tuple[_Trial, float] | None":
     """An improving trial along `direction` and its step, or None if no step on the ladder improves.
 
@@ -289,7 +290,7 @@ def _line_search(
     def improves(step: float) -> "_Trial | None":
         entries = current.entries + step * direction
         entries /= np.linalg.norm(entries)
-        trial = _evaluate(entries, synthesize(entries, *grid), e)
+        trial = _evaluate(entries, synthesize(entries, *plan), e)
         return trial if trial.value > current.value else None
 
     first = min(FIRST_STEP, 2.0 * last)
@@ -329,8 +330,8 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
     than the sandwich check's slack, so the bracket is closed.
     """
     M, N = check_dimensions(M, N)
-    grid = cfg.grid if cfg.grid is not None else default_grid(M, N, floor=16)
-    EvalPlan(*grid)  # the grid is checked before any start is built
+    grid = cfg.grid or default_grid(M, N, floor=16)
+    grid.check_holds(M, N)  # before any start is built
     upper = upper_bound_magnitude(M, N, e)
     slack = 1.0 + 3.0 * GRID_TOL
     target = upper / slack

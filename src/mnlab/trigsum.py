@@ -48,7 +48,7 @@ that each caller fixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -75,17 +75,20 @@ OVERSAMPLE = 8
 MAX_GRID_BYTES = 2**34
 
 
-@dataclass(frozen=True)
-class EvalPlan:
-    """Output grid sizes Kx x Ky, both positive, of at most MAX_GRID_BYTES of samples."""
+class EvalPlan(namedtuple("EvalPlan", "Kx Ky")):
+    """The grid (Kx, Ky): both sizes positive, at most MAX_GRID_BYTES of samples.
 
-    Kx: int
-    Ky: int
+    A tuple, so it unpacks and compares as the pair it is, and a report
+    serializes it as [Kx, Ky].  `__new__` checks every plan built by calling
+    the class; the namedtuple's `_make` and `_replace` skip it, so nothing
+    builds a plan through them.
+    """
 
-    def __post_init__(self) -> None:
-        for name, size in zip(("Kx", "Ky"), check_dimensions(self.Kx, self.Ky, names=("Kx", "Ky"))):
-            object.__setattr__(self, name, size)
-        nbytes = 16 * self.Kx * self.Ky
+    __slots__ = ()
+
+    def __new__(cls, Kx: int, Ky: int) -> "EvalPlan":
+        Kx, Ky = check_dimensions(Kx, Ky, names=("Kx", "Ky"))
+        nbytes = 16 * Kx * Ky
         if nbytes > MAX_GRID_BYTES:
             # The GiB figure as "%.3g" prints a float, rounded as a Decimal: it can pass the largest float.
             from decimal import Decimal  # imported here, as only this message needs it (2 ms at import)
@@ -93,15 +96,22 @@ class EvalPlan:
             power = int(power)
             gib = f"{float(digits):g}e{power:+03d}" if power > 2 else f"{float(digits) * 10**power:g}"
             raise ValueError(
-                f"a {self.Kx} x {self.Ky} grid needs {gib} GiB of samples, "
-                f"above the limit of {MAX_GRID_BYTES // 2**30} GiB"
+                f"a {Kx} x {Ky} grid needs {gib} GiB of samples, above the limit of {MAX_GRID_BYTES // 2**30} GiB"
+            )
+        return super().__new__(cls, Kx, Ky)
+
+    def check_holds(self, M: int, N: int) -> None:
+        """Refuse a grid smaller than the M x N frequencies of a matrix: the zero-pad transform would crop."""
+        if self.Kx < M or self.Ky < N:
+            raise ValueError(
+                f"zero-pad transform needs Kx >= M and Ky >= N, got ({self.Kx}, {self.Ky}) for ({M}, {N})"
             )
 
 
-def default_grid(M: int, N: int, *, floor: int = 1) -> tuple[int, int]:
-    """(max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor)) for positive integer sizes M, N."""
+def default_grid(M: int, N: int, *, floor: int = 1) -> EvalPlan:
+    """The plan (max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor)) for positive integer sizes M, N."""
     M, N = check_dimensions(M, N)
-    return (max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor))
+    return EvalPlan(max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor))
 
 
 def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) -> np.ndarray:
@@ -155,11 +165,7 @@ def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:
 
 def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
     """Sample S_{M,N} on the plan's grid (frequency scale 2 pi); needs Kx >= M and Ky >= N."""
-    M, N = A.M, A.N
-    if plan.Kx < M or plan.Ky < N:
-        raise ValueError(
-            f"zero-pad transform needs Kx >= M and Ky >= N, got ({plan.Kx}, {plan.Ky}) for ({M}, {N})"
-        )
+    plan.check_holds(A.M, A.N)
     return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=synthesize(A.entries, plan.Kx, plan.Ky))
 
 

@@ -360,6 +360,7 @@ BIG = "1" + "0" * 300
     (["chirp-check", "--M-ladder", "0:16"], "dimensions must be positive, got M=0"),
     (["chirp-check", "--M-ladder", "16:8"], "bad ladder '16:8'"),
     (["sweep", "--M-ladder", "0:16", "--tuple", "2,2,2,2"], "dimensions must be positive, got M=0"),
+    (["sweep", "--M-ladder", "2:4", "--N-ladder", "0:2", "--tuple", "2,2,2,2"], "dimensions must be positive, got N=0"),
     (["nonortho-check", "--sizes=-1:16"], "dimensions must be positive, got M=-1"),
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
     (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
@@ -388,6 +389,9 @@ BIG = "1" + "0" * 300
     # A default grid over the limit, refused before the first start is built.
     (["opnorm", "--M", "100000000000", "--N", "100000"],
      "a 800000000000 x 800000 grid needs 9.54e+09 GiB of samples, above the limit of 16 GiB"),
+    # A given grid too small for the matrix, refused before the first start is built.
+    (["opnorm", "--M", "100000", "--N", "100000", "--Kx", "16", "--Ky", "16"],
+     "zero-pad transform needs Kx >= M and Ky >= N, got (16, 16) for (100000, 100000)"),
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
     # Sizes beyond float range, refused by the size rule before any float conversion.
@@ -404,13 +408,15 @@ BIG = "1" + "0" * 300
     (["eval", "--Kx", BIG, "--Ky", BIG],
      f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-ladder-from-zero",
-        "chirp-ladder-descending", "sweep-ladder-from-zero", "nonortho-ladder-from-negative", "chirp-one-distinct-M",
+        "chirp-ladder-descending", "sweep-ladder-from-zero", "sweep-N-ladder-from-zero",
+        "nonortho-ladder-from-negative", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
         "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
-        "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
+        "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "opnorm-grid-below-matrix",
+        "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
         "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
         "eval-Kx-Ky-big"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):

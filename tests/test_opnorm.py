@@ -10,7 +10,7 @@ import pytest
 
 from mnlab import norms, opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
-from mnlab.extremizers import ColumnC, RowR, UnitE, build
+from mnlab.extremizers import KINDS, ColumnC, RowR, UnitE, build
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import (
     CSV_COLUMNS,
@@ -88,7 +88,7 @@ def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(opnorm, "_evaluate", recording)
     rng = np.random.default_rng(6)
-    grid = (24, 16)
+    grid = EvalPlan(24, 16)
     for e in (COLUMN_EQUALITY, SUP_OVER_L1, INTERIOR):
         start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         _ascend(start, e, grid, SearchConfig(max_iters=3))
@@ -366,7 +366,7 @@ def test_escape_direction_skips_scaling_and_phase():
 def test_ascent_history_is_monotone():
     rng = np.random.default_rng(3)
     start = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    value, history = _ascend(start, SUP_OVER_L1, (24, 24), SearchConfig(max_iters=10))
+    value, history = _ascend(start, SUP_OVER_L1, EvalPlan(24, 24), SearchConfig(max_iters=10))
     assert history == sorted(history)
     assert value == history[-1]
     assert value <= upper_bound_magnitude(3, 3, SUP_OVER_L1) * (1 + 3e-4)
@@ -467,6 +467,38 @@ def test_estimate_checks_its_default_grid_before_any_start():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_estimate_checks_a_given_grid_holds_the_matrix_before_any_start():
+    # The first start, a 10^5 x 10^5 matrix, would need 149 GiB: the 16 x 16 grid is refused first.
+    message = r"^zero-pad transform needs Kx >= M and Ky >= N, got \(16, 16\) for \(100000, 100000\)$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            estimate(10**5, 10**5, E2222, SearchConfig(grid=(16, 16)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_estimate_builds_its_plan_once_whatever_the_number_of_starts(monkeypatch):
+    built, starts = [], []
+    new, ascend = EvalPlan.__new__, opnorm._ascend
+
+    def counting_new(cls, Kx, Ky):
+        built.append((Kx, Ky))
+        return new(cls, Kx, Ky)
+
+    def counting_ascend(start, e, plan, cfg, target):
+        starts.append(plan)
+        return ascend(start, e, plan, cfg, target)
+
+    monkeypatch.setattr(EvalPlan, "__new__", counting_new)
+    monkeypatch.setattr(opnorm, "_ascend", counting_ascend)
+    report = estimate(3, 2, INTERIOR, SearchConfig(restarts=3, max_iters=2))
+    assert built == [(24, 16)] and len(starts) == len(KINDS) + 3
+    assert all(plan is starts[0] for plan in starts) and report.grid is starts[0]
 
 
 def test_search_config_validation():

@@ -276,5 +276,7 @@ def test_default_grid_reproduces_every_legacy_grid(caller):
     legacy, current = LEGACY_GRIDS[caller]
     for M in (1, 2, 3, 8, 33):
         for N in (1, 5, 16):
-            assert current(M, N) == legacy(M, N, 8), (M, N)
+            plan = current(M, N)
+            assert isinstance(plan, EvalPlan) and plan == legacy(M, N, 8), (M, N)
+            assert EvalPlan(*plan) == plan
 
