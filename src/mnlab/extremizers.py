@@ -15,9 +15,9 @@ growth bound in different exponent regions:
 For C, R and D the kernel inequality sin(pi M x)/sin(pi x) >= sin(1) * M on
 [0, 1/(pi M)] turns into closed-form lower bounds on the operator ratio with
 explicit constants; those are certified (theorem-backed, checked pointwise,
-no tolerance).  For B the lower bound rests on the stationary-phase
-approximation of the quadratic chirp sum, which this module measures rather
-than assumes.
+no tolerance).  E's ratio is exactly one, the empty product of those
+bounds.  For B the lower bound rests on the stationary-phase approximation
+of the quadratic chirp sum, which this module measures rather than assumes.
 """
 
 from __future__ import annotations
@@ -340,23 +340,24 @@ def _check_dirichlet_pointwise(dim: int) -> None:
 
 
 def _dirichlet_axes(kind: ExtremizerKind, M: int, N: int, e: MixedExponents) -> list:
-    """(length, r-reciprocal, p-reciprocal) per "ones" factor of a kind, x before y."""
-    factors = KINDS.get(type(kind), (None, None))[1] or ()
-    axes = [axis for factor, axis in zip(factors, [(M, e.gamma, e.alpha), (N, e.delta, e.beta)])
+    """(length, r-reciprocal, p-reciprocal) per "ones" factor of a kind, x before y; the unit has none."""
+    factors = KINDS.get(type(kind), (None, None))[1]
+    if factors is None:
+        raise TypeError(f"certified bounds exist for the kinds with factors in KINDS, got {kind!r}")
+    return [axis for factor, axis in zip(factors, [(M, e.gamma, e.alpha), (N, e.delta, e.beta)])
             if factor == "ones"]
-    if not axes:
-        raise TypeError(f"certified bounds exist for column/row/ones kinds, got {kind!r}")
-    return axes
 
 
-def certified_lower_bound(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: MixedExponents) -> float:
-    """The closed-form main-lobe lower bound on ||T kind|| / ||kind||.
+def certified_lower_bound(kind: "UnitE | ColumnC | RowR | OnesD", M: int, N: int, e: MixedExponents) -> float:
+    """The closed-form main-lobe lower bound on ||T kind|| / ||kind||, for every KINDS row with factors.
 
     sin(1)/pi^(1/r) * M^(1 - 1/r - 1/p) for a column, sin(1)/pi^(1/s) *
     N^(1 - 1/s - 1/q) for a row, the product of both factors for the all-ones
     matrix: sin(1)^k / pi^(sum of the k r-reciprocals) times one factor
-    per Dirichlet axis.  Independent of the nonzero entry value, which
-    cancels in the ratio.
+    per Dirichlet axis.  The single entry has no Dirichlet axis, so its
+    bound is the empty product sin(1)^0 / pi^0, exactly 1.0; the chirp has
+    no factors and raises TypeError.  Independent of the nonzero entry
+    value, which cancels in the ratio.
     """
     axes = _dirichlet_axes(kind, *check_dimensions(M, N), e)
     bound = SIN1 ** len(axes) / math.pi ** sum(r for _, r, _ in axes)
@@ -373,11 +374,15 @@ def verify_dirichlet_lower(kind: "ColumnC | RowR | OnesD", M: int, N: int, e: Mi
     points plus both endpoints, comparing against sin(1) * dimension exactly
     — a failure raises, since the inequality is theorem-backed.  The
     certified ratio is then compared against the growth bound constant, and
-    the observed ratio is measured on the default grid.
+    the observed ratio is measured on the default grid.  A kind with no
+    ones axis (the single entry, the chirp) has nothing to check and raises
+    TypeError.
     """
     M, N = check_dimensions(M, N)
     grid = default_grid(M, N)
     axes = _dirichlet_axes(kind, M, N, e)
+    if not axes:
+        raise TypeError(f"the kernel check needs a kind with a ones axis, got {kind!r}")
     for dim, _, _ in axes:
         _check_dirichlet_pointwise(dim)
     certified = certified_lower_bound(kind, M, N, e)

@@ -29,18 +29,10 @@ starts can be exact critical points of f, where the gradient vanishes to
 roundoff (for example the unit start whenever r and s are finite).  Where
 its norm is at most SADDLE_TOL the ascent tries a fixed, seed-independent
 direction instead, less its components along A and iA, which never change f.
-The line search tries lengths on the ladder 0.25, 0.125, ... (at least
-1e-9) along the unit gradient and accepts one only if the value strictly
-improves.  It remembers the last accepted length: a start's first step
-tries 0.25, each later one twice the last accepted length (at most 0.25).
-An improving first trial is doubled while the longer step still improves;
-a failing one is halved until a trial improves, and only if none down to
-1e-9 does are the untried longer lengths tried, top down.  A restart stops
-when no length on the ladder improves, exactly where a search restarting
-every step at 0.25 stops, or after max_iters steps; wherever the improving
-lengths form an interval the accepted length, and so the history, is
-bit-identical to that search's.  Since only strict improvements are
-accepted, a start that is a local maximum stays put.
+Each step's length comes from the line search, whose rule `_line_search`'s
+docstring states.  A restart stops when no length on its ladder improves or
+after max_iters steps.  Since only strict improvements are accepted, a
+start that is a local maximum stays put.
 
 The search stops once the bracket closes: with target = upper / (1 +
 3*GRID_TOL), the sandwich check's own slack, an ascent stops before its
@@ -67,7 +59,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .exponents import MixedExponents, check_dimensions, phi, theta, upper_bound_magnitude
-from .extremizers import KINDS, ColumnC, OnesD, RowR, UnitE, build, certified_lower_bound, kind_name
+from .extremizers import KINDS, build, certified_lower_bound
 # lpq_norm and lrs_norm are unused here but stay bound: perfbench's tracer rebinds them in this module.
 from .norms import CoefficientMatrix, JsonReport, MixedNorm, lpq_norm, lrs_norm  # noqa: F401
 from .trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
@@ -133,9 +125,10 @@ class SearchConfig:
 class BoundReport(JsonReport):
     """One (M, N, exponents) point: lower bounds, searched value, upper bound.
 
-    `lower_extremizer` is the best certified lower bound (unit entry, column,
-    row or ones — never the chirp, whose bound is asymptotic only) and
-    `lower_kind` names which one achieved it.  The sandwich
+    `lower_extremizer` is the best certified lower bound over the KINDS rows
+    with factors (unit entry, ones, column and row — never the chirp, whose
+    bound is asymptotic only) and `lower_kind` names which one achieved it,
+    the first in table order on a tie.  The sandwich
     lower <= searched <= upper is checked with (1 + 3*GRID_TOL) slack;
     `searched_below_lower` flags a search that failed to reach the certified
     floor.
@@ -166,9 +159,9 @@ class BoundReport(JsonReport):
         ]
 
 
-def objective(A: CoefficientMatrix, e: MixedExponents, grid: Sequence[int]) -> float:
-    """||T A||_{L^{r,s}} on the grid, any pair (Kx, Ky), over ||A||_{l^{p,q}}: the ascent's value at A."""
-    return _evaluate(A.entries, eval_sum(A, EvalPlan(*grid)).samples, e).value
+def objective(A: CoefficientMatrix, e: MixedExponents, plan: EvalPlan) -> float:
+    """||T A||_{L^{r,s}} on the plan's grid over ||A||_{l^{p,q}}: the ascent's value at A."""
+    return _evaluate(A.entries, eval_sum(A, plan).samples, e).value
 
 
 class _Trial(NamedTuple):
@@ -341,11 +334,9 @@ def estimate(M: int, N: int, e: MixedExponents, cfg: SearchConfig = SearchConfig
         if searched >= target:
             break
 
-    # The single entry's ratio is exactly one.  On ties the first candidate wins.
-    candidates = [(kind_name(UnitE()), 1.0)] + [
-        (kind_name(kind), certified_lower_bound(kind, M, N, e)) for kind in (ColumnC(), RowR(), OnesD())
-    ]
-    lower_kind, lower = max(candidates, key=lambda item: item[1])
+    # Every KINDS row with factors is certified, the unit at exactly 1.0; on ties the first row wins.
+    lower_kind, lower = max(((name, certified_lower_bound(kind(), M, N, e))
+                             for kind, (name, factors) in KINDS.items() if factors), key=lambda item: item[1])
 
     sandwich_ok = lower <= searched * slack and searched <= upper * slack
     return BoundReport(

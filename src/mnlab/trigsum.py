@@ -11,8 +11,8 @@ frequencies, pruned the same way.  Both take the same 1-D passes in the
 same order as ifft2 / fft2 of the padded grid, so their output is
 bit-for-bit that of the unpruned transforms.  `eval_sum` is the checked
 synthesis.  The direct double sum (two small matrix products) is the
-independent oracle: `eval_sum_at` uses it at any point, and the tests pin
-the transform convention against it.
+independent oracle: `eval_sum_at` evaluates S by it at any point, and the
+tests pin the transform convention against it.
 
 Every pass of `synthesize` runs in place (`out=`, numpy >= 2.0) on a
 buffer that already holds its zero padding: the first pass on the output
@@ -169,13 +169,13 @@ def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
     return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=synthesize(A.entries, plan.Kx, plan.Ky))
 
 
-def eval_sum_at(A: CoefficientMatrix, x: float, y: float, scale: float = 2.0 * np.pi) -> complex:
-    """Direct double-sum evaluation at a single (possibly off-grid) point.
+def eval_sum_at(A: CoefficientMatrix, x: float, y: float) -> complex:
+    """S_{M,N}(x, y) by the direct double sum at a single (possibly off-grid) point: the FFT's oracle.
 
-    `scale` multiplies the frequencies: 2 pi for S (1-periodic in each
-    variable), 1 for V.  Any real (x, y) is accepted.
+    S only (frequency scale 2 pi, 1-periodic in each variable); V has its
+    grid evaluator, `eval_nonortho`.  Any real (x, y) is accepted.
     """
-    return complex(_direct(A, np.array([x]), np.array([y]), scale)[0, 0])
+    return complex(_direct(A, np.array([x]), np.array([y]), 2.0 * np.pi)[0, 0])
 
 
 def eval_nonortho(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:

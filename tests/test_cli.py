@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import mnlab
-from mnlab import cli, norms
+from mnlab import cli, extremizers, norms
 from mnlab.cli import main
 from mnlab.exponents import MixedExponents
 from mnlab.norms import (
@@ -376,6 +377,7 @@ BIG = "1" + "0" * 300
     (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2, N=-2"),
     (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0, N=0"),
     (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
+    (["bound", "--M", "4", "--N", "4", "--p", "nan"], "--p must be a number in [1, inf], got nan"),
     (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["sweep", "--M-ladder", "2,4", "--tuple", "2,2,2,2", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["nonortho-check", "--sizes", "2", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -413,7 +415,7 @@ BIG = "1" + "0" * 300
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
-        "nonortho-size-zero-after-valid", "bound-M-zero", "opnorm-seed-negative",
+        "nonortho-size-zero-after-valid", "bound-M-zero", "bound-p-nan", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
         "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "opnorm-grid-below-matrix",
         "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
@@ -429,6 +431,49 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def breach_sandwich(report):
+    return dataclasses.replace(report, sandwich_ok=False)
+
+
+def test_opnorm_exits_two_on_a_sandwich_breach(monkeypatch, capsys):
+    # The report is still printed for inspection; stderr names the breach in one line.
+    argv = ["opnorm", "--M", "2", "--N", "2", "--restarts", "1", "--max-iters", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    estimate = cli.estimate
+    monkeypatch.setattr(cli, "estimate", lambda *args: breach_sandwich(estimate(*args)))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {**json.loads(printed), "sandwich_ok": False}
+    assert captured.err == "error: sandwich invariant violated (see report)\n"
+
+
+def test_sweep_exits_two_when_any_report_breaches_the_sandwich(monkeypatch, capsys):
+    sweep = cli.sharpness_sweep
+
+    def breach_the_last(*args):
+        *kept, last = sweep(*args)
+        return [*kept, breach_sandwich(last)]
+
+    monkeypatch.setattr(cli, "sharpness_sweep", breach_the_last)
+    assert main(["sweep", "--M-ladder", "1:2", "--rtuple", "0.5,0.5,0.5,0.5",
+                 "--restarts", "1", "--max-iters", "1"]) == 2
+    captured = capsys.readouterr()
+    assert [doc["sandwich_ok"] for doc in json.loads(captured.out)] == [True, False]
+    assert captured.err == "error: sandwich invariant violated in at least one report\n"
+
+
+def test_failed_theorem_check_exits_two_with_one_line(monkeypatch, capsys):
+    # A kernel constant above the theorem's makes the pointwise check fail: an
+    # implementation bug, exit 2, not a validation error.
+    monkeypatch.setattr(extremizers, "SIN1", 1.5)
+    assert main(["extremal", "--kind", "column", "--M", "4", "--N", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: Dirichlet kernel bound failed at x=")
+    assert captured.err.endswith(" — implementation bug\n") and captured.err.count("\n") == 1
 
 
 def test_bound_takes_a_size_beyond_int64(capsys):

@@ -13,6 +13,7 @@ from branch_build import branch_build
 from mnlab.exponents import MixedExponents, upper_bound_magnitude
 from mnlab.extremizers import (
     CHIRP_POINTS,
+    KINDS,
     LOBE_SAMPLES,
     SIN1,
     ChirpB,
@@ -321,16 +322,20 @@ def test_certified_bound_formulas():
     e3 = MixedExponents(0.5, 0.5, 0.25, 0.25)
     expected = SIN1**2 / math.pi**0.5 * 9.0**0.25 * 4.0**0.25
     assert certified_lower_bound(OnesD(), 9, 4, e3) == expected
+    # The single entry has no Dirichlet axis: its bound is the empty product, exactly one.
+    assert certified_lower_bound(UnitE(), 4, 4, e) == 1.0
     with pytest.raises(TypeError):
-        certified_lower_bound(UnitE(), 4, 4, e)
+        certified_lower_bound(ChirpB(), 4, 4, e)
 
 
 def test_certified_bound_never_exceeds_growth_bound():
     rng = np.random.default_rng(11)
+    certified = [kind() for kind, (_, factors) in KINDS.items() if factors]
     for _ in range(200):
         e = MixedExponents(*rng.uniform(0.0, 1.0, size=4))
         M, N = int(rng.integers(1, 33)), int(rng.integers(1, 33))
-        for kind in (ColumnC(), RowR(), OnesD()):
+        assert certified_lower_bound(UnitE(), M, N, e) == 1.0
+        for kind in certified:
             assert certified_lower_bound(kind, M, N, e) <= upper_bound_magnitude(M, N, e) * (1 + 1e-12)
 
 

@@ -51,7 +51,7 @@ def test_single_entry_objective_is_one():
     rng = np.random.default_rng(0)
     for _ in range(5):
         e = MixedExponents(*rng.uniform(0.0, 1.0, size=4))
-        assert objective(A, e, (24, 32)) == pytest.approx(1.0, abs=1e-12)
+        assert objective(A, e, EvalPlan(24, 32)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l2_to_l2_objective_is_one_for_every_matrix():
@@ -60,18 +60,18 @@ def test_l2_to_l2_objective_is_one_for_every_matrix():
     rng = np.random.default_rng(1)
     for _ in range(10):
         A = random_matrix(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)))
-        assert objective(A, E2222, (16, 16)) == pytest.approx(1.0, abs=1e-9)
+        assert objective(A, E2222, EvalPlan(16, 16)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_ones_objective_saturates_sup_over_l1():
     A = CoefficientMatrix(4, 4, np.ones((4, 4), dtype=complex))
-    assert objective(A, SUP_OVER_L1, (32, 32)) == pytest.approx(1.0, abs=1e-12)
+    assert objective(A, SUP_OVER_L1, EvalPlan(32, 32)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_objective_rejects_zero_matrix():
     A = CoefficientMatrix(2, 2, np.zeros((2, 2), dtype=complex))
     with pytest.raises(ValueError):
-        objective(A, E2222, (16, 16))
+        objective(A, E2222, EvalPlan(16, 16))
 
 
 def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
@@ -96,7 +96,7 @@ def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
         for entries, value in ascent:
             A = CoefficientMatrix(3, 2, entries)
             assert objective(A, e, grid).hex() == value.hex()
-            assert (lrs_norm(eval_sum(A, EvalPlan(*grid)), e) / lpq_norm(A, e)).hex() == value.hex()
+            assert (lrs_norm(eval_sum(A, grid), e) / lpq_norm(A, e)).hex() == value.hex()
         assert len(ascent) > 3
         seen.clear()
 
@@ -123,10 +123,10 @@ def test_objective_is_scale_invariant():
     rng = np.random.default_rng(2)
     A = random_matrix(rng, 3, 3)
     e = MixedExponents(0.7, 0.3, 0.2, 0.9)
-    base = objective(A, e, (24, 24))
+    base = objective(A, e, EvalPlan(24, 24))
     for c in (2.0, 1e-8, 3.7j, -5.0 + 1.0j):
         scaled = CoefficientMatrix(3, 3, c * A.entries)
-        assert objective(scaled, e, (24, 24)) == pytest.approx(base, rel=1e-12)
+        assert objective(scaled, e, EvalPlan(24, 24)) == pytest.approx(base, rel=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -253,8 +253,9 @@ def test_adjoint_gradient_matches_central_differences_at_zero_entries_for_p_one(
     entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     entries[[0, 1, 2], [1, 3, 0]] = 0.0
     e = MixedExponents(1.0, 0.5, 0.25, 0.5)
-    oracle = fd_gradient(entries, e, (24, 32))
-    error = np.linalg.norm(adjoint_gradient(entries, e, (24, 32)) - oracle)
+    grid = EvalPlan(24, 32)
+    oracle = fd_gradient(entries, e, grid)
+    error = np.linalg.norm(adjoint_gradient(entries, e, grid) - oracle)
     assert error <= 1e-6 * np.linalg.norm(oracle)
 
 
@@ -298,7 +299,7 @@ def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
 def top_down_ascend(start, e, grid, cfg):
     """The ascent with the line search that restarts every step at FIRST_STEP: the reference."""
     entries = start / np.linalg.norm(start)
-    current = _evaluate(entries, eval_sum(CoefficientMatrix(*entries.shape, entries), EvalPlan(*grid)).samples, e)
+    current = _evaluate(entries, eval_sum(CoefficientMatrix(*entries.shape, entries), grid).samples, e)
     history = [current.value]
     for _ in range(cfg.max_iters):
         grad = _adjoint_gradient(current)
@@ -361,6 +362,17 @@ def test_escape_direction_skips_scaling_and_phase():
     entries = entries / np.linalg.norm(entries)
     assert abs(np.vdot(entries, _escape_direction(entries))) < 1e-12
     assert np.linalg.norm(_escape_direction(np.array([[0.6 - 0.8j]]))) < 1e-12
+
+
+def test_one_by_one_ascent_stops_at_once(monkeypatch):
+    # A 1 x 1 matrix is a critical point whose escape direction is empty: one
+    # evaluation and one gradient, then the ascent stops at the ratio 1.
+    counts = count_search_calls(monkeypatch)
+    rng = np.random.default_rng(10)
+    for e in (E2222, SUP_OVER_L1, INTERIOR, MixedExponents(*rng.uniform(0.0, 1.0, size=4))):
+        counts.clear()
+        assert _ascend(np.ones((1, 1)), e, EvalPlan(16, 16), SearchConfig()) == (1.0, [1.0])
+        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 1)
 
 
 def test_ascent_history_is_monotone():
@@ -437,6 +449,38 @@ def test_ascent_stops_before_the_gradient_at_the_target(monkeypatch):
     assert stopped_history == history[:5]
     assert stopped == history[4]
     assert counts["_adjoint_gradient"] == 4
+
+
+# Ground truth: tuples whose operator norm is known in closed form at every
+# size, on three faces, each with its (alpha, beta) or (gamma, delta) drawn
+# from default_rng(5).  Face: (tuple from the two draws, exact norm).
+GROUND_TRUTH_FACES = {
+    # gamma = delta = 1/2: by Parseval, M^(1/2-alpha)+ N^(1/2-beta)+.
+    "parseval": (lambda u, v: MixedExponents(u, v, 0.5, 0.5),
+                 lambda e, M, N: M ** max(0.0, 0.5 - e.alpha) * N ** max(0.0, 0.5 - e.beta)),
+    # gamma = delta = 0: M^(1-alpha) N^(1-beta), attained by the ones matrix at the origin.
+    "sup": (lambda u, v: MixedExponents(u, v, 0.0, 0.0),
+            lambda e, M, N: M ** (1.0 - e.alpha) * N ** (1.0 - e.beta)),
+    # alpha = beta = 1: ||S||_{r,s} <= ||S||_inf <= ||A||_{1,1}, with equality at a single entry.
+    "l1": (lambda u, v: MixedExponents(1.0, 1.0, u, v), lambda e, M, N: 1.0),
+}
+
+
+def ground_truth_rows():
+    """Three tuples per face, at M = N in {8, 16, 32} where the bracket closes and {8, 16} where it does not."""
+    rng = np.random.default_rng(5)
+    for face, (tuple_of, exact_of) in GROUND_TRUTH_FACES.items():
+        for index, (u, v) in enumerate(rng.uniform(0.0, 1.0, (3, 2))):
+            e = tuple_of(u, v)
+            closes = upper_bound_magnitude(8, 8, e) <= exact_of(e, 8, 8) * (1.0 + 3.0 * opnorm.GRID_TOL)
+            for n in (8, 16, 32) if closes else (8, 16):
+                yield pytest.param(e, n, exact_of(e, n, n), id=f"{face}-{index}-{n}")
+
+
+@pytest.mark.parametrize("e, n, exact", ground_truth_rows())
+def test_searched_meets_the_ground_truth(e, n, exact):
+    report = estimate(n, n, e)
+    assert exact * (1.0 - 1e-3) <= report.searched <= exact * (1.0 + 3.0 * opnorm.GRID_TOL), report.searched / exact
 
 
 def test_sandwich_holds_on_random_exponents():

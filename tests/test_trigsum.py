@@ -26,6 +26,12 @@ def random_matrix(rng, M, N):
     return CoefficientMatrix(M, N, rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
 
 
+def unit_frequency_sum(A, x, y):
+    """V(x, y) = sum a_mn e^{i((m-1)x + (n-1)y)}, the literal double sum in numpy: V's point oracle."""
+    m, n = np.arange(A.M)[:, None], np.arange(A.N)[None, :]
+    return complex(np.sum(A.entries * np.exp(1j * (m * x + n * y))))
+
+
 def test_direct_and_transform_paths_agree():
     rng = np.random.default_rng(0)
     A = random_matrix(rng, 64, 64)
@@ -119,9 +125,13 @@ def test_unit_periodicity_of_the_two_pi_sum():
 def test_unit_frequency_sum_is_not_unit_periodic():
     # V has period 2*pi, not 1; shifting x by 1 must change the value.
     A = CoefficientMatrix(2, 2, np.ones((2, 2), dtype=complex))
-    v0 = eval_sum_at(A, 0.3, 0.2, scale=1.0)
-    v1 = eval_sum_at(A, 1.3, 0.2, scale=1.0)
+    v0 = unit_frequency_sum(A, 0.3, 0.2)
+    v1 = unit_frequency_sum(A, 1.3, 0.2)
     assert abs(v1 - v0) > 0.05
+    # The grid evaluator is that V: its node (0.3, 0.2) holds v0.  The point evaluator is S's only.
+    assert eval_nonortho(A, EvalPlan(Kx=10, Ky=5)).samples[3, 1] == pytest.approx(v0, rel=1e-12)
+    with pytest.raises(TypeError):
+        eval_sum_at(A, 0.3, 0.2, scale=1.0)
 
 
 def test_triangle_bound_on_grid_maximum():
@@ -188,11 +198,13 @@ def test_nonortho_value_and_trivial_cases():
     E = CoefficientMatrix(3, 3, entries)
     g = eval_nonortho(E, EvalPlan(Kx=16, Ky=16))
     assert np.max(np.abs(np.abs(g.samples) - 1.0)) <= 1e-12
-    # Grid values match the pointwise evaluator.
+    # Every grid value matches the literal double sum at its node.
     rng = np.random.default_rng(6)
     B = random_matrix(rng, 3, 2)
     h = eval_nonortho(B, EvalPlan(Kx=4, Ky=4))
-    assert h.samples[1, 3] == pytest.approx(eval_sum_at(B, 1 / 4, 3 / 4, scale=1.0), rel=1e-12)
+    for j in range(4):
+        for k in range(4):
+            assert h.samples[j, k] == pytest.approx(unit_frequency_sum(B, j / 4, k / 4), rel=1e-12, abs=1e-12)
 
 
 def test_plan_validation():
