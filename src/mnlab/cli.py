@@ -22,6 +22,7 @@ import numpy as np
 
 from .exponents import MixedExponents, _reciprocal, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import (
+    ChirpB,
     ColumnC,
     OnesD,
     RowR,
@@ -53,8 +54,6 @@ from .opnorm import (
     write_reports_jsonl,
 )
 from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum
-
-__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,7 +139,18 @@ def _parse_rtuple(text: str) -> MixedExponents:
     return MixedExponents(*parts)
 
 
+def _check_finite(doc, key=None) -> None:
+    """Refuse a NaN or an infinity, which JSON cannot hold, naming the key that holds it."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        raise ValueError(f"{key} is not a finite number: {doc}")
+    children = doc.items() if isinstance(doc, dict) else [(key, item) for item in doc] if isinstance(doc, list) else []
+    for child_key, child in children:
+        _check_finite(child, child_key)
+
+
 def _emit(obj, out_path: "str | None") -> None:
+    """Print the strict JSON document `obj` and write it to `out_path`, if given; refuse it before either."""
+    _check_finite(obj)
     text = json.dumps(obj, sort_keys=True, indent=2)
     if out_path:
         with open(out_path, "w") as handle:
@@ -209,10 +219,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_chirp_check(args) -> int:
     Ms = _parse_ladder(args.M_ladder)
-    if args.xs:
-        xs = [float(part) for part in args.xs.split(",")]
-    else:
-        xs = list(np.linspace(args.eta, 1.0 - args.eta, 7))
+    xs = [float(part) for part in args.xs.split(",")] if args.xs else ChirpB(args.eta).window(7)
     report = chirp_residual_sweep(args.eta, Ms, xs)
     for M, residual in zip(report.Ms, report.max_residuals):
         print(f"M={M:>8d}  max|sum - main|={residual:.6g}")
@@ -305,6 +312,7 @@ def _cmd_nonortho_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the `mnlab` command on `argv` (default: sys.argv[1:]) and return its exit status."""
     parser = _Parser(prog="mnlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,15 +27,6 @@ import operator
 import sys
 from dataclasses import dataclass
 
-__all__ = [
-    "MixedExponents",
-    "check_dimensions",
-    "phi",
-    "theta",
-    "upper_bound_magnitude",
-    "PHI_EQUALITY_TOL",
-]
-
 # Tolerance for the equality constraints that carve out the measure-zero
 # slices of phi's domain (alpha + delta = 1, alpha = beta, ...).
 PHI_EQUALITY_TOL = 1e-12

@@ -33,29 +33,6 @@ from .exponents import MixedExponents, check_dimensions, upper_bound_magnitude
 from .norms import CoefficientMatrix, JsonReport, lpq_norm, lrs_norm
 from .trigsum import default_grid, eval_sum
 
-__all__ = [
-    "ChirpB",
-    "ColumnC",
-    "RowR",
-    "OnesD",
-    "UnitE",
-    "ExtremizerKind",
-    "KINDS",
-    "kind_name",
-    "build",
-    "quadratic_phase_sum",
-    "quadratic_phase_main_term",
-    "chirp_residual_sweep",
-    "verify_chirp_lower",
-    "dirichlet_quotient",
-    "certified_lower_bound",
-    "verify_dirichlet_lower",
-    "unit_sharpness",
-    "SIN1",
-    "ChirpResidualReport",
-    "ExtremalReport",
-]
-
 SIN1 = math.sin(1.0)
 
 # The checks' fixed sampling: the chirp's minimum is taken over CHIRP_POINTS
@@ -78,6 +55,12 @@ class ChirpB:
     def __post_init__(self) -> None:
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+
+    def window(self, points: int) -> np.ndarray:
+        """`points` equispaced x across [eta, 1 - eta], where the chirp sum is sampled; it needs eta < 1/2."""
+        if not self.eta < 0.5:
+            raise ValueError(f"eta must lie in (0, 0.5) for a non-empty window, got {self.eta}")
+        return np.linspace(self.eta, 1.0 - self.eta, points)
 
 
 @dataclass(frozen=True)
@@ -128,6 +111,7 @@ KINDS = {
 
 
 def kind_name(kind: ExtremizerKind) -> str:
+    """The kind's name in `KINDS`, which its `ExtremalReport` carries as `kind`."""
     return KINDS[type(kind)][0]
 
 
@@ -296,9 +280,7 @@ def verify_chirp_lower(M: int, N: int, eta: float = 0.2) -> ExtremalReport:
     Recorded, not asserted.
     """
     M, N = check_dimensions(M, N)
-    if not 0.0 < eta < 0.5:
-        raise ValueError(f"eta must lie in (0, 0.5) for a non-empty window, got {eta}")
-    xs = np.linspace(eta, 1.0 - eta, CHIRP_POINTS)
+    xs = ChirpB(eta).window(CHIRP_POINTS)
     fx = np.abs(quadratic_phase_sum(M, eta, xs))
     fy = np.abs(quadratic_phase_sum(N, eta, xs))
     return ExtremalReport(kind=kind_name(ChirpB(eta)), M=M, N=N, exponents=None,

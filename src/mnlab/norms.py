@@ -37,25 +37,6 @@ import numpy as np
 
 from .exponents import MixedExponents, check_dimensions
 
-__all__ = [
-    "CoefficientMatrix",
-    "GridFunction",
-    "JsonReport",
-    "QuadratureSpec",
-    "QuadratureWarning",
-    "lpq_norm",
-    "lrs_norm",
-    "MixedNorm",
-    "matrix_from_json",
-    "grid_to_json",
-    "grid_from_json",
-    "load_matrix",
-    "save_matrix",
-    "load_grid",
-    "save_grid",
-    "write_grid",
-]
-
 
 class QuadratureWarning(UserWarning):
     """The refinement check found the half-coarse grid disagreeing beyond REFINE_REL_TOL."""
@@ -332,16 +313,19 @@ def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
 
 
 def matrix_from_json(doc: dict) -> CoefficientMatrix:
+    """The matrix of a parsed `{"M", "N", "entries"}` document; a malformed one raises ValueError."""
     M, N, entries = _document_array(doc, ("M", "N"), "entries", "matrix")
     return CoefficientMatrix(M=M, N=N, entries=entries)
 
 
 def grid_to_json(f: GridFunction) -> dict:
+    """The grid's `{"Kx", "Ky", "samples"}` document, each sample an exact [re, im] pair."""
     pairs = np.ascontiguousarray(f.samples).view(np.float64).reshape(-1, 2)  # [re, im] with every bit kept
     return {"Kx": f.Kx, "Ky": f.Ky, "samples": pairs.tolist()}
 
 
 def grid_from_json(doc: dict) -> GridFunction:
+    """The grid of a parsed `{"Kx", "Ky", "samples"}` document; a malformed one raises ValueError."""
     Kx, Ky, samples = _document_array(doc, ("Kx", "Ky"), "samples", "grid")
     return GridFunction(Kx=Kx, Ky=Ky, samples=samples)
 
@@ -353,6 +337,12 @@ def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:
 
 
 def load_matrix(path: str | Path) -> CoefficientMatrix:
+    """Read the matrix file at `path`; a malformed one raises ValueError.
+
+    The exact layout that save_matrix writes is parsed without a Python
+    float per number (_canonical_array); any other JSON goes through
+    matrix_from_json.
+    """
     canonical = _canonical_array(path, ("M", "N"), "entries")
     return CoefficientMatrix(*canonical) if canonical else matrix_from_json(json.loads(Path(path).read_text()))
 
@@ -468,5 +458,11 @@ def save_grid(path: str | Path, f: GridFunction) -> None:
 
 
 def load_grid(path: str | Path) -> GridFunction:
+    """Read the grid file at `path`; a malformed one raises ValueError.
+
+    The exact layout that write_grid writes is parsed without a Python
+    float per number (_canonical_array); any other JSON goes through
+    grid_from_json.
+    """
     canonical = _canonical_array(path, ("Kx", "Ky"), "samples")
     return GridFunction(*canonical) if canonical else grid_from_json(json.loads(Path(path).read_text()))

@@ -42,8 +42,7 @@ start (l^1 -> L^inf, l^2 -> L^2, every 1 x 1 matrix) the whole search is one
 evaluation.
 
 Every estimate emits a BoundReport; batches serialize to JSON lines and an
-aggregate CSV with the frozen column order
-M,N,alpha,beta,gamma,delta,theta,phi_or_blank,upper,lower,searched,ratio_lower,ratio_searched.
+aggregate CSV whose frozen column order is CSV_COLUMNS.
 """
 
 from __future__ import annotations
@@ -63,18 +62,6 @@ from .extremizers import KINDS, build, certified_lower_bound
 # lpq_norm and lrs_norm are unused here but stay bound: perfbench's tracer rebinds them in this module.
 from .norms import CoefficientMatrix, JsonReport, MixedNorm, lpq_norm, lrs_norm  # noqa: F401
 from .trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
-
-__all__ = [
-    "GRID_TOL",
-    "SearchConfig",
-    "BoundReport",
-    "objective",
-    "estimate",
-    "sharpness_sweep",
-    "write_reports_jsonl",
-    "write_reports_csv",
-    "CSV_COLUMNS",
-]
 
 # Relative tolerance attributed to grid quadrature when comparing searched
 # values against certified bounds; the sandwich checks allow 3x this slack.
@@ -379,12 +366,14 @@ def sharpness_sweep(
 
 
 def write_reports_jsonl(path: "str | Path", reports: Iterable[BoundReport]) -> None:
+    """Write one strict JSON line per report to `path`; a NaN or infinity raises ValueError."""
     with open(path, "w") as handle:
         for report in reports:
-            handle.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+            handle.write(json.dumps(report.to_json_dict(), sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_reports_csv(path: "str | Path", reports: Iterable[BoundReport]) -> None:
+    """Write the reports to `path` as CSV: a CSV_COLUMNS header, then one row per report."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)

@@ -55,16 +55,6 @@ import numpy as np
 from .exponents import check_dimensions
 from .norms import CACHE_SAMPLES, CoefficientMatrix, GridFunction, _column_blocks
 
-__all__ = [
-    "EvalPlan",
-    "default_grid",
-    "eval_sum",
-    "eval_sum_at",
-    "eval_nonortho",
-    "synthesize",
-    "synthesize_adjoint",
-]
-
 
 # Samples per frequency along each axis of every default grid.
 OVERSAMPLE = 8

@@ -225,6 +225,14 @@ def test_chirp_check_small_ladder(tmp_path, capsys):
     assert json.loads(out_path.read_text()) == doc
 
 
+def test_chirp_check_window(capsys):
+    # Without --xs: 7 points across [eta, 1 - eta]; with them, any eta in (0, 1).
+    assert main(["chirp-check", "--eta", "0.3", "--M-ladder", "8:16"]) == 0
+    assert last_json(capsys.readouterr().out)["xs"] == np.linspace(0.3, 0.7, 7).tolist()
+    assert main(["chirp-check", "--eta", "0.7", "--M-ladder", "8:16", "--xs", "0.3"]) == 0
+    assert last_json(capsys.readouterr().out)["xs"] == [0.3]
+
+
 # ----------------------------------------------------------------------------
 # opnorm / sweep / nonortho-check
 # ----------------------------------------------------------------------------
@@ -360,6 +368,8 @@ BIG = "1" + "0" * 300
     (["chirp-check", "--M-ladder", "0,16"], "dimensions must be positive, got M=0"),
     (["chirp-check", "--M-ladder", "0:16"], "dimensions must be positive, got M=0"),
     (["chirp-check", "--M-ladder", "16:8"], "bad ladder '16:8'"),
+    (["chirp-check", "--eta", "0.7", "--M-ladder", "8:16"],
+     "eta must lie in (0, 0.5) for a non-empty window, got 0.7"),
     (["sweep", "--M-ladder", "0:16", "--tuple", "2,2,2,2"], "dimensions must be positive, got M=0"),
     (["sweep", "--M-ladder", "2:4", "--N-ladder", "0:2", "--tuple", "2,2,2,2"], "dimensions must be positive, got N=0"),
     (["nonortho-check", "--sizes=-1:16"], "dimensions must be positive, got M=-1"),
@@ -396,6 +406,9 @@ BIG = "1" + "0" * 300
      "zero-pad transform needs Kx >= M and Ky >= N, got (16, 16) for (100000, 100000)"),
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
+    # A bound beyond float range, which JSON cannot hold.
+    (["bound", "--M", BIG, "--N", BIG, "--p", "inf", "--q", "inf", "--r", "inf", "--s", "inf"],
+     "upper is not a finite number: inf"),
     # Sizes beyond float range, refused by the size rule before any float conversion.
     (["bound", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
     (["opnorm", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
@@ -410,7 +423,7 @@ BIG = "1" + "0" * 300
     (["eval", "--Kx", BIG, "--Ky", BIG],
      f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-ladder-from-zero",
-        "chirp-ladder-descending", "sweep-ladder-from-zero", "sweep-N-ladder-from-zero",
+        "chirp-ladder-descending", "chirp-eta-past-window", "sweep-ladder-from-zero", "sweep-N-ladder-from-zero",
         "nonortho-ladder-from-negative", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
@@ -418,7 +431,7 @@ BIG = "1" + "0" * 300
         "nonortho-size-zero-after-valid", "bound-M-zero", "bound-p-nan", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
         "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "opnorm-grid-below-matrix",
-        "norm-refine-check-odd-grid", "bound-M-huge", "opnorm-M-huge",
+        "norm-refine-check-odd-grid", "bound-upper-overflow", "bound-M-huge", "opnorm-M-huge",
         "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
         "eval-Kx-Ky-big"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
@@ -431,6 +444,17 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_norm_refuses_a_non_finite_value_before_any_output(tmp_path, capsys):
+    matrix_path, out_path = tmp_path / "huge.json", tmp_path / "norm.json"
+    save_matrix(matrix_path, CoefficientMatrix(2, 1, np.full((2, 1), 1e308 + 0j)))
+    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings; on stderr they precede the error
+        assert main(["norm", "--matrix", str(matrix_path), "--p", "1", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out_path.exists()
+    assert captured.err.splitlines()[-1] == "error: lpq is not a finite number: nan"
 
 
 def breach_sandwich(report):
