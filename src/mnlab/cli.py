@@ -73,16 +73,9 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
     return f"warning: {message}\n"
 
 
-def _parse_exponent(text: str) -> float:
-    t = text.strip().lower()
-    if t in {"inf", "infinity"}:
-        return math.inf
-    return float(t)
-
-
 def _add_exponent_flags(p: argparse.ArgumentParser) -> None:
     for name in ("p", "q", "r", "s"):
-        p.add_argument(f"--{name}", type=_parse_exponent, default=None,
+        p.add_argument(f"--{name}", type=float, default=None,
                        help=f"Lebesgue exponent {name} in [1, inf] ('inf' allowed)")
     for name in ("alpha", "beta", "gamma", "delta"):
         p.add_argument(f"--{name}", type=float, default=None,
@@ -109,34 +102,41 @@ def _grid_from_args(args) -> "EvalPlan | None":
     return None if args.Kx is None else EvalPlan(args.Kx, args.Ky)
 
 
-def _parse_ladder(text: str, name: str = "M") -> list[int]:
-    """'2:16' doubles from 2 to 16; '2,3,4' is a literal list; '8' is one rung of the size `name`."""
+def _parse_list(text: str, flag: str, kind, sep: str = ",", count: "int | None" = None) -> list:
+    """The `sep`-separated entries of `flag`'s value `text`, each read by `kind`; `count` of them if given.
+
+    Every list value is read here, so a bad entry or count gets the one message naming the flag.
+    """
+    try:
+        values = [kind(part) for part in text.split(sep)]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise ValueError(f"bad {flag} value {text!r}")
+    return values
+
+
+def _parse_ladder(text: str, flag: str, name: str = "M") -> list[int]:
+    """'2:16' doubles from 2 to 16; '2,3,4' is a literal list; '8' is one rung of the size `name`.
+
+    Every rung passes check_dimensions here, before the caller does any work.
+    """
     if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = _parse_list(text, flag, int, ":", 2)
         if hi < lo:
             raise ValueError(f"bad ladder {text!r}")
         check_dimensions(lo, names=(name,))  # a rung below one would double forever
-        out = []
-        while lo <= hi:
-            out.append(lo)
-            lo *= 2
-        return out
-    return [int(part) for part in text.split(",")]
+        rungs = [lo << k for k in range((hi // lo).bit_length())]  # lo, 2 lo, 4 lo, ... up to hi
+    else:
+        rungs = _parse_list(text, flag, int)
+    for rung in rungs:
+        check_dimensions(rung, names=(name,))
+    return rungs
 
 
-def _parse_tuple(text: str) -> MixedExponents:
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"exponent tuple needs four comma-separated values, got {text!r}")
-    return MixedExponents.from_exponents(*(_parse_exponent(part) for part in parts))
-
-
-def _parse_rtuple(text: str) -> MixedExponents:
-    parts = [float(part) for part in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"reciprocal tuple needs four comma-separated values, got {text!r}")
-    return MixedExponents(*parts)
+def _parse_tuple(text: str, flag: str, make) -> MixedExponents:
+    """The four comma-separated numbers of `flag`'s value `text`, made into exponents by `make`."""
+    return make(*_parse_list(text, flag, float, count=4))
 
 
 def _check_finite(doc, key=None) -> None:
@@ -218,8 +218,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_chirp_check(args) -> int:
-    Ms = _parse_ladder(args.M_ladder)
-    xs = [float(part) for part in args.xs.split(",")] if args.xs else ChirpB(args.eta).window(7)
+    Ms = _parse_ladder(args.M_ladder, "--M-ladder")
+    xs = _parse_list(args.xs, "--xs", float) if args.xs else ChirpB(args.eta).window(7)
     report = chirp_residual_sweep(args.eta, Ms, xs)
     for M, residual in zip(report.Ms, report.max_residuals):
         print(f"M={M:>8d}  max|sum - main|={residual:.6g}")
@@ -260,10 +260,10 @@ def _cmd_opnorm(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    Ms = _parse_ladder(args.M_ladder)
-    Ns = _parse_ladder(args.N_ladder, "N") if args.N_ladder else Ms
-    tuples = [_parse_tuple(t) for t in args.tuple or []]
-    tuples += [_parse_rtuple(t) for t in args.rtuple or []]
+    Ms = _parse_ladder(args.M_ladder, "--M-ladder")
+    Ns = _parse_ladder(args.N_ladder, "--N-ladder", "N") if args.N_ladder else Ms
+    tuples = [_parse_tuple(t, "--tuple", MixedExponents.from_exponents) for t in args.tuple or []]
+    tuples += [_parse_tuple(t, "--rtuple", MixedExponents) for t in args.rtuple or []]
     if not tuples:
         raise ValueError("give at least one --tuple p,q,r,s or --rtuple alpha,beta,gamma,delta")
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
@@ -281,9 +281,7 @@ def _cmd_nonortho_check(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
         raise ValueError(f"seed must be >= 0, got {args.seed}")
-    sizes = _parse_ladder(args.sizes)
-    for size in sizes:  # all of them before the first draw: a bad size fails before any output
-        check_dimensions(size, size)
+    sizes = _parse_ladder(args.sizes, "--sizes")
     e22 = MixedExponents(0.5, 0.5, 0.5, 0.5)
     rng = np.random.default_rng(args.seed)
     max_ratios = []

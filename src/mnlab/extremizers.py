@@ -210,8 +210,7 @@ def chirp_residual_sweep(
     eta: float, Ms: "list[int] | tuple[int, ...]", xs: "list[float] | tuple[float, ...]"
 ) -> ChirpResidualReport:
     """Measure |chirp sum - main term| over an (M, x) grid and fit its growth."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
+    ChirpB(eta)  # the kind's own check of eta
     Ms = [check_dimensions(M)[0] for M in Ms]
     if len(set(Ms)) < 2:
         raise ValueError("need at least two distinct M values to fit a slope")

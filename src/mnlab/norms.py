@@ -105,9 +105,9 @@ def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     """The discrete mixed norm: p-norm over rows m per column, q-norm across columns.
 
     Only e.alpha and e.beta are consulted.  Exactly zero iff A is the zero
-    matrix.
+    matrix; inf, never NaN, beyond float range.
     """
-    return MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value
+    return _overflowed(MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value)
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -119,7 +119,7 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     is recomputed on the half-coarse grid (every second sample in each
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds REFINE_REL_TOL; a grid with an odd size has no
-    half grid and raises ValueError.
+    half grid and raises ValueError.  A value beyond float range is inf.
 
     The value is MixedNorm.of(|samples|, gamma, delta, mean=True).value, bit
     for bit, taken one column block at a time (see the module docstring).
@@ -128,9 +128,9 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     if spec.refine_check and (f.Kx % 2 or f.Ky % 2):
         raise ValueError(f"the refinement check needs even grid sizes, got Kx={f.Kx}, Ky={f.Ky}")
     inner, coarse_inner = _inner_norms(f.samples, e.gamma, spec.refine_check)
-    value = float(_reduce(inner, e.delta, True))
+    value = _overflowed(float(_reduce(inner, e.delta, True)))
     if coarse_inner is not None:
-        coarse = float(_reduce(coarse_inner, e.delta, True))
+        coarse = _overflowed(float(_reduce(coarse_inner, e.delta, True)))
         denom = max(abs(value), abs(coarse), 1e-300)
         disagreement = abs(value - coarse) / denom
         if disagreement > REFINE_REL_TOL:
@@ -202,6 +202,16 @@ def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
     if mean:  # ndarray.mean's own arithmetic, without its Python wrapper
         body = body / a.shape[0]
     return top * body ** (1.0 / expo)
+
+
+def _overflowed(value: float) -> float:
+    """`value`, or inf where it is NaN.
+
+    A norm of finite values is NaN only where a modulus or an inner norm
+    overflowed to inf and the outer reduction divided it by itself.  The
+    search's trials skip the finiteness checks, so MixedNorm keeps its NaN.
+    """
+    return np.inf if value != value else value
 
 
 def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool) -> np.ndarray:
@@ -312,6 +322,21 @@ def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
     return rows, cols, flat.reshape(rows, cols)
 
 
+def _load_array(path: str | Path, size_keys: tuple[str, str], data_key: str, what: str):
+    """(rows, cols, complex array) of the matrix or grid file at `path`; a malformed one raises ValueError.
+
+    The exact layout that the savers write is parsed without a Python float
+    per number (_canonical_array); any other text goes through json.loads
+    and _document_array.  Text that is not JSON, or not UTF-8, is named as
+    the `what` document, as _document_array names its own refusals.
+    """
+    canonical = _canonical_array(path, size_keys, data_key)
+    try:
+        return canonical or _document_array(json.loads(Path(path).read_text()), size_keys, data_key, what)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{what} JSON: {exc}") from exc
+
+
 def matrix_from_json(doc: dict) -> CoefficientMatrix:
     """The matrix of a parsed `{"M", "N", "entries"}` document; a malformed one raises ValueError."""
     M, N, entries = _document_array(doc, ("M", "N"), "entries", "matrix")
@@ -337,14 +362,8 @@ def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:
 
 
 def load_matrix(path: str | Path) -> CoefficientMatrix:
-    """Read the matrix file at `path`; a malformed one raises ValueError.
-
-    The exact layout that save_matrix writes is parsed without a Python
-    float per number (_canonical_array); any other JSON goes through
-    matrix_from_json.
-    """
-    canonical = _canonical_array(path, ("M", "N"), "entries")
-    return CoefficientMatrix(*canonical) if canonical else matrix_from_json(json.loads(Path(path).read_text()))
+    """Read the matrix file at `path`; a malformed one raises ValueError (see _load_array)."""
+    return CoefficientMatrix(*_load_array(path, ("M", "N"), "entries", "matrix"))
 
 
 # np.fromstring parses by strtod, looser than JSON.  With "[" a space and "]",
@@ -458,11 +477,5 @@ def save_grid(path: str | Path, f: GridFunction) -> None:
 
 
 def load_grid(path: str | Path) -> GridFunction:
-    """Read the grid file at `path`; a malformed one raises ValueError.
-
-    The exact layout that write_grid writes is parsed without a Python
-    float per number (_canonical_array); any other JSON goes through
-    grid_from_json.
-    """
-    canonical = _canonical_array(path, ("Kx", "Ky"), "samples")
-    return GridFunction(*canonical) if canonical else grid_from_json(json.loads(Path(path).read_text()))
+    """Read the grid file at `path`; a malformed one raises ValueError (see _load_array)."""
+    return GridFunction(*_load_array(path, ("Kx", "Ky"), "samples", "grid"))

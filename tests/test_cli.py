@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import mnlab
-from mnlab import cli, extremizers, norms
+from mnlab import cli, extremizers, norms, opnorm
 from mnlab.cli import main
 from mnlab.exponents import MixedExponents
 from mnlab.norms import (
@@ -90,6 +90,29 @@ def test_bound_accepts_exponent_style_flags(capsys):
     assert doc["exponents"] == [1.0, 1.0, 0.0, 0.0]
     assert doc["theta"] == 1.0
     assert doc["upper"] == 1.0
+
+
+def seed_exponent(text):
+    """How --p/--q/--r/--s were read before they took `float`: 'inf' or 'infinity' in any case and spacing, else float."""
+    t = text.strip().lower()
+    return math.inf if t in {"inf", "infinity"} else float(t)
+
+
+@pytest.mark.parametrize("text", ["2", " 2 ", "1", "3", "1.5", "7e0", "1_000", "inf", "INF", " Infinity ", "1e400"])
+def test_exponent_flags_read_what_they_read_before_bit_for_bit(text, capsys):
+    assert main(["bound", "--M", "4", "--N", "4", "--p", text, "--s", text]) == 0
+    exponents = json.loads(capsys.readouterr().out)["exponents"]
+    expected = MixedExponents.from_exponents(seed_exponent(text), 2, 2, seed_exponent(text))
+    assert [x.hex() for x in exponents] == [x.hex() for x in expected.as_tuple()]
+
+
+def test_exponent_flag_names_itself_on_a_bad_value(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bound", "--M", "4", "--N", "4", "--p", "x"])
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("\nerror: argument --p: invalid float value: 'x'\n")
 
 
 # ----------------------------------------------------------------------------
@@ -384,8 +407,8 @@ BIG = "1" + "0" * 300
      "x=1e+200 is too large: M*x*x/eta reaches 2**52 at M=16"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "1e150"],
      "x=1e+150 is too large: M*x*x/eta reaches 2**52 at M=16"),
-    (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2, N=-2"),
-    (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0, N=0"),
+    (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2"),
+    (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0"),
     (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
     (["bound", "--M", "4", "--N", "4", "--p", "nan"], "--p must be a number in [1, inf], got nan"),
     (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
@@ -422,6 +445,16 @@ BIG = "1" + "0" * 300
      f"a {8 * int(BIG)} x {8 * int(BIG)} grid needs 9.54e+593 GiB of samples, above the limit of 16 GiB"),
     (["eval", "--Kx", BIG, "--Ky", BIG],
      f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
+    # Every list value is read by one rule: a bad entry or count names the flag and quotes the value.
+    (["sweep", "--M-ladder", "2,x", "--tuple", "2,2,2,2"], "bad --M-ladder value '2,x'"),
+    (["sweep", "--M-ladder", "2:x", "--tuple", "2,2,2,2"], "bad --M-ladder value '2:x'"),
+    (["sweep", "--M-ladder", "2:4:8", "--tuple", "2,2,2,2"], "bad --M-ladder value '2:4:8'"),
+    (["sweep", "--M-ladder", "2,4", "--N-ladder", "1,y", "--tuple", "2,2,2,2"], "bad --N-ladder value '1,y'"),
+    (["nonortho-check", "--sizes", "2,3x"], "bad --sizes value '2,3x'"),
+    (["chirp-check", "--M-ladder", "8:16", "--xs", "0.1,y"], "bad --xs value '0.1,y'"),
+    (["sweep", "--M-ladder", "2", "--tuple", "2,2,x,2"], "bad --tuple value '2,2,x,2'"),
+    (["sweep", "--M-ladder", "2", "--rtuple", "0.5,x,0.5,0.5"], "bad --rtuple value '0.5,x,0.5,0.5'"),
+    (["sweep", "--M-ladder", "2", "--rtuple", "0.5,0.5,0.5"], "bad --rtuple value '0.5,0.5,0.5'"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-ladder-from-zero",
         "chirp-ladder-descending", "chirp-eta-past-window", "sweep-ladder-from-zero", "sweep-N-ladder-from-zero",
         "nonortho-ladder-from-negative", "chirp-one-distinct-M",
@@ -433,7 +466,9 @@ BIG = "1" + "0" * 300
         "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "opnorm-grid-below-matrix",
         "norm-refine-check-odd-grid", "bound-upper-overflow", "bound-M-huge", "opnorm-M-huge",
         "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
-        "eval-Kx-Ky-big"])
+        "eval-Kx-Ky-big", "sweep-M-ladder-bad-entry", "sweep-M-ladder-bad-hi", "sweep-M-ladder-three-bounds",
+        "sweep-N-ladder-bad-entry", "nonortho-sizes-bad-entry", "chirp-xs-bad-entry", "sweep-tuple-bad-entry",
+        "sweep-rtuple-bad-entry", "sweep-rtuple-three-values"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -446,6 +481,16 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, cap
     assert captured.err == f"error: {message}\n"
 
 
+def test_sweep_refuses_a_bad_rung_before_any_search(monkeypatch, capsys):
+    calls = []
+    estimate = opnorm.estimate
+    monkeypatch.setattr(opnorm, "estimate", lambda *args: calls.append(args) or estimate(*args))
+    assert main(["sweep", "--M-ladder", "32,0", "--rtuple", "0.5,0.5,0.5,0.5"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: dimensions must be positive, got M=0\n")
+    assert calls == []
+
+
 def test_norm_refuses_a_non_finite_value_before_any_output(tmp_path, capsys):
     matrix_path, out_path = tmp_path / "huge.json", tmp_path / "norm.json"
     save_matrix(matrix_path, CoefficientMatrix(2, 1, np.full((2, 1), 1e308 + 0j)))
@@ -454,7 +499,7 @@ def test_norm_refuses_a_non_finite_value_before_any_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert not out_path.exists()
-    assert captured.err.splitlines()[-1] == "error: lpq is not a finite number: nan"
+    assert captured.err.splitlines()[-1] == "error: lpq is not a finite number: inf"
 
 
 def breach_sandwich(report):
@@ -578,6 +623,21 @@ def test_malformed_matrix_file_fails_with_one_line(tmp_path, document, capsys):
     assert main(["norm", "--matrix", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: matrix JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, what", [(["eval", "--matrix"], "matrix"), (["norm", "--grid"], "grid")])
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b'{"Kx": 1, "Ky": 1, "samples": [[1.0, 0.0]', "Expecting ',' delimiter: line 1 column 42 (char 41)"),
+    (b"\x89PNG\r\n\x1a\n\x00\x82",
+     "'utf-8' codec can't decode byte 0x89 in position 0: invalid start byte"),
+], ids=["empty", "truncated", "binary"])
+def test_unreadable_file_names_its_document(tmp_path, argv, what, content, reason, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([*argv, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {what} JSON: {reason}\n")
 
 
 @pytest.mark.parametrize("flag, what, keys", [("--grid", "grid", ("Kx", "Ky", "samples")),

@@ -94,6 +94,20 @@ def test_extreme_exponents_do_not_overflow():
     assert v == pytest.approx(4e100, rel=2e-2)
 
 
+@pytest.mark.parametrize("shape, recips, value", [
+    ((2, 1), (1.0, 0.5), 1e308),  # p = 1: the inner norm overflows, then the outer one divides inf by inf
+    ((1, 2), (0.5, 1.0), 1e308),  # q = 1: the outer sum overflows
+    ((1, 1), (0.5, 0.5), 1.5e308 + 1.5e308j),  # the modulus itself overflows
+], ids=["inner", "outer", "modulus"])
+def test_an_overflowing_norm_is_inf(shape, recips, value):
+    e = MixedExponents(*recips, *recips)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert lpq_norm(CoefficientMatrix(*shape, np.full(shape, value, dtype=complex)), e) == math.inf
+        # The grid norm takes means, so only the modulus can overflow there.
+        grid = GridFunction(*shape, np.full(shape, value, dtype=complex))
+        assert lrs_norm(grid, e) == (math.inf if shape == (1, 1) else abs(value))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**31 - 1),
        st.floats(-50, 50, allow_nan=False), st.floats(-50, 50, allow_nan=False))
@@ -499,7 +513,10 @@ def loaded_in_chunks(load, path):
 
 def assert_loads_as_the_general_path(path, kind):
     load, from_json = LOADERS[kind][:2]
-    assert loaded_in_chunks(load, path) == loaded(lambda: from_json(json.loads(path.read_text())))
+    expected = loaded(lambda: from_json(json.loads(path.read_text())))
+    if expected[0] is json.JSONDecodeError:  # the loaders name the document that does not parse
+        expected = (ValueError, f"{kind} JSON: {expected[1]}")
+    assert loaded_in_chunks(load, path) == expected
 
 
 def canonical_text(kind, shape, tokens):
