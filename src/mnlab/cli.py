@@ -5,9 +5,11 @@ input files), 2 on an invariant violation (e.g. a sandwich breach in an
 operator-norm report).  Every run is reproducible from its flags plus input
 files.
 
-Exponents are accepted either as Lebesgue values (--p 2 --q inf ...) or as
-reciprocals (--alpha 0.5 --beta 0 ...); unspecified slots default to
-exponent 2.
+Exponents are given as the reciprocals the paper's box Q = [0, 1]^4 and
+every report use: --alpha 1/p, --beta 1/q, --gamma 1/r, --delta 1/s, with
+0 for an infinite exponent and 0.5 (exponent 2) by default.  A report's
+`exponents` list pastes back as `sweep --rtuple`.  Flags are never
+abbreviated.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
 import numpy as np
 
-from .exponents import MixedExponents, _reciprocal, check_dimensions, phi, theta, upper_bound_magnitude
+from .exponents import MixedExponents, check_dimensions, phi, theta, upper_bound_magnitude
 from .extremizers import (
     ChirpB,
     ColumnC,
@@ -51,12 +54,18 @@ from .opnorm import (
     estimate,
     sharpness_sweep,
     write_reports_csv,
-    write_reports_jsonl,
 )
 from .trigsum import EvalPlan, default_grid, eval_nonortho, eval_sum
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # No prefix matching, so an unknown flag is refused, never read as a longer one
+        # (--r as --restarts); subparsers are built by this class too.
+        super().__init__(*args, **kwargs, allow_abbrev=False)
+        # No mnlab flag looks like a number, so -0.1,0.2 or -.5 is a value, not a flag.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # Flag mistakes are validation errors: exit status 1, not argparse's 2.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -74,25 +83,13 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 
 
 def _add_exponent_flags(p: argparse.ArgumentParser) -> None:
-    for name in ("p", "q", "r", "s"):
-        p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"Lebesgue exponent {name} in [1, inf] ('inf' allowed)")
-    for name in ("alpha", "beta", "gamma", "delta"):
-        p.add_argument(f"--{name}", type=float, default=None,
-                       help=f"reciprocal {name} in [0, 1] (0 means the exponent is infinite)")
+    for name, exponent in (("alpha", "p"), ("beta", "q"), ("gamma", "r"), ("delta", "s")):
+        p.add_argument(f"--{name}", type=float, default=0.5,
+                       help=f"1/{exponent} in [0, 1], 0 for {exponent} = inf (default 0.5)")
 
 
 def _exponents_from_args(args) -> MixedExponents:
-    recips = []
-    for value_name, recip_name in (("p", "alpha"), ("q", "beta"), ("r", "gamma"), ("s", "delta")):
-        value = getattr(args, value_name)
-        recip = getattr(args, recip_name)
-        if value is not None and recip is not None:
-            raise ValueError(f"give --{value_name} or --{recip_name}, not both")
-        if value is not None:
-            recip = _reciprocal(value, f"--{value_name}")
-        recips.append(0.5 if recip is None else recip)  # default exponent 2
-    return MixedExponents(*recips)
+    return MixedExponents(args.alpha, args.beta, args.gamma, args.delta)
 
 
 def _grid_from_args(args) -> "EvalPlan | None":
@@ -132,11 +129,6 @@ def _parse_ladder(text: str, flag: str, name: str = "M") -> list[int]:
     for rung in rungs:
         check_dimensions(rung, names=(name,))
     return rungs
-
-
-def _parse_tuple(text: str, flag: str, make) -> MixedExponents:
-    """The four comma-separated numbers of `flag`'s value `text`, made into exponents by `make`."""
-    return make(*_parse_list(text, flag, float, count=4))
 
 
 def _check_finite(doc, key=None) -> None:
@@ -230,20 +222,12 @@ def _cmd_chirp_check(args) -> int:
 
 
 def _add_search_flags(p: argparse.ArgumentParser, restarts: int, max_iters: int) -> None:
-    """The flags `opnorm` and `sweep` share: the search budget and the report sinks."""
+    """The flags `opnorm` and `sweep` share: the search budget, the CSV table and the JSON document."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=restarts)
     p.add_argument("--max-iters", type=int, default=max_iters)
-    p.add_argument("--jsonl")
     p.add_argument("--csv")
     p.add_argument("--out")
-
-
-def _write_reports(args, reports) -> None:
-    if args.jsonl:
-        write_reports_jsonl(args.jsonl, reports)
-    if args.csv:
-        write_reports_csv(args.csv, reports)
 
 
 def _cmd_opnorm(args) -> int:
@@ -251,7 +235,8 @@ def _cmd_opnorm(args) -> int:
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed,
                        grid=_grid_from_args(args))
     report = estimate(args.M, args.N, e, cfg)
-    _write_reports(args, [report])
+    if args.csv:
+        write_reports_csv(args.csv, [report])
     _emit(report.to_json_dict(), args.out)
     if not report.sandwich_ok:
         print("error: sandwich invariant violated (see report)", file=sys.stderr)
@@ -262,13 +247,13 @@ def _cmd_opnorm(args) -> int:
 def _cmd_sweep(args) -> int:
     Ms = _parse_ladder(args.M_ladder, "--M-ladder")
     Ns = _parse_ladder(args.N_ladder, "--N-ladder", "N") if args.N_ladder else Ms
-    tuples = [_parse_tuple(t, "--tuple", MixedExponents.from_exponents) for t in args.tuple or []]
-    tuples += [_parse_tuple(t, "--rtuple", MixedExponents) for t in args.rtuple or []]
+    tuples = [MixedExponents(*_parse_list(t, "--rtuple", float, count=4)) for t in args.rtuple or []]
     if not tuples:
-        raise ValueError("give at least one --tuple p,q,r,s or --rtuple alpha,beta,gamma,delta")
+        raise ValueError("give at least one --rtuple alpha,beta,gamma,delta")
     cfg = SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
     reports = sharpness_sweep(Ms, Ns, tuples, cfg)
-    _write_reports(args, reports)
+    if args.csv:
+        write_reports_csv(args.csv, reports)
     _emit([report.to_json_dict() for report in reports], args.out)
     if any(not report.sandwich_ok for report in reports):
         print("error: sandwich invariant violated in at least one report", file=sys.stderr)
@@ -367,8 +352,8 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="operator-norm reports along a size ladder")
     p_sweep.add_argument("--M-ladder", required=True)
     p_sweep.add_argument("--N-ladder", default="")
-    p_sweep.add_argument("--tuple", action="append", help="exponents p,q,r,s ('inf' allowed); repeatable")
-    p_sweep.add_argument("--rtuple", action="append", help="reciprocals alpha,beta,gamma,delta; repeatable")
+    p_sweep.add_argument("--rtuple", action="append",
+                         help="reciprocals alpha,beta,gamma,delta, as a report's exponents; repeatable")
     _add_search_flags(p_sweep, restarts=4, max_iters=40)
     p_sweep.set_defaults(func=_cmd_sweep)
 

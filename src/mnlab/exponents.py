@@ -1,9 +1,9 @@
 """Exponent quadruples on the unit hypercube and the piecewise bound exponent.
 
-Lebesgue exponents (p, q, r, s) in [1, inf] are stored as their reciprocals
-(alpha, beta, gamma, delta) in [0, 1], with 0 standing for an infinite
-exponent.  The parameter space is then the compact box Q = [0, 1]^4 and every
-formula below is plain arithmetic on reciprocals.
+Lebesgue exponents (p, q, r, s) in [1, inf] are given and stored as their
+reciprocals (alpha, beta, gamma, delta) in [0, 1], with 0 standing for an
+infinite exponent.  The parameter space is then the compact box Q = [0, 1]^4
+and every formula below is plain arithmetic on reciprocals.
 
 The central object is the piecewise-linear exponent theta(alpha, beta, gamma,
 delta) in [1/2, 1] that governs the growth bound
@@ -40,8 +40,8 @@ class MixedExponents:
     over the row index, q outer over the column index); gamma, delta are the
     reciprocals of the integral-norm exponents (r in x, s in y).  Each lies
     in [0, 1]; the value 0 encodes an infinite exponent.  Any real number
-    type is accepted (numpy scalars included) and stored as a float; bool
-    is not a number here.
+    type is accepted (numpy scalars included) and stored as a float, zero
+    always as +0.0; bool is not a number here.
     """
 
     alpha: float
@@ -56,26 +56,10 @@ class MixedExponents:
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-            object.__setattr__(self, name, float(v))
-
-    @classmethod
-    def from_exponents(cls, p: float, q: float, r: float, s: float) -> "MixedExponents":
-        """Build from Lebesgue exponents in [1, inf] (math.inf allowed)."""
-        return cls(_reciprocal(p, "p"), _reciprocal(q, "q"),
-                   _reciprocal(r, "r"), _reciprocal(s, "s"))
+            object.__setattr__(self, name, float(v) + 0.0)  # + 0.0 stores -0.0 as 0.0
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
-
-
-def _reciprocal(exponent: float, name: str) -> float:
-    if exponent != exponent:  # NaN
-        raise ValueError(f"{name} must be a number in [1, inf], got {exponent!r}")
-    if exponent == math.inf:
-        return 0.0
-    if exponent < 1.0:
-        raise ValueError(f"{name} must lie in [1, inf], got {exponent}")
-    return 1.0 / float(exponent)
 
 
 def theta(e: MixedExponents) -> float:

@@ -105,9 +105,11 @@ def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     """The discrete mixed norm: p-norm over rows m per column, q-norm across columns.
 
     Only e.alpha and e.beta are consulted.  Exactly zero iff A is the zero
-    matrix; inf, never NaN, beyond float range.
+    matrix; inf, never NaN, beyond float range, and then without numpy's
+    overflow warnings.
     """
-    return _overflowed(MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _overflowed(MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value)
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -119,7 +121,8 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     is recomputed on the half-coarse grid (every second sample in each
     direction) and a QuadratureWarning is issued when the relative
     disagreement exceeds REFINE_REL_TOL; a grid with an odd size has no
-    half grid and raises ValueError.  A value beyond float range is inf.
+    half grid and raises ValueError.  A value beyond float range is inf,
+    without numpy's overflow warnings.
 
     The value is MixedNorm.of(|samples|, gamma, delta, mean=True).value, bit
     for bit, taken one column block at a time (see the module docstring).
@@ -127,21 +130,23 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     # The half grid only stays uniform-periodic when both sizes are even.
     if spec.refine_check and (f.Kx % 2 or f.Ky % 2):
         raise ValueError(f"the refinement check needs even grid sizes, got Kx={f.Kx}, Ky={f.Ky}")
-    inner, coarse_inner = _inner_norms(f.samples, e.gamma, spec.refine_check)
-    value = _overflowed(float(_reduce(inner, e.delta, True)))
-    if coarse_inner is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner, coarse_inner = _inner_norms(f.samples, e.gamma, spec.refine_check)
+        value = _overflowed(float(_reduce(inner, e.delta, True)))
+        if coarse_inner is None:
+            return value
         coarse = _overflowed(float(_reduce(coarse_inner, e.delta, True)))
-        denom = max(abs(value), abs(coarse), 1e-300)
-        disagreement = abs(value - coarse) / denom
-        if disagreement > REFINE_REL_TOL:
-            warnings.warn(
-                QuadratureWarning(
-                    f"half-grid value {coarse:.12g} vs {value:.12g} "
-                    f"(relative disagreement {disagreement:.3e} > {REFINE_REL_TOL:.3e}); "
-                    "resample on a finer grid with eval --Kx/--Ky"
-                ),
-                stacklevel=2,
-            )
+    denom = max(abs(value), abs(coarse), 1e-300)
+    disagreement = abs(value - coarse) / denom
+    if disagreement > REFINE_REL_TOL:
+        warnings.warn(
+            QuadratureWarning(
+                f"half-grid value {coarse:.12g} vs {value:.12g} "
+                f"(relative disagreement {disagreement:.3e} > {REFINE_REL_TOL:.3e}); "
+                "resample on a finer grid with eval --Kx/--Ky"
+            ),
+            stacklevel=2,
+        )
     return value
 
 

@@ -41,15 +41,15 @@ start after the first that does.  Where the bound is attained at the unit
 start (l^1 -> L^inf, l^2 -> L^2, every 1 x 1 matrix) the whole search is one
 evaluation.
 
-Every estimate emits a BoundReport; batches serialize to JSON lines and an
-aggregate CSV whose frozen column order is CSV_COLUMNS.
+Every estimate emits a BoundReport, whose JSON document is its fields
+(`to_json_dict`); batches also serialize to an aggregate CSV whose frozen
+column order is CSV_COLUMNS.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,13 +363,6 @@ def sharpness_sweep(
         for e in e_list
         for M, N in zip(M_list, N_list)
     ]
-
-
-def write_reports_jsonl(path: "str | Path", reports: Iterable[BoundReport]) -> None:
-    """Write one strict JSON line per report to `path`; a NaN or infinity raises ValueError."""
-    with open(path, "w") as handle:
-        for report in reports:
-            handle.write(json.dumps(report.to_json_dict(), sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_reports_csv(path: "str | Path", reports: Iterable[BoundReport]) -> None:

@@ -83,36 +83,39 @@ def test_bound_defaults_to_l2(capsys):
     assert doc["exponents"] == [0.5, 0.5, 0.5, 0.5]
 
 
-def test_bound_accepts_exponent_style_flags(capsys):
-    assert main(["bound", "--M", "8", "--N", "8", "--p", "1", "--q", "1",
-                 "--r", "inf", "--s", "inf"]) == 0
+def test_bound_takes_reciprocal_flags(capsys):
+    # l^1 -> L^inf: 0 is how an infinite exponent is given.
+    assert main(["bound", "--M", "8", "--N", "8", "--alpha", "1", "--beta", "1",
+                 "--gamma", "0", "--delta", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["exponents"] == [1.0, 1.0, 0.0, 0.0]
     assert doc["theta"] == 1.0
     assert doc["upper"] == 1.0
 
 
-def seed_exponent(text):
-    """How --p/--q/--r/--s were read before they took `float`: 'inf' or 'infinity' in any case and spacing, else float."""
-    t = text.strip().lower()
-    return math.inf if t in {"inf", "infinity"} else float(t)
-
-
-@pytest.mark.parametrize("text", ["2", " 2 ", "1", "3", "1.5", "7e0", "1_000", "inf", "INF", " Infinity ", "1e400"])
+@pytest.mark.parametrize("text", ["2", " 2 ", "1", "3", "1.5", "7e0", "1_000", "inf", "INF", " Infinity ", "1e400",
+                                  "0", "-0", "0.25", " 0.5 ", "1e-1", "0.3333333333333333"])
 def test_exponent_flags_read_what_they_read_before_bit_for_bit(text, capsys):
-    assert main(["bound", "--M", "4", "--N", "4", "--p", text, "--s", text]) == 0
-    exponents = json.loads(capsys.readouterr().out)["exponents"]
-    expected = MixedExponents.from_exponents(seed_exponent(text), 2, 2, seed_exponent(text))
-    assert [x.hex() for x in exponents] == [x.hex() for x in expected.as_tuple()]
+    # --alpha..--delta read their text with `float`, as they always have, and MixedExponents judges the number.
+    argv = ["bound", "--M", "4", "--N", "4", "--alpha", text, "--delta", text]
+    try:
+        expected = MixedExponents(float(text), 0.5, 0.5, float(text))
+    except ValueError as exc:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {exc}\n"
+    else:
+        assert main(argv) == 0
+        exponents = json.loads(capsys.readouterr().out)["exponents"]
+        assert [x.hex() for x in exponents] == [x.hex() for x in expected.as_tuple()]
 
 
 def test_exponent_flag_names_itself_on_a_bad_value(capsys):
     with pytest.raises(SystemExit) as exc_info:
-        main(["bound", "--M", "4", "--N", "4", "--p", "x"])
+        main(["bound", "--M", "4", "--N", "4", "--alpha", "x"])
     assert exc_info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.endswith("\nerror: argument --p: invalid float value: 'x'\n")
+    assert captured.err.endswith("\nerror: argument --alpha: invalid float value: 'x'\n")
 
 
 # ----------------------------------------------------------------------------
@@ -256,19 +259,25 @@ def test_chirp_check_window(capsys):
     assert last_json(capsys.readouterr().out)["xs"] == [0.3]
 
 
+def test_a_list_starting_with_a_negative_number_is_a_value(capsys):
+    assert main(["chirp-check", "--M-ladder", "8:16", "--xs", "-0.1,0.2"]) == 0
+    assert last_json(capsys.readouterr().out)["xs"] == [-0.1, 0.2]
+
+
 # ----------------------------------------------------------------------------
 # opnorm / sweep / nonortho-check
 # ----------------------------------------------------------------------------
 
 
 def test_opnorm_writes_reports(tmp_path, capsys):
-    jsonl = tmp_path / "r.jsonl"
+    out = tmp_path / "r.json"
     csv_path = tmp_path / "r.csv"
     assert main(["opnorm", "--M", "2", "--N", "2", "--restarts", "1",
-                 "--max-iters", "1", "--jsonl", str(jsonl), "--csv", str(csv_path)]) == 0
-    doc = last_json(capsys.readouterr().out)
+                 "--max-iters", "1", "--out", str(out), "--csv", str(csv_path)]) == 0
+    printed = capsys.readouterr().out
+    doc = last_json(printed)
     assert doc["sandwich_ok"] is True
-    assert json.loads(jsonl.read_text().strip()) == doc
+    assert out.read_text() == printed
     header = csv_path.read_text().splitlines()[0]
     assert header.startswith("M,N,alpha")
 
@@ -284,11 +293,11 @@ def test_opnorm_stdout_is_deterministic(capsys):
 
 
 def test_sweep_pairs_the_m_and_n_ladders(capsys):
-    assert main(["sweep", "--M-ladder", "2:4", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf",
+    assert main(["sweep", "--M-ladder", "2:4", "--N-ladder", "1:2", "--rtuple", "1,1,0,0",
                  "--restarts", "1", "--max-iters", "1"]) == 0
     docs = json.loads(capsys.readouterr().out)
     assert [(doc["M"], doc["N"]) for doc in docs] == [(2, 1), (4, 2)]
-    assert main(["sweep", "--M-ladder", "2:8", "--N-ladder", "1:2", "--tuple", "1,1,inf,inf"]) == 1
+    assert main(["sweep", "--M-ladder", "2:8", "--N-ladder", "1:2", "--rtuple", "1,1,0,0"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: M_list and N_list must pair up rung for rung\n")
 
@@ -305,18 +314,16 @@ def test_sweep_runs_a_ladder(tmp_path, capsys):
 
 
 def test_sweep_prints_the_reports_it_writes(tmp_path, capsys):
-    # Tuple by tuple, rung by rung: each printed document is its --jsonl line and its estimate, bit for bit.
-    jsonl, out = tmp_path / "r.jsonl", tmp_path / "r.json"
-    assert main(["sweep", "--M-ladder", "2:4", "--tuple", "4,2,4,2", "--rtuple", "0.6,0.2,0.5,0.5",
-                 "--restarts", "1", "--max-iters", "3", "--seed", "3",
-                 "--jsonl", str(jsonl), "--out", str(out)]) == 0
+    # Tuple by tuple, rung by rung: the printed list, which --out holds, is each estimate's document, bit for bit.
+    out = tmp_path / "r.json"
+    assert main(["sweep", "--M-ladder", "2:4", "--rtuple", "0.25,0.5,0.25,0.5", "--rtuple", "0.6,0.2,0.5,0.5",
+                 "--restarts", "1", "--max-iters", "3", "--seed", "3", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert out.read_text() == printed
     cfg = SearchConfig(restarts=1, max_iters=3, seed=3)
-    tuples = [MixedExponents.from_exponents(4, 2, 4, 2), MixedExponents(0.6, 0.2, 0.5, 0.5)]
+    tuples = [MixedExponents(0.25, 0.5, 0.25, 0.5), MixedExponents(0.6, 0.2, 0.5, 0.5)]
     expected = [estimate(M, M, e, cfg).to_json_dict() for e in tuples for M in (2, 4)]
-    assert [json.dumps(doc, sort_keys=True) for doc in json.loads(printed)] == jsonl.read_text().splitlines()
-    assert jsonl.read_text().splitlines() == [json.dumps(doc, sort_keys=True) for doc in expected]
+    assert printed == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_nonortho_check_reports_ratios(capsys):
@@ -332,16 +339,11 @@ def test_nonortho_check_reports_ratios(capsys):
 # ----------------------------------------------------------------------------
 
 
-def test_mixed_exponent_styles_fail(matrix_file, capsys):
-    path, _ = matrix_file
-    assert main(["norm", "--matrix", str(path), "--p", "2", "--alpha", "0.5"]) == 1
-    assert "not both" in capsys.readouterr().err
-
-
 def test_exponent_below_one_fails(matrix_file, capsys):
+    # p = 1/2 is the reciprocal 2, outside [0, 1].
     path, _ = matrix_file
-    assert main(["norm", "--matrix", str(path), "--p", "0.5"]) == 1
-    assert "must lie in [1, inf]" in capsys.readouterr().err
+    assert main(["norm", "--matrix", str(path), "--alpha", "2"]) == 1
+    assert capsys.readouterr().err == "error: alpha must lie in [0, 1], got 2.0\n"
 
 
 def test_missing_file_fails(capsys):
@@ -393,8 +395,9 @@ BIG = "1" + "0" * 300
     (["chirp-check", "--M-ladder", "16:8"], "bad ladder '16:8'"),
     (["chirp-check", "--eta", "0.7", "--M-ladder", "8:16"],
      "eta must lie in (0, 0.5) for a non-empty window, got 0.7"),
-    (["sweep", "--M-ladder", "0:16", "--tuple", "2,2,2,2"], "dimensions must be positive, got M=0"),
-    (["sweep", "--M-ladder", "2:4", "--N-ladder", "0:2", "--tuple", "2,2,2,2"], "dimensions must be positive, got N=0"),
+    (["sweep", "--M-ladder", "0:16", "--rtuple", "0.5,0.5,0.5,0.5"], "dimensions must be positive, got M=0"),
+    (["sweep", "--M-ladder", "2:4", "--N-ladder", "0:2", "--rtuple", "0.5,0.5,0.5,0.5"],
+     "dimensions must be positive, got N=0"),
     (["nonortho-check", "--sizes=-1:16"], "dimensions must be positive, got M=-1"),
     (["chirp-check", "--M-ladder", "16,16"], "need at least two distinct M values to fit a slope"),
     (["eval", "--Kx", "0", "--Ky", "0"], "dimensions must be positive, got Kx=0, Ky=0"),
@@ -410,9 +413,9 @@ BIG = "1" + "0" * 300
     (["nonortho-check", "--sizes", "-2"], "dimensions must be positive, got M=-2"),
     (["nonortho-check", "--sizes", "2,0", "--trials", "1"], "dimensions must be positive, got M=0"),
     (["bound", "--M", "0", "--N", "4"], "dimensions must be positive, got M=0, N=4"),
-    (["bound", "--M", "4", "--N", "4", "--p", "nan"], "--p must be a number in [1, inf], got nan"),
+    (["bound", "--M", "4", "--N", "4", "--alpha", "nan"], "alpha must be a finite number, got nan"),
     (["opnorm", "--M", "2", "--N", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["sweep", "--M-ladder", "2,4", "--tuple", "2,2,2,2", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["sweep", "--M-ladder", "2,4", "--rtuple", "0.5,0.5,0.5,0.5", "--seed", "-1"], "seed must be >= 0, got -1"),
     (["nonortho-check", "--sizes", "2", "--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
     # Grids above the plan's ceiling, refused before any transform allocates.
     (["opnorm", "--M", "2", "--N", "2", "--Kx", "10000000000000000", "--Ky", "10000000000000000"],
@@ -430,12 +433,13 @@ BIG = "1" + "0" * 300
     # A 3 x 3 grid has no half grid to check against.
     (["norm", "--refine-check"], "the refinement check needs even grid sizes, got Kx=3, Ky=3"),
     # A bound beyond float range, which JSON cannot hold.
-    (["bound", "--M", BIG, "--N", BIG, "--p", "inf", "--q", "inf", "--r", "inf", "--s", "inf"],
+    (["bound", "--M", BIG, "--N", BIG, "--alpha", "0", "--beta", "0", "--gamma", "0", "--delta", "0"],
      "upper is not a finite number: inf"),
     # Sizes beyond float range, refused by the size rule before any float conversion.
     (["bound", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
     (["opnorm", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
-    (["sweep", "--M-ladder", HUGE, "--tuple", "2,2,2,2"], "dimensions must fit in a float, got M of 1329 bits"),
+    (["sweep", "--M-ladder", HUGE, "--rtuple", "0.5,0.5,0.5,0.5"],
+     "dimensions must fit in a float, got M of 1329 bits"),
     (["extremal", "--kind", "ones", "--M", HUGE, "--N", "1"], "dimensions must fit in a float, got M of 1329 bits"),
     (["nonortho-check", "--sizes", HUGE], "dimensions must fit in a float, got M of 1329 bits"),
     (["chirp-check", "--M-ladder", f"8,{HUGE}", "--xs", "0.01"],
@@ -446,29 +450,31 @@ BIG = "1" + "0" * 300
     (["eval", "--Kx", BIG, "--Ky", BIG],
      f"a {BIG} x {BIG} grid needs 1.49e+592 GiB of samples, above the limit of 16 GiB"),
     # Every list value is read by one rule: a bad entry or count names the flag and quotes the value.
-    (["sweep", "--M-ladder", "2,x", "--tuple", "2,2,2,2"], "bad --M-ladder value '2,x'"),
-    (["sweep", "--M-ladder", "2:x", "--tuple", "2,2,2,2"], "bad --M-ladder value '2:x'"),
-    (["sweep", "--M-ladder", "2:4:8", "--tuple", "2,2,2,2"], "bad --M-ladder value '2:4:8'"),
-    (["sweep", "--M-ladder", "2,4", "--N-ladder", "1,y", "--tuple", "2,2,2,2"], "bad --N-ladder value '1,y'"),
+    (["sweep", "--M-ladder", "2,x", "--rtuple", "0.5,0.5,0.5,0.5"], "bad --M-ladder value '2,x'"),
+    (["sweep", "--M-ladder", "2:x", "--rtuple", "0.5,0.5,0.5,0.5"], "bad --M-ladder value '2:x'"),
+    (["sweep", "--M-ladder", "2:4:8", "--rtuple", "0.5,0.5,0.5,0.5"], "bad --M-ladder value '2:4:8'"),
+    (["sweep", "--M-ladder", "2,4", "--N-ladder", "1,y", "--rtuple", "0.5,0.5,0.5,0.5"], "bad --N-ladder value '1,y'"),
     (["nonortho-check", "--sizes", "2,3x"], "bad --sizes value '2,3x'"),
     (["chirp-check", "--M-ladder", "8:16", "--xs", "0.1,y"], "bad --xs value '0.1,y'"),
-    (["sweep", "--M-ladder", "2", "--tuple", "2,2,x,2"], "bad --tuple value '2,2,x,2'"),
+    (["sweep", "--M-ladder", "2", "--rtuple", "2,2,x,2"], "bad --rtuple value '2,2,x,2'"),
     (["sweep", "--M-ladder", "2", "--rtuple", "0.5,x,0.5,0.5"], "bad --rtuple value '0.5,x,0.5,0.5'"),
     (["sweep", "--M-ladder", "2", "--rtuple", "0.5,0.5,0.5"], "bad --rtuple value '0.5,0.5,0.5'"),
+    # A value that starts with '-' and a digit is a value, so the exponent rule judges it.
+    (["sweep", "--M-ladder", "2", "--rtuple", "-0.5,0.5,0.5,0.5"], "alpha must lie in [0, 1], got -0.5"),
 ], ids=["chirp-eta-zero", "chirp-eta-negative", "chirp-M-zero", "chirp-ladder-from-zero",
         "chirp-ladder-descending", "chirp-eta-past-window", "sweep-ladder-from-zero", "sweep-N-ladder-from-zero",
         "nonortho-ladder-from-negative", "chirp-one-distinct-M",
         "eval-Kx-Ky-zero", "eval-Kx-alone", "extremal-ones-M-zero", "extremal-row-N-zero",
         "chirp-xs-nan", "chirp-xs-inf", "chirp-xs-overflow", "chirp-xs-no-fraction-bits",
         "nonortho-size-negative",
-        "nonortho-size-zero-after-valid", "bound-M-zero", "bound-p-nan", "opnorm-seed-negative",
+        "nonortho-size-zero-after-valid", "bound-M-zero", "bound-alpha-nan", "opnorm-seed-negative",
         "sweep-seed-negative", "nonortho-seed-negative", "opnorm-grid-too-large", "eval-grid-too-large",
         "opnorm-grid-1e8-too-large", "opnorm-default-grid-too-large", "opnorm-grid-below-matrix",
         "norm-refine-check-odd-grid", "bound-upper-overflow", "bound-M-huge", "opnorm-M-huge",
         "sweep-M-huge", "extremal-ones-M-huge", "nonortho-size-huge", "chirp-M-huge", "extremal-ones-M-N-big",
         "eval-Kx-Ky-big", "sweep-M-ladder-bad-entry", "sweep-M-ladder-bad-hi", "sweep-M-ladder-three-bounds",
         "sweep-N-ladder-bad-entry", "nonortho-sizes-bad-entry", "chirp-xs-bad-entry", "sweep-tuple-bad-entry",
-        "sweep-rtuple-bad-entry", "sweep-rtuple-three-values"])
+        "sweep-rtuple-bad-entry", "sweep-rtuple-three-values", "sweep-rtuple-negative"])
 def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, capsys):
     if argv[0] == "eval":
         argv = [*argv, "--matrix", str(matrix_file[0])]
@@ -479,6 +485,44 @@ def test_bad_input_fails_with_one_line(argv, message, matrix_file, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# Each spelling the reciprocal flags and --out replaced, including the prefixes
+# of --restarts, --seed and --row that argparse would otherwise expand.
+@pytest.mark.parametrize("argv", [
+    ["opnorm", "--M", "2", "--N", "2", "--r", "4"],
+    ["opnorm", "--M", "2", "--N", "2", "--s", "3"],
+    ["extremal", "--kind", "unit", "--M", "8", "--N", "8", "--r", "4"],
+    ["bound", "--M", "2", "--N", "2", "--p", "1"],
+    ["sweep", "--M-ladder", "2", "--tuple", "2,2,2,2"],
+    ["opnorm", "--M", "2", "--N", "2", "--jsonl", "x"],
+], ids=["opnorm-r", "opnorm-s", "extremal-r", "bound-p", "sweep-tuple", "opnorm-jsonl"])
+def test_removed_exponent_and_report_flags_are_unrecognized(argv, tmp_path, monkeypatch, capsys):
+    calls = []
+    for module, name in [(cli, "estimate"), (opnorm, "estimate"), (cli, "unit_sharpness"),
+                         (cli, "upper_bound_magnitude")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"\nerror: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_negative_zero_is_zero(tmp_path, capsys):
+    # 0 is how an infinite exponent is given, and -0 gives the same bytes.
+    outputs = []
+    for text in ("0", "-0"):
+        csv_path = tmp_path / f"{text}.csv"
+        assert main(["bound", "--M", "4", "--N", "4", "--alpha", text]) == 0
+        assert main(["opnorm", "--M", "2", "--N", "2", "--restarts", "1", "--max-iters", "1",
+                     "--alpha", text, "--csv", str(csv_path)]) == 0
+        outputs.append((capsys.readouterr().out, csv_path.read_text()))
+    assert outputs[0] == outputs[1]
+    assert "-0.0" not in outputs[1][0] + outputs[1][1]
 
 
 def test_sweep_refuses_a_bad_rung_before_any_search(monkeypatch, capsys):
@@ -494,12 +538,13 @@ def test_sweep_refuses_a_bad_rung_before_any_search(monkeypatch, capsys):
 def test_norm_refuses_a_non_finite_value_before_any_output(tmp_path, capsys):
     matrix_path, out_path = tmp_path / "huge.json", tmp_path / "norm.json"
     save_matrix(matrix_path, CoefficientMatrix(2, 1, np.full((2, 1), 1e308 + 0j)))
-    with pytest.warns(RuntimeWarning):  # numpy's overflow warnings; on stderr they precede the error
-        assert main(["norm", "--matrix", str(matrix_path), "--p", "1", "--out", str(out_path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would raise here
+        assert main(["norm", "--matrix", str(matrix_path), "--alpha", "1", "--out", str(out_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert not out_path.exists()
-    assert captured.err.splitlines()[-1] == "error: lpq is not a finite number: inf"
+    assert captured.err == "error: lpq is not a finite number: inf\n"
 
 
 def breach_sandwich(report):
@@ -554,7 +599,7 @@ def test_refine_check_warning_is_one_fixed_line(tmp_path, matrix_file, capsys):
     path, _ = matrix_file
     grid_path = tmp_path / "grid.json"
     assert main(["eval", "--matrix", str(path), "--out", str(grid_path), "--Kx", "8", "--Ky", "8"]) == 0
-    argv = ["norm", "--grid", str(grid_path), "--refine-check", "--r", "3"]
+    argv = ["norm", "--grid", str(grid_path), "--refine-check", "--gamma", repr(1 / 3)]
     # In process the warning still goes through warnings.warn, and main
     # leaves the warnings module as it found it.
     format_warning = warnings.formatwarning

@@ -354,7 +354,7 @@ def test_dirichlet_report_for_random_exponents():
 def test_ones_matrix_saturates_sup_over_l1():
     # r = s = infinity, p = q = 1: sup |T D| = MN is attained at the origin
     # and l^{1,1} of D is MN, so the observed ratio is exactly one.
-    e = MixedExponents.from_exponents(p=1, q=1, r=math.inf, s=math.inf)
+    e = MixedExponents(1.0, 1.0, 0.0, 0.0)
     report = verify_dirichlet_lower(OnesD(), 8, 8, e)
     assert report.observed == pytest.approx(1.0, abs=1e-9)
     assert report.lower == pytest.approx(SIN1**2, rel=1e-15)

@@ -23,7 +23,6 @@ from mnlab.opnorm import (
     objective,
     sharpness_sweep,
     write_reports_csv,
-    write_reports_jsonl,
 )
 from mnlab.trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_adjoint
 
@@ -599,19 +598,6 @@ def test_sharpness_sweep_order_and_validation():
     assert [(r.M, r.N) for r in reports] == [(1, 1), (2, 2), (1, 1), (2, 2)]
     with pytest.raises(ValueError):
         sharpness_sweep([1, 2], [1], e_list, cfg)
-
-
-def test_jsonl_round_trip(tmp_path):
-    cfg = SearchConfig(restarts=1, max_iters=1)
-    reports = [estimate(2, 2, E2222, cfg), estimate(2, 2, SUP_OVER_L1, cfg)]
-    path = tmp_path / "reports.jsonl"
-    write_reports_jsonl(path, reports)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    for line, report in zip(lines, reports):
-        parsed = json.loads(line)
-        assert parsed == json.loads(json.dumps(report.to_json_dict()))
-        assert list(parsed) == sorted(parsed)
 
 
 def test_csv_layout_and_float_round_trip(tmp_path):
