@@ -17,16 +17,16 @@ the smaller rows' grids, which fit in cache, hide.
   these five rows also give ``peak_bytes``, the tracemalloc peak of one
   separate untimed call: the working memory it allocates above what it was
   handed (numpy reports its buffers to tracemalloc);
-* ``gradient``: one ``opnorm._adjoint_gradient``, handed what the ascent
-  has from its accepted trial: the trial's record (``opnorm._evaluate``,
-  its samples and both norms with their reductions);
+* ``gradient``: the ascent step's pull-back ``opnorm._adjoint_gradient``
+  and dual map ``opnorm._dual_map``, handed what the ascent has from its
+  accepted step: the step's record (``opnorm._evaluate``, its samples and
+  the L^{r,s} norm with its reductions);
 * ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
-  the start's value, one gradient and the line-search trials up to the
-  first accepted step;
-* ``ascent``: ``opnorm._ascend`` with max_iters=10 from the same start, so
-  that the later steps' line searches count too; its entry also gives
-  ``evaluations``, the objective evaluations of one call, counted in a
-  separate untimed call;
+  the start's value and one step (gradient, dual map, synthesis and
+  evaluation);
+* ``ascent``: ``opnorm._ascend`` with max_iters=10 from the same start; its
+  entry also gives ``evaluations``, the objective evaluations of one call,
+  counted in a separate untimed call;
 * ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7);
 * ``estimate_closed``: ``estimate`` at the same config on l^1 -> L^inf,
   (p, q, r, s) = (1, 1, inf, inf), whose bound 1.0 the unit start attains,
@@ -82,9 +82,10 @@ def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
 
 
 def _gradient_call(entries: np.ndarray, plan: EvalPlan):
-    """One adjoint gradient at `entries`, handed the trial record the ascent keeps."""
+    """One pulled-back gradient and its dual map at `entries`, handed the step record the ascent keeps."""
     samples = eval_sum(CoefficientMatrix(*entries.shape, entries), plan).samples
-    return functools.partial(opnorm._adjoint_gradient, opnorm._evaluate(entries, samples, EXPONENTS))
+    trial = opnorm._evaluate(entries, samples, EXPONENTS)
+    return lambda: opnorm._dual_map(opnorm._adjoint_gradient(trial), EXPONENTS)
 
 
 def _layer_calls(M: int, workdir: Path) -> dict:

@@ -66,9 +66,8 @@ class _Parser(argparse.ArgumentParser):
         # No mnlab flag looks like a number, so -0.1,0.2 or -.5 is a value, not a flag.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
-    # Flag mistakes are validation errors: exit status 1, not argparse's 2.
+    # Flag mistakes are validation errors: one line and exit status 1, not argparse's usage and 2.
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise SystemExit(_fail(message))
 
 

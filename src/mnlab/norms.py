@@ -214,7 +214,7 @@ def _overflowed(value: float) -> float:
 
     A norm of finite values is NaN only where a modulus or an inner norm
     overflowed to inf and the outer reduction divided it by itself.  The
-    search's trials skip the finiteness checks, so MixedNorm keeps its NaN.
+    search's steps skip the finiteness checks, so MixedNorm keeps its NaN.
     """
     return np.inf if value != value else value
 

@@ -1,42 +1,48 @@
 """Bracketing the operator norm sup ||T A||_{L^{r,s}} / ||A||_{l^{p,q}}.
 
 The true value is squeezed between the best certified extremizer lower bound
-and the growth-bound upper bound; a multi-start gradient ascent over the 2MN
-real parameters of A reports the best ratio it can actually reach.  The
+and the growth-bound upper bound; a multi-start ascent over the 2MN real
+parameters of A reports the best ratio it can actually reach.  The
 searched value is a lower bound for the sup by construction and is never
 claimed exact.
 
-The ascent uses the closed-form (adjoint) gradient of f(A) = L(TA) / P(A),
-with L the grid L^{r,s} norm and P the l^{p,q} norm:
+The ascent is Boyd's power iteration for mixed-norm operator norms (Boyd
+1974; Higham 1992).  With N(x) = L(T x), L the grid L^{r,s} norm, one step
+is
 
-    grad f = (T*(dL/d|S| * S/|S|) - f * dP/d|A| * A/|A|) / P(A),
+    x <- D(T* grad L(T x)),
 
-where S = TA is the zero-padded inverse FFT of A and the adjoint T* is the
-forward FFT cropped to the first M x N frequencies (`trigsum.synthesize` and
-`synthesize_adjoint`, both pruned).  Each line-search trial costs one
-synthesis and one evaluation, which keeps its samples and both mixed norms
-with their inner reductions (`norms.MixedNorm`); the accepted trial's record
-feeds the next gradient, which then costs the two dual weights, the two
-phases and one adjoint.  `estimate` checks its grid once, as an EvalPlan
-that holds the matrix, before it builds any start.  Each start is checked
-once, as a CoefficientMatrix evaluated on that plan; the trials run on raw
-arrays and only check that the value is defined and finite.  Infinite
-exponents take the one-hot subgradient at the first argmax, and zero
-entries get weight 0, which is what central differences give there.
+where S = T x is the zero-padded inverse FFT of x and the adjoint T* is the
+forward FFT cropped to the first M x N frequencies (`trigsum.synthesize`
+and `synthesize_adjoint`, both pruned).  D is the l^{p,q} dual map: D(g)
+takes the phase of g, and its moduli are the gradient of the dual norm
+||.||_{p',q'} at |g|, so ||D(g)||_{p,q} = 1 and Re<g, D(g)> = ||g||_{p',q'}.
+N is convex and 1-homogeneous, so N(D(g)) >= Re<grad N(x), D(g)> >=
+Re<grad N(x), x> / ||x||_{p,q} = N(x) / ||x||_{p,q}: in exact arithmetic a
+step never lowers the ratio, and no line search is needed.  Each step costs
+one adjoint, one synthesis and one evaluation, which keeps the samples and
+their L^{r,s} norm with its inner reductions (`norms.MixedNorm`) for the
+next step's gradient.  On the benchmark's `search`
+pass that is 466 evaluations and 403 adjoints.  `estimate` checks its grid
+once, as an EvalPlan that holds the matrix, before it builds any start.
+Each start is checked once, as a CoefficientMatrix evaluated on that plan;
+the steps run on raw arrays and only check that the value is defined and
+finite.  Infinite exponents take the one-hot subgradient at the first
+argmax.
 
-Depending on the exponents and the size, the unit, ones, column and row warm
-starts can be exact critical points of f, where the gradient vanishes to
-roundoff (for example the unit start whenever r and s are finite).  Where
-its norm is at most SADDLE_TOL the ascent tries a fixed, seed-independent
-direction instead, less its components along A and iA, which never change f.
-Each step's length comes from the line search, whose rule `_line_search`'s
-docstring states.  A restart stops when no length on its ladder improves or
-after max_iters steps.  Since only strict improvements are accepted, a
-start that is a local maximum stays put.
+A step that does not strictly improve is retried once from the iterate
+nudged along a fixed direction (`_nudge`, the same for every seed); if the
+retry does not strictly improve either, the restart ends.  It also ends
+after max_iters accepted steps.  Depending on the exponents and
+the size, the unit, ones, column and row warm starts can be exact critical
+points of the ratio and so fixed points of the step (the unit start
+whenever r and s are finite).  Where such a point is a saddle, the retry
+leaves it, so what the warm starts reach does not hang on the random
+starts.
 
 The search stops once the bracket closes: with target = upper / (1 +
 3*GRID_TOL), the sandwich check's own slack, an ascent stops before its
-next gradient once its value reaches the target, and `estimate` visits no
+next step once its value reaches the target, and `estimate` visits no
 start after the first that does.  Where the bound is attained at the unit
 start (l^1 -> L^inf, l^2 -> L^2, every 1 x 1 matrix) the whole search is one
 evaluation.
@@ -49,7 +55,6 @@ column order is CSV_COLUMNS.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,15 +72,8 @@ from .trigsum import EvalPlan, default_grid, eval_sum, synthesize, synthesize_ad
 # values against certified bounds; the sandwich checks allow 3x this slack.
 GRID_TOL = 1e-4
 
-# Gradient norm (at unit Frobenius norm of A) below which an iterate counts as
-# a critical point; roundoff leaves about 1e-16 at the critical warm starts.
-SADDLE_TOL = 1e-10
-
-# The line search's ladder of lengths FIRST_STEP / 2^k >= STEP_TOL.  A start's
-# first step tries FIRST_STEP, each later one twice the last accepted length;
-# a start stops when no length on the ladder improves.
-FIRST_STEP = 0.25
-STEP_TOL = 1e-9
+# The smallest normal float, looked up once: np.finfo costs a microsecond a call.
+_TINY = np.finfo(float).tiny
 
 CSV_COLUMNS = [
     "M", "N", "alpha", "beta", "gamma", "delta", "theta", "phi_or_blank",
@@ -152,16 +150,14 @@ def objective(A: CoefficientMatrix, e: MixedExponents, plan: EvalPlan) -> float:
 
 
 class _Trial(NamedTuple):
-    """The objective at `entries`, whose synthesis is `samples`, and the two norms behind it.
+    """The objective at `entries`, whose synthesis is `samples`, and the L^{r,s} norm behind it.
 
-    The gradient at this point reuses the reductions kept in `lpq` (of
-    |entries|) and `lrs` (of |samples|).
+    The gradient at this point reuses the reductions kept in `lrs` (of |samples|).
     """
 
     entries: np.ndarray
     samples: np.ndarray
     value: float
-    lpq: MixedNorm
     lrs: MixedNorm
 
 
@@ -178,7 +174,7 @@ def _evaluate(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> _T
     value = lrs.value / lpq.value
     if not math.isfinite(value):
         raise ValueError(f"objective is not finite: {value!r}")
-    return _Trial(entries, samples, value, lpq, lrs)
+    return _Trial(entries, samples, value, lrs)
 
 
 # ----------------------------------------------------------------------------
@@ -187,104 +183,76 @@ def _evaluate(entries: np.ndarray, samples: np.ndarray, e: MixedExponents) -> _T
 
 
 def _phase(z: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """z / |z|, and 0 where z = 0, given modulus = |z|."""
-    return np.divide(z, modulus, out=np.zeros_like(z), where=modulus > 0.0)
+    """z / |z|, given modulus = |z|; 0 where |z| is 0 or subnormal (numpy's complex division overflows there)."""
+    return np.divide(z, modulus, out=np.zeros_like(z), where=modulus >= _TINY)
 
 
 def _adjoint_gradient(trial: _Trial) -> np.ndarray:
-    """Gradient of the objective at the trial's entries, as d/dRe + i d/dIm of its 2MN real parameters."""
-    M, N = trial.entries.shape
-    lrs, lpq = trial.lrs, trial.lpq
-    pulled_back = synthesize_adjoint(lrs.gradient() * _phase(trial.samples, lrs.a), M, N)
-    return (pulled_back - trial.value * lpq.gradient() * _phase(trial.entries, lpq.a)) / lpq.value
+    """Gradient of ||T x||_{L^{r,s}} at the trial's entries x, as d/dRe + i d/dIm of its 2MN real parameters."""
+    lrs = trial.lrs
+    return synthesize_adjoint(lrs.gradient() * _phase(trial.samples, lrs.a), *trial.entries.shape)
 
 
-def _escape_direction(entries: np.ndarray) -> np.ndarray:
-    """The fixed direction tried at a critical point; it does not depend on any seed.
+def _dual_map(g: np.ndarray, e: MixedExponents) -> np.ndarray:
+    """D(g): the x of unit l^{p,q} norm that maximizes Re<g, x>, with Re<g, x> = ||g||_{p',q'}.
 
-    Its components along `entries` (of unit Frobenius norm) and i * `entries`
-    are removed: the objective is invariant under scaling and a global phase,
-    so those never change it.  For a 1 x 1 matrix nothing is left, and the
-    ascent stops.
+    x takes the phase of g, and |x| is the gradient of the dual norm
+    ||.||_{p',q'} at |g|: one-hot at each column's first argmax where p = 1,
+    flat where p = infinity.  Weights below the smallest normal float are
+    flushed to 0, so no entry of x is subnormal.
     """
-    parts = np.random.default_rng(0).standard_normal((*entries.shape, 2))
-    direction = parts[:, :, 0] + 1j * parts[:, :, 1]
-    return direction - np.vdot(entries, direction) * entries
+    modulus = np.abs(g)
+    weights = MixedNorm.of(modulus, 1.0 - e.alpha, 1.0 - e.beta, mean=False).gradient()
+    weights[weights < _TINY] = 0.0
+    return weights * _phase(g, modulus)
 
 
 def _ascend(
     start: np.ndarray, e: MixedExponents, plan: EvalPlan, cfg: SearchConfig, target: float = math.inf
 ) -> tuple[float, list[float]]:
-    """Backtracking gradient ascent from one start; returns (best value, history).
+    """Boyd's power iteration from one start; returns (best value, history).
 
-    The history of accepted objective values is non-decreasing by
-    construction.  The iterate stays normalized (the objective is
-    scale-invariant), and a restart stops when no step of at least STEP_TOL
-    improves the value, or before the next gradient once the value reaches
-    `target`.  The start is checked once, by eval_sum on `plan`; the trials
-    run on raw arrays, and each gradient reuses the accepted trial's norms.
+    Each step is x <- D(T* grad L(T x)): one adjoint, one dual map, one
+    synthesis and one evaluation.  The history of accepted objective values
+    is strictly increasing.  A step that does not strictly improve is
+    retried from x + _nudge(x), at two more evaluations and one more
+    adjoint; the restart stops when the retry does not strictly improve
+    either, after max_iters accepted steps, or before its next step once the
+    value reaches `target`.  The start is checked once, by eval_sum on `plan`; the steps
+    run on raw arrays.
     """
+    def step(trial: _Trial) -> _Trial:
+        entries = _dual_map(_adjoint_gradient(trial), e)
+        return _evaluate(entries, synthesize(entries, *plan), e)
+
     entries = start / np.linalg.norm(start)
     samples = eval_sum(CoefficientMatrix(*entries.shape, entries), plan).samples
     current = _evaluate(entries, samples, e)
     history = [current.value]
-    last = FIRST_STEP / 2.0  # so that the first step tries FIRST_STEP
     for _ in range(cfg.max_iters):
         if current.value >= target:
             break
-        grad = _adjoint_gradient(current)
-        norm = float(np.linalg.norm(grad))
-        if norm <= SADDLE_TOL:
-            grad = _escape_direction(current.entries)
-            norm = float(np.linalg.norm(grad))
-            if norm <= SADDLE_TOL:
+        trial = step(current)
+        if not trial.value > current.value:
+            nudged = current.entries + _nudge(current.entries)
+            trial = step(_evaluate(nudged, synthesize(nudged, *plan), e))
+            if not trial.value > current.value:
                 break
-        accepted = _line_search(current, grad / norm, e, plan, last)
-        if accepted is None:
-            break
-        current, last = accepted
+        current = trial
         history.append(current.value)
     return current.value, history
 
 
-def _ladder(top: float) -> Iterator[float]:
-    """The line search's steps from `top` down by halves, while at least STEP_TOL."""
-    while top >= STEP_TOL:
-        yield top
-        top /= 2.0
+def _nudge(entries: np.ndarray) -> np.ndarray:
+    """A fixed direction, the same for every seed, of Frobenius norm sqrt(eps) times that of `entries`.
 
-
-def _line_search(
-    current: _Trial, direction: np.ndarray, e: MixedExponents, plan: EvalPlan, last: float
-) -> "tuple[_Trial, float] | None":
-    """An improving trial along `direction` and its step, or None if no step on the ladder improves.
-
-    The first trial is at twice the last accepted step (at most FIRST_STEP).
-    If it improves, the step doubles while the longer step still improves;
-    if not, it halves until a trial improves, and only if none down to
-    STEP_TOL does are the untried longer steps tried, top down.  So it
-    returns None exactly when no step on the ladder improves, and wherever
-    the improving steps form an interval it accepts the longest one, as a
-    top-down search from FIRST_STEP does.
+    Standard normals from seed 0: small enough to leave a local maximum's
+    value in place up to roundoff, large enough that a saddle's unstable
+    direction grows out of it within a few steps.
     """
-    def improves(step: float) -> "_Trial | None":
-        entries = current.entries + step * direction
-        entries /= np.linalg.norm(entries)
-        trial = _evaluate(entries, synthesize(entries, *plan), e)
-        return trial if trial.value > current.value else None
-
-    first = min(FIRST_STEP, 2.0 * last)
-    best = improves(first)
-    if best is not None:
-        step = first
-        while step < FIRST_STEP and (longer := improves(2.0 * step)) is not None:
-            best, step = longer, 2.0 * step
-        return best, step
-    longer_steps = itertools.takewhile(lambda step: step > first, _ladder(FIRST_STEP))
-    for step in itertools.chain(_ladder(first / 2.0), longer_steps):
-        if (trial := improves(step)) is not None:
-            return trial, step
-    return None
+    parts = np.random.default_rng(0).standard_normal((*entries.shape, 2))
+    direction = parts[:, :, 0] + 1j * parts[:, :, 1]
+    return direction * (np.sqrt(np.finfo(float).eps) * np.linalg.norm(entries) / np.linalg.norm(direction))
 
 
 def _start_matrices(M: int, N: int, cfg: SearchConfig) -> Iterator[np.ndarray]:

@@ -1,23 +1,28 @@
 """Tests for the operator-ratio objective, ascent search, and report plumbing."""
 
 import csv
+import importlib.util
 import json
+import math
+import sys
 import tracemalloc
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mnlab import norms, opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
-from mnlab.extremizers import KINDS, ColumnC, RowR, UnitE, build
+from mnlab.extremizers import KINDS, UnitE, build
 from mnlab.norms import CoefficientMatrix, lpq_norm, lrs_norm
 from mnlab.opnorm import (
     CSV_COLUMNS,
     SearchConfig,
     _adjoint_gradient,
     _ascend,
-    _escape_direction,
+    _dual_map,
     _evaluate,
     estimate,
     objective,
@@ -74,7 +79,7 @@ def test_objective_rejects_zero_matrix():
 
 
 def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
-    # Every value the ascent computes, at its start and at each trial, is
+    # Every value the ascent computes, at its start and at each step, is
     # what objective() returns for the same entries, and what the public
     # norms of the public evaluator give.
     seen = []
@@ -96,12 +101,12 @@ def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
             A = CoefficientMatrix(3, 2, entries)
             assert objective(A, e, grid).hex() == value.hex()
             assert (lrs_norm(eval_sum(A, grid), e) / lpq_norm(A, e)).hex() == value.hex()
-        assert len(ascent) > 3
+        assert len(ascent) >= 3  # the start and at least two steps
         seen.clear()
 
 
 def test_trial_ratio_rejects_undefined_and_non_finite_values():
-    # The ascent's trials skip the matrix and grid checks; this one scalar
+    # The ascent's steps skip the matrix and grid checks; this one scalar
     # check is what stands in for them.
     entries = np.ones((2, 3), dtype=complex)
     samples = synthesize(entries, 16, 16)
@@ -162,7 +167,7 @@ def test_estimate_is_deterministic():
 
 def test_search_report_repeats_bit_for_bit():
     # The same config twice gives the same report, also where the unit and
-    # row starts leave their critical points along the escape direction.
+    # row starts are fixed points of the iteration.
     e = MixedExponents(0.5, 0.5, 0.25, 0.25)
     cfg = SearchConfig(restarts=2, max_iters=4, seed=3)
     first = estimate(3, 2, e, cfg)
@@ -175,23 +180,17 @@ def adjoint_gradient(entries, e, grid):
 
 
 def from_scratch_gradient(entries, samples, e):
-    """The adjoint gradient, every reduction redone from |entries| and |samples|."""
-    def norm_and_weights(a, inner, outer, mean):
-        inner_values = norms._reduce(a, inner, mean)
-        value = norms._reduce(inner_values, outer, mean)
-        weights = norms._reduce_gradient(a, inner_values, inner, mean) * norms._reduce_gradient(
-            inner_values, value, outer, mean)
-        return float(value), weights
-
-    M, N = entries.shape
-    lrs, lrs_weights = norm_and_weights(np.abs(samples), e.gamma, e.delta, True)
-    lpq, lpq_weights = norm_and_weights(np.abs(entries), e.alpha, e.beta, False)
-    pulled_back = synthesize_adjoint(lrs_weights * opnorm._phase(samples, np.abs(samples)), M, N)
-    return (pulled_back - (lrs / lpq) * lpq_weights * opnorm._phase(entries, np.abs(entries))) / lpq
+    """The pulled-back L^{r,s} gradient, every reduction redone from |samples|."""
+    a = np.abs(samples)
+    inner_values = norms._reduce(a, e.gamma, True)
+    value = norms._reduce(inner_values, e.delta, True)
+    weights = norms._reduce_gradient(a, inner_values, e.gamma, True) * norms._reduce_gradient(
+        inner_values, value, e.delta, True)
+    return synthesize_adjoint(weights * opnorm._phase(samples, a), *entries.shape)
 
 
 def fd_gradient(entries, e, grid):
-    """Central finite differences on the 2MN real parameters: the gradient oracle."""
+    """Central finite differences of ||T x||_{L^{r,s}} on the 2MN real parameters: the gradient oracle."""
     h = 1e-5 * float(np.linalg.norm(entries))
     M, N = entries.shape
     grad = np.zeros((M, N), dtype=complex)
@@ -202,8 +201,8 @@ def fd_gradient(entries, e, grid):
                 plus[m, n] += bump
                 minus = entries.copy()
                 minus[m, n] -= bump
-                slope = (objective(CoefficientMatrix(M, N, plus), e, grid)
-                         - objective(CoefficientMatrix(M, N, minus), e, grid)) / (2.0 * h)
+                slope = (lrs_norm(eval_sum(CoefficientMatrix(M, N, plus), grid), e)
+                         - lrs_norm(eval_sum(CoefficientMatrix(M, N, minus), grid), e)) / (2.0 * h)
                 grad[m, n] += slope * bump / h
     return grad
 
@@ -245,27 +244,71 @@ def test_gradient_from_the_trial_record_equals_the_from_scratch_gradient(e, M, N
                               from_scratch_gradient(entries, samples, e))
 
 
-def test_adjoint_gradient_matches_central_differences_at_zero_entries_for_p_one():
-    # |a| has a kink at 0 when p = 1: central differences see no l^{p,q}
-    # slope there, and the adjoint gradient gives those entries weight 0.
-    rng = np.random.default_rng(9)
-    entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    entries[[0, 1, 2], [1, 3, 0]] = 0.0
-    e = MixedExponents(1.0, 0.5, 0.25, 0.5)
-    grid = EvalPlan(24, 32)
-    oracle = fd_gradient(entries, e, grid)
-    error = np.linalg.norm(adjoint_gradient(entries, e, grid) - oracle)
-    assert error <= 1e-6 * np.linalg.norm(oracle)
+def conjugate(recip):
+    """The exponent dual to the one with reciprocal `recip`: 1/(1 - recip), inf at recip = 1."""
+    return math.inf if recip == 1.0 else 1.0 / (1.0 - recip)
+
+
+def mixed_norm(a, p, q):
+    """||a||_{p,q}: the l^p norm down each column, then the l^q norm of those."""
+    return float(np.linalg.norm(np.linalg.norm(a, ord=p, axis=0), ord=q))
+
+
+DUAL_PAIRS = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5), (0.25, 0.8), (0.9, 0.1), (0.7, 0.35)]
+
+
+@pytest.mark.parametrize("alpha,beta", DUAL_PAIRS)
+def test_dual_map_meets_hoelders_equality(alpha, beta):
+    # D(g) is in the unit sphere of l^{p,q} and attains Re<g, x> = ||g||_{p',q'}
+    # there, both by numpy's own vector norms.
+    e = MixedExponents(alpha, beta, 0.5, 0.5)
+    p, q = (math.inf if recip == 0.0 else 1.0 / recip for recip in (alpha, beta))
+    rng = np.random.default_rng(12)
+    for M, N in [(1, 1), (3, 4), (5, 2), (8, 8)]:
+        g = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
+        x = _dual_map(g, e)
+        assert mixed_norm(x, p, q) == pytest.approx(1.0, rel=1e-12)
+        dual = mixed_norm(g, conjugate(alpha), conjugate(beta))
+        assert np.vdot(g, x).real == pytest.approx(dual, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.999, 1.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+def test_dual_map_of_subnormal_entries_is_finite_and_normal(alpha, beta):
+    # A subnormal modulus would overflow numpy's complex division; D's
+    # phases treat it as 0, and D flushes its own subnormal weights to 0.
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    g[0, 1], g[2, 2] = 3e-310 + 1e-310j, 5e-324
+    g[:, 0] = [1.0, 0.49j, 0.2, -2e-315j]  # 0.49^999 is subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _dual_map(g, MixedExponents(alpha, beta, 0.5, 0.5))
+    modulus = np.abs(x)
+    assert np.isfinite(x).all()
+    assert ((modulus == 0.0) | (modulus >= np.finfo(float).tiny)).all()
+
+
+@pytest.mark.parametrize("alpha", [0.999, 1.0])
+def test_ascent_near_p_one_stays_finite(alpha):
+    # There D's power (|g| / t)^(p' - 1) underflows on most entries.
+    rng = np.random.default_rng(14)
+    for M, N in [(2, 3), (4, 4), (8, 5)]:
+        for beta, gamma, delta in rng.uniform(0.0, 1.0, (3, 3)):
+            e = MixedExponents(alpha, float(beta), float(gamma), float(delta))
+            for start in opnorm._start_matrices(M, N, SearchConfig(restarts=2, seed=int(M))):
+                value, history = _ascend(start, e, default_grid(M, N, floor=16), SearchConfig())
+                assert math.isfinite(value) and history == sorted(history)
 
 
 def test_ascent_leaves_the_unit_saddle():
-    # The unit matrix is an exact critical point, where the gradient is
-    # roundoff; the fixed escape direction must still find an improvement.
+    # For finite r and s the unit matrix is an exact critical point and a
+    # fixed point of the step; the step from the nudged unit climbs away.
     start = build(UnitE(), 4, 4).entries
     grid = default_grid(4, 4, floor=16)
-    assert np.linalg.norm(adjoint_gradient(start, INTERIOR, grid)) < 1e-12
+    assert np.array_equal(_dual_map(adjoint_gradient(start, INTERIOR, grid), INTERIOR), start)
     value, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=5))
-    assert value > history[0]
+    assert history[0] == 1.0 and value > 1.01
 
 
 def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
@@ -280,105 +323,138 @@ def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
 
         monkeypatch.setattr(opnorm, name, counting)
 
-    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_evaluate", "_adjoint_gradient"):
+    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_evaluate", "_adjoint_gradient", "_dual_map"):
         count(name)
     rng = np.random.default_rng(5)
     start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     value, history = _ascend(start, INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
-    # Objective evaluations (the start and 14 trials), gradients and the
-    # result; the top-down line search made one trial more for the same
-    # history.
-    assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (15, 10, 11)
-    assert value.hex() == "0x1.46c1cfd9af10ap+0"
+    # Objective evaluations (the start and 10 steps, none of them retried), gradients and the result.
+    assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (11, 10, 11)
+    assert value.hex() == "0x1.4710afd43f611p+0"
     assert counts["eval_sum"] == 1  # the start, checked once
     assert counts["eval_sum"] + counts["synthesize"] == counts["_evaluate"]
-    assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"]
+    assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"] == counts["_dual_map"]
 
 
-def top_down_ascend(start, e, grid, cfg):
-    """The ascent with the line search that restarts every step at FIRST_STEP: the reference."""
-    entries = start / np.linalg.norm(start)
-    current = _evaluate(entries, eval_sum(CoefficientMatrix(*entries.shape, entries), grid).samples, e)
-    history = [current.value]
-    for _ in range(cfg.max_iters):
-        grad = _adjoint_gradient(current)
-        norm = float(np.linalg.norm(grad))
-        if norm <= opnorm.SADDLE_TOL:
-            grad = _escape_direction(current.entries)
-            norm = float(np.linalg.norm(grad))
-            if norm <= opnorm.SADDLE_TOL:
-                break
-        direction = grad / norm
-        step = opnorm.FIRST_STEP
-        while step >= opnorm.STEP_TOL:
-            entries = current.entries + step * direction
-            entries /= np.linalg.norm(entries)
-            trial = _evaluate(entries, synthesize(entries, *grid), e)
-            if trial.value > current.value:
-                current = trial
-                history.append(current.value)
-                break
-            step /= 2.0
-        else:
-            break
-    return current.value, history
+def hoelder_weights(a, inner, outer, mean):
+    """d||a||/d a for the mixed norm of the non-negative array a, from the top down.
+
+    The outer level's weight (u_n / ||u||)^(s - 1) on each column's inner
+    norm u_n comes first, then the inner level's (a_mn / u_n)^(r - 1) within
+    the column; an infinite exponent weighs only the first argmax, and
+    `mean` divides each level by its count.
+    """
+    def level(values, recip, axis):
+        exponent = math.inf if recip == 0.0 else 1.0 / recip
+        count = values.shape[axis] if mean else 1
+        norm = np.linalg.norm(values, ord=exponent, axis=axis, keepdims=True) / count ** recip
+        if recip == 0.0:
+            weight = np.zeros_like(values)
+            np.put_along_axis(weight, np.argmax(values, axis=axis, keepdims=True), 1.0, axis=axis)
+            return norm, weight
+        safe = np.where(norm > 0.0, norm, 1.0)
+        return norm, (values / safe) ** (exponent - 1.0) / count
+
+    columns, inner_weight = level(a, inner, 0)
+    _, outer_weight = level(columns, outer, 1)
+    return outer_weight * inner_weight
+
+
+def top_down_step(entries, e, grid):
+    """The iteration's next matrix from `entries`, each weight from hoelder_weights: the reference."""
+    def phase(z):
+        return np.divide(z, np.abs(z), out=np.zeros_like(z), where=np.abs(z) > 0.0)
+
+    samples = synthesize(entries, *grid)
+    g = synthesize_adjoint(hoelder_weights(np.abs(samples), e.gamma, e.delta, True) * phase(samples),
+                           *entries.shape)
+    return hoelder_weights(np.abs(g), 1.0 - e.alpha, 1.0 - e.beta, False) * phase(g)
 
 
 @pytest.mark.parametrize("M", [2, 4, 8])
 @pytest.mark.parametrize("name", sorted(SEARCH_TUPLES))
-def test_ascent_history_equals_the_top_down_search(name, M):
-    # Starting each step next to the last accepted one changes which trials
-    # are made, not which step is accepted: on the benchmark's tuples, from
-    # every warm start and two seeded random starts, the histories agree bit
-    # for bit.
+def test_ascent_history_equals_the_top_down_search(name, M, monkeypatch):
+    # The ascent's reductions, reused from each step's record, and its dual
+    # map take each level of the mixed norms from the bottom up; the
+    # reference weighs them from the top down.  On the benchmark's tuples,
+    # from every warm start and two seeded random starts, each step, retries
+    # from a nudged matrix included, is the reference's step from the same
+    # matrix, its value is objective()'s there, and the history is made of
+    # those values.  The tolerance is 1e-9: next to a saddle, entries of g
+    # some 1e-9 of its largest carry the FFT's roundoff at about 1e-7
+    # relative, and D's power passes it on; whole histories drift apart
+    # there, as leaving the saddle amplifies it.
+    steps = []
+    gradient, dual_map, evaluate = opnorm._adjoint_gradient, opnorm._dual_map, opnorm._evaluate
+
+    def recording_gradient(trial):
+        steps.append([trial.entries])
+        return gradient(trial)
+
+    def recording_dual_map(g, e):
+        steps[-1].append(dual_map(g, e))
+        return steps[-1][-1]
+
+    def recording_evaluate(entries, samples, e):
+        trial = evaluate(entries, samples, e)
+        if steps and len(steps[-1]) == 2 and entries is steps[-1][1]:
+            steps[-1].append(trial.value)
+        return trial
+
+    monkeypatch.setattr(opnorm, "_adjoint_gradient", recording_gradient)
+    monkeypatch.setattr(opnorm, "_dual_map", recording_dual_map)
+    monkeypatch.setattr(opnorm, "_evaluate", recording_evaluate)
     e = SEARCH_TUPLES[name]
     cfg = SearchConfig(restarts=2, max_iters=10, seed=7)
     grid = default_grid(M, M, floor=16)
     for start in opnorm._start_matrices(M, M, cfg):
+        steps.clear()
         _, history = _ascend(start, e, grid, cfg)
-        _, reference = top_down_ascend(start, e, grid, cfg)
-        assert [value.hex() for value in history] == [value.hex() for value in reference]
-
-
-def test_line_search_falls_back_to_longer_steps_before_stalling():
-    # From this column start a step comes where neither twice the last step
-    # nor any shorter one improves, but a longer one does: without trying the
-    # longer steps the ascent stalls after 12 steps, at 1.0187.
-    e = MixedExponents(0.3549173343096512, 0.790518245853265, 0.9051438366771739, 0.17735319182304865)
-    start = build(ColumnC(), 3, 5).entries
-    grid = default_grid(3, 5, floor=16)
-    cfg = SearchConfig(max_iters=60)
-    _, reference = top_down_ascend(start, e, grid, cfg)
-    assert (reference[-1].hex(), len(reference)) == ((1.1449074246907327).hex(), 61)
-    value, history = _ascend(start, e, grid, cfg)
-    assert value >= 1.144907424
-    assert len(history) == 61
-
-
-def test_escape_direction_skips_scaling_and_phase():
-    # Neither direction changes the objective; a 1 x 1 matrix has no other.
-    entries = build(RowR(), 3, 2).entries
-    entries = entries / np.linalg.norm(entries)
-    assert abs(np.vdot(entries, _escape_direction(entries))) < 1e-12
-    assert np.linalg.norm(_escape_direction(np.array([[0.6 - 0.8j]]))) < 1e-12
+        for before, after, value in steps:
+            reference = top_down_step(before, e, grid)
+            assert np.abs(after - reference).max() <= 1e-9 * np.abs(reference).max()
+            assert value == pytest.approx(objective(CoefficientMatrix(M, M, reference), e, grid), rel=1e-9)
+        assert set(history[1:]) <= {value for _, _, value in steps}
 
 
 def test_one_by_one_ascent_stops_at_once(monkeypatch):
-    # A 1 x 1 matrix is a critical point whose escape direction is empty: one
-    # evaluation and one gradient, then the ascent stops at the ratio 1.
+    # A 1 x 1 matrix is a fixed point of the step, also once nudged: the
+    # start, a step and its retry from the nudged start (two evaluations
+    # each), none of which improves, and the ascent stops at the ratio 1.
     counts = count_search_calls(monkeypatch)
     rng = np.random.default_rng(10)
     for e in (E2222, SUP_OVER_L1, INTERIOR, MixedExponents(*rng.uniform(0.0, 1.0, size=4))):
         counts.clear()
         assert _ascend(np.ones((1, 1)), e, EvalPlan(16, 16), SearchConfig()) == (1.0, [1.0])
-        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 1)
+        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (4, 2)
+
+
+def test_warm_starts_alone_meet_the_benchmark_floors(monkeypatch):
+    # perfbench's search floors are what the five warm starts reach on their
+    # own, so that every seed's report meets them; here, where the unit,
+    # ones, column and row starts are fixed points of the step, the nudged
+    # retries carry them.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    cfg = SearchConfig(restarts=1, max_iters=10)
+    for M in workloads.SEARCH_SIZES:
+        grid = default_grid(M, M, floor=16)
+        for name, e in workloads.SEARCH_TUPLES:
+            upper = upper_bound_magnitude(M, M, e)
+            target = upper / (1.0 + 3.0 * opnorm.GRID_TOL)
+            best = max(_ascend(build(kind(), M, M).entries, e, grid, cfg, target)[0] for kind in KINDS)
+            floor = workloads.SEARCH_FLOOR[name][M]
+            assert best / upper >= floor * (1.0 - workloads.SEARCH_MARGIN), (name, M, best / upper, floor)
 
 
 def test_ascent_history_is_monotone():
     rng = np.random.default_rng(3)
     start = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     value, history = _ascend(start, SUP_OVER_L1, EvalPlan(24, 24), SearchConfig(max_iters=10))
-    assert history == sorted(history)
+    assert all(later > earlier for earlier, later in zip(history, history[1:]))  # strictly
     assert value == history[-1]
     assert value <= upper_bound_magnitude(3, 3, SUP_OVER_L1) * (1 + 3e-4)
 
@@ -389,12 +465,12 @@ def test_ascent_history_is_monotone():
 # The sup-l1 bracket closes at the unit start, whose value is exactly the
 # bound 1.0, so the search stops there.
 GOLDEN_SEARCHED = {
-    ("column-equality", 2): "0x1.1b4f819c2ff81p+0",
-    ("column-equality", 4): "0x1.4b6a277d6a2e6p+0",
+    ("column-equality", 2): "0x1.1b4f819c2ff82p+0",
+    ("column-equality", 4): "0x1.4b6a277d79ec2p+0",
     ("sup-l1", 2): "0x1.0000000000000p+0",
     ("sup-l1", 4): "0x1.0000000000000p+0",
-    ("interior", 2): "0x1.28371e30a727cp+0",
-    ("interior", 4): "0x1.62f5c821f1c82p+0",
+    ("interior", 2): "0x1.284f9f954f3e8p+0",
+    ("interior", 4): "0x1.63c1aa00589ccp+0",
 }
 
 
