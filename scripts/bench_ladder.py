@@ -21,10 +21,10 @@ the smaller rows' grids, which fit in cache, hide.
   and dual map ``opnorm._dual_map``, handed what the ascent has from its
   accepted step: the step's record (``opnorm._evaluate``, its samples and
   the L^{r,s} norm with its reductions);
-* ``ascent_step``: ``opnorm._ascend`` with max_iters=1 from a random start:
-  the start's value and one step (gradient, dual map, synthesis and
-  evaluation);
-* ``ascent``: ``opnorm._ascend`` with max_iters=10 from the same start; its
+* ``ascent_step``: ``opnorm._ascend`` with max_iters=1 on a stack of one
+  random start: the start's value and one step (gradient, dual map,
+  synthesis and evaluation);
+* ``ascent``: ``opnorm._ascend`` with max_iters=10 on the same stack; its
   entry also gives ``evaluations``, the objective evaluations of one call,
   counted in a separate untimed call;
 * ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7);
@@ -39,8 +39,11 @@ hides the collections that a Python object per number sets off.
 The document records the machine (cores, CPU, Python, numpy) and the git
 commit of the checkout.  Without ``--out`` it is printed; with it, it is
 stored under ``--label`` in the JSON object in FILE, which keeps its other
-labels, so runs of two checkouts on one host land side by side.  Timings
-are not gated: only the exit code says whether the run worked.
+labels, so runs of two checkouts on one host land side by side.  A stored
+run must name its commit: with ``--out``, a checkout that git cannot read
+(a ``git archive`` export, say) exits 1 before timing anything, so measure
+the parent in a ``git clone`` or a ``git worktree``.  Timings are not
+gated: only the exit code says whether the run worked.
 """
 
 from __future__ import annotations
@@ -110,8 +113,8 @@ def _layer_calls(M: int, workdir: Path) -> dict:
         "load_grid": functools.partial(load_grid, grid_path),
         "objective": functools.partial(objective, A, EXPONENTS, plan),
         "gradient": _gradient_call(entries, plan),
-        "ascent_step": functools.partial(opnorm._ascend, start, EXPONENTS, plan, SearchConfig(max_iters=1)),
-        "ascent": functools.partial(opnorm._ascend, start, EXPONENTS, plan, SearchConfig(max_iters=10)),
+        "ascent_step": functools.partial(opnorm._ascend, start[None], EXPONENTS, plan, SearchConfig(max_iters=1)),
+        "ascent": functools.partial(opnorm._ascend, start[None], EXPONENTS, plan, SearchConfig(max_iters=10)),
         "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
         "estimate_closed": functools.partial(estimate, M, M, CLOSED_EXPONENTS, ESTIMATE_CONFIG),
     }
@@ -206,6 +209,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     if (args.out is None) != (args.label is None):
         parser.error("give --out and --label together, or neither")
+    commit = _git_commit()
+    if args.out is not None and commit["commit"] is None:
+        print(f"error: {ROOT} is not a git checkout, so --out could not record its commit; "
+              "run from a git clone or worktree", file=sys.stderr)
+        return 1
 
     layers: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -217,7 +225,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 if name in PEAK_LAYERS:
                     layers[name][str(M)]["peak_bytes"] = _peak_bytes(call)
     run = {
-        **_git_commit(),
+        **commit,
         "machine": _machine(),
         "config": {
             "sizes": args.sizes,

@@ -10,7 +10,14 @@ l^{2,2} / L^{2,2} identity an exact check rather than an approximate one.
 Powers are accumulated with the largest modulus factored out, so exponents
 like p = 1000 neither overflow nor underflow.  Each reduction allocates one
 working array the size of its input, the quotient by the slice maxima, and
-takes the power in place on it.
+takes the power in place on it.  The reductions (`_reduce`,
+`_reduce_gradient`, `MixedNorm`) take a stack: the inner norm runs over
+axis -2 and the outer one over axis -1, and leading axes hold independent
+arrays, each reduced as it would be alone, bit for bit.  A lone matrix's
+outer root is a numpy scalar, which `**` raises by libm's pow, while an
+array's `**` may take a SIMD power that differs in the last bit; every
+outer root is therefore taken by `np.float_power`, which is libm's pow on
+scalars and arrays alike.
 
 `lrs_norm` never builds the modulus of the whole grid.  Its inner norm runs
 down each column on its own, so it walks the samples in blocks of columns
@@ -109,7 +116,7 @@ def lpq_norm(A: CoefficientMatrix, e: MixedExponents) -> float:
     overflow warnings.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _overflowed(MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value)
+        return _overflowed(float(MixedNorm.of(np.abs(A.entries), e.alpha, e.beta, mean=False).value))
 
 
 def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = QuadratureSpec()) -> float:
@@ -132,10 +139,10 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
         raise ValueError(f"the refinement check needs even grid sizes, got Kx={f.Kx}, Ky={f.Ky}")
     with np.errstate(over="ignore", invalid="ignore"):
         inner, coarse_inner = _inner_norms(f.samples, e.gamma, spec.refine_check)
-        value = _overflowed(float(_reduce(inner, e.delta, True)))
+        value = _overflowed(float(_reduce(inner, e.delta, True, -1)))
         if coarse_inner is None:
             return value
-        coarse = _overflowed(float(_reduce(coarse_inner, e.delta, True)))
+        coarse = _overflowed(float(_reduce(coarse_inner, e.delta, True, -1)))
     denom = max(abs(value), abs(coarse), 1e-300)
     disagreement = abs(value - coarse) / denom
     if disagreement > REFINE_REL_TOL:
@@ -186,14 +193,14 @@ def _inner_norms(samples: np.ndarray, recip: float, half: bool) -> tuple[np.ndar
     return np.concatenate(full), np.concatenate(coarse) if half else None
 
 
-def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
-    """The norm with reciprocal exponent `recip` (0 = infinite) down axis 0.
+def _reduce(a: np.ndarray, recip: float, mean: bool, axis: int = -2) -> np.ndarray:
+    """The norm with reciprocal exponent `recip` (0 = infinite) along `axis`, -2 or -1.
 
     `a` must be non-negative real.  Sums of powers (rectangle-rule means when
     `mean` is set) are accumulated with each slice's largest entry factored
     out, so large exponents neither overflow nor underflow.
     """
-    top = a.max(axis=0)
+    top = a.max(axis=axis)
     if recip == 0.0:
         return top
     expo = 1.0 / recip
@@ -201,12 +208,18 @@ def _reduce(a: np.ndarray, recip: float, mean: bool) -> np.ndarray:
     safe = np.where(top > 0.0, top, 1.0)
     # The power is taken in place on the quotient: one working array the size
     # of `a`.  `**=` takes the same scalar-power paths (square, sqrt, ...) as `**`.
-    body = a / safe
+    body = a / _spread(safe, axis)
     body **= expo
-    body = body.sum(axis=0)
+    body = body.sum(axis=axis)
     if mean:  # ndarray.mean's own arithmetic, without its Python wrapper
-        body = body / a.shape[0]
-    return top * body ** (1.0 / expo)
+        body = body / a.shape[axis]
+    # Outer roots by libm's pow, on a stack as on a lone matrix's scalar (see the module docstring).
+    return top * (np.float_power(body, 1.0 / expo) if axis == -1 else body ** (1.0 / expo))
+
+
+def _spread(reduced: np.ndarray, axis: int) -> np.ndarray:
+    """`reduced` with the axis (-2 or -1) it was reduced along put back as a unit: np.expand_dims, less its cost."""
+    return reduced[..., None, :] if axis == -2 else reduced[..., None]
 
 
 def _overflowed(value: float) -> float:
@@ -219,8 +232,8 @@ def _overflowed(value: float) -> float:
     return np.inf if value != value else value
 
 
-def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool) -> np.ndarray:
-    """d value / d a for value = _reduce(a, recip, mean), broadcast to a's shape.
+def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool, axis: int = -2) -> np.ndarray:
+    """d value / d a for value = _reduce(a, recip, mean, axis), broadcast to a's shape.
 
     An infinite exponent takes the one-hot subgradient at the first argmax.
     Slices that vanish get weight 0 (for exponent one, the caller's phase
@@ -228,22 +241,24 @@ def _reduce_gradient(a: np.ndarray, value: np.ndarray, recip: float, mean: bool)
     """
     if recip == 0.0:
         grad = np.zeros_like(a)
-        np.put_along_axis(grad, np.expand_dims(np.argmax(a, axis=0), 0), 1.0, axis=0)
+        np.put_along_axis(grad, _spread(np.argmax(a, axis=axis), axis), 1.0, axis=axis)
         return grad
     safe = np.where(value > 0.0, value, 1.0)
-    grad = (a / safe) ** (1.0 / recip - 1.0)
-    return grad / a.shape[0] if mean else grad
+    grad = (a / _spread(safe, axis)) ** (1.0 / recip - 1.0)
+    return grad / a.shape[axis] if mean else grad
 
 
 class MixedNorm(NamedTuple):
-    """A mixed norm of the non-negative 2-D array `a`, with the reductions its gradient reuses.
+    """A mixed norm of the non-negative array `a`, with the reductions its gradient reuses.
 
-    The norm with reciprocal exponent `inner` runs down axis 0, giving
-    `inner_values`, then `outer` across axis 1, giving `value`; `mean`
+    The norm with reciprocal exponent `inner` runs down axis -2, giving
+    `inner_values`, then `outer` across axis -1, giving `value`; `mean`
     selects the rectangle-rule means of lrs_norm over the plain sums of
-    lpq_norm.  Build one with `MixedNorm.of`: lpq_norm is the value of
-    MixedNorm.of(|entries|, alpha, beta, mean=False) and lrs_norm that of
-    MixedNorm.of(|samples|, gamma, delta, mean=True).
+    lpq_norm.  Leading axes are a stack of independent arrays, each reduced
+    as it would be alone, bit for bit; for a 2-D `a` (a stack of none)
+    `value` is a numpy float.  Build one with `MixedNorm.of`: lpq_norm is
+    the value of MixedNorm.of(|entries|, alpha, beta, mean=False) and
+    lrs_norm that of MixedNorm.of(|samples|, gamma, delta, mean=True).
     """
 
     a: np.ndarray
@@ -251,12 +266,12 @@ class MixedNorm(NamedTuple):
     outer: float
     mean: bool
     inner_values: np.ndarray
-    value: float
+    value: np.ndarray
 
     @classmethod
     def of(cls, a: np.ndarray, inner: float, outer: float, mean: bool) -> "MixedNorm":
         inner_values = _reduce(a, inner, mean)
-        return cls(a, inner, outer, mean, inner_values, float(_reduce(inner_values, outer, mean)))
+        return cls(a, inner, outer, mean, inner_values, _reduce(inner_values, outer, mean, -1))
 
     def gradient(self) -> np.ndarray:
         """The partial derivatives of `value` in `a`, from the stored reductions.
@@ -264,9 +279,8 @@ class MixedNorm(NamedTuple):
         Where an exponent is infinite this is a subgradient: one-hot at the
         first argmax.
         """
-        return _reduce_gradient(self.a, self.inner_values, self.inner, self.mean) * _reduce_gradient(
-            self.inner_values, self.value, self.outer, self.mean
-        )
+        return _reduce_gradient(self.a, self.inner_values, self.inner, self.mean) * _spread(
+            _reduce_gradient(self.inner_values, self.value, self.outer, self.mean, -1), -2)
 
 
 # ----------------------------------------------------------------------------

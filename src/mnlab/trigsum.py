@@ -9,10 +9,14 @@ transform: its first pass runs over the M nonzero rows only.
 `synthesize_adjoint` is the forward FFT cropped to the first M x N
 frequencies, pruned the same way.  Both take the same 1-D passes in the
 same order as ifft2 / fft2 of the padded grid, so their output is
-bit-for-bit that of the unpruned transforms.  `eval_sum` is the checked
-synthesis.  The direct double sum (two small matrix products) is the
-independent oracle: `eval_sum_at` evaluates S by it at any point, and the
-tests pin the transform convention against it.
+bit-for-bit that of the unpruned transforms.  Both take a stack: leading
+axes hold independent matrices or grids, and the transforms run over the
+last two axes.  numpy's FFT takes each 1-D transform on its own, so every
+matrix of a stack gets the samples it gets alone, bit for bit; the search
+(`opnorm`) steps all its starts through one call this way.  `eval_sum` is
+the checked synthesis.  The direct double sum (two small matrix products)
+is the independent oracle: `eval_sum_at` evaluates S by it at any point,
+and the tests pin the transform convention against it.
 
 Every pass of `synthesize` runs in place (`out=`, numpy >= 2.0) on a
 buffer that already holds its zero padding: the first pass on the output
@@ -32,10 +36,11 @@ panels of a quarter of that (32 columns at Kx = 2048, cut by the column
 rule lrs_norm walks its blocks by): each panel's columns are copied, as
 rows, into one reused zero-padded buffer, transformed along its contiguous
 last axis, and scaled back into the same columns of the grid as one small
-transpose that stays in cache.  Each column still takes the same 1-D transform and the same
-scaling, so the samples keep their bits.  Smaller grids, and grids too
-narrow for two panels, take the pass as one call: there the panels' extra
-calls and copy cost more than the scatter.
+transpose that stays in cache.  Each column still takes the same 1-D
+transform and the same scaling, so the samples keep their bits.  A stack of
+grids takes the same panels, each holding that column range of every grid.
+Smaller grids, and grids too narrow for two panels, take the pass as one
+call: there the panels' extra calls and copy cost more than the scatter.
 
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
@@ -116,41 +121,42 @@ def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) 
 
 
 def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
-    """The Kx x Ky samples of S for the M x N array `entries`, unchecked.
+    """The Kx x Ky samples of S for each M x N array in the last two axes of `entries`, unchecked.
 
-    Equal bit for bit to ifft2(P) * (Kx * Ky), where P is `entries` embedded
-    at the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky array; the
-    caller guarantees Kx >= M and Ky >= N (a smaller grid would crop).
-    Grids of more than CACHE_SAMPLES samples take the second pass in column
-    panels (see the module docstring).
+    Equal bit for bit to ifft2(P) * (Kx * Ky), where P is the array
+    embedded at the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky
+    array; the caller guarantees Kx >= M and Ky >= N (a smaller grid would
+    crop).  Leading axes are a stack, each array transformed as it would be
+    alone.  Grids of more than CACHE_SAMPLES samples take the second pass
+    in column panels (see the module docstring).
     """
-    M, N = entries.shape
+    *stack, M, N = entries.shape
     panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 4) if Kx * Ky > CACHE_SAMPLES else []
     # The first pass runs in place on the first M rows of the output grid.
-    grid = np.zeros((Kx, Ky), dtype=complex)
-    rows = grid[:M]
-    rows[:, :N] = entries
-    np.fft.ifft(rows, axis=1, out=rows)
+    grid = np.zeros((*stack, Kx, Ky), dtype=complex)
+    rows = grid[..., :M, :]
+    rows[..., :N] = entries
+    np.fft.ifft(rows, axis=-1, out=rows)
     if len(panels) < 2:
-        np.fft.ifft(grid, axis=0, out=grid)
+        np.fft.ifft(grid, axis=-2, out=grid)
         grid *= Kx * Ky
         return grid
     # Each panel copies its columns of the first pass out before its scaled
     # transform overwrites them in the grid.
-    buffer = np.zeros((max(hi - lo for lo, hi in panels), Kx), dtype=complex)
+    buffer = np.zeros((*stack, max(hi - lo for lo, hi in panels), Kx), dtype=complex)
     for lo, hi in panels:
-        panel = buffer[: hi - lo]
-        panel[:, :M] = rows[:, lo:hi].T
-        panel[:, M:] = 0.0  # the previous panel's transform overwrote the padding
-        np.fft.ifft(panel, axis=1, out=panel)
-        np.multiply(panel.T, Kx * Ky, out=grid[:, lo:hi])
+        panel = buffer[..., : hi - lo, :]
+        panel[..., :M] = rows[..., lo:hi].swapaxes(-1, -2)
+        panel[..., M:] = 0.0  # the previous panel's transform overwrote the padding
+        np.fft.ifft(panel, axis=-1, out=panel)
+        np.multiply(panel.swapaxes(-1, -2), Kx * Ky, out=grid[..., lo:hi])
     return grid
 
 
 def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:
-    """The adjoint of `synthesize` up to the grid scale: fft2(samples)[:M, :N], bit for bit."""
-    cropped = np.ascontiguousarray(np.fft.fft(samples, axis=1)[:, :N])
-    return np.fft.fft(cropped, axis=0, out=cropped)[:M]
+    """The adjoint of `synthesize` up to the grid scale: fft2 over the last two axes, cropped to M x N, bit for bit."""
+    cropped = np.ascontiguousarray(np.fft.fft(samples, axis=-1)[..., :N])
+    return np.fft.fft(cropped, axis=-2, out=cropped)[..., :M, :]
 
 
 def eval_sum(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:

@@ -280,6 +280,25 @@ def test_reduce_is_bit_identical_to_the_power_temporary(recip, mean, stride):
     assert _reduce(a, recip, mean).tobytes() == reduce_reference(a, recip, mean).tobytes()
 
 
+@pytest.mark.parametrize("mean", [False, True])
+@pytest.mark.parametrize("inner, outer", [(0.0, 1.0), (1.0, 0.0), (0.75, 0.5), (0.25, 1e-3), (0.5, 0.5)])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 6), (4, 3), (40, 30)])
+def test_a_stack_reduces_each_array_as_it_is_reduced_alone(shape, inner, outer, mean):
+    # Values, inner values and gradients of a (2, 3) stack, bit for bit; a
+    # lone array's value is the one the scalar outer root gave before stacks.
+    rng = np.random.default_rng([*shape, 21])
+    stack = np.abs(rng.standard_normal((2, 3, *shape)) + 1j * rng.standard_normal((2, 3, *shape)))
+    stack[0, 1, :, 0] = 0.0  # a vanishing column divides by the stand-in 1
+    norm = MixedNorm.of(stack, inner, outer, mean)
+    gradient = norm.gradient()
+    for index in np.ndindex(2, 3):
+        alone = MixedNorm.of(stack[index], inner, outer, mean)
+        reference = mixed_norm_reference(stack[index], inner, outer, mean)
+        assert norm.value[index].hex() == alone.value.hex() == reference.hex()
+        assert norm.inner_values[index].tobytes() == alone.inner_values.tobytes()
+        assert gradient[index].tobytes() == alone.gradient().tobytes()
+
+
 # (seed, M, grid size, exponents) -> the warning lrs_norm issued with the
 # power temporary and the half grid's own modulus.
 REFINE_WARNINGS = [

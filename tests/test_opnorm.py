@@ -87,21 +87,22 @@ def test_objective_is_the_ascent_trial_value_bit_for_bit(monkeypatch):
 
     def recording(entries, samples, e):
         trial = evaluate(entries, samples, e)
-        seen.append((entries.copy(), trial.value))
+        if entries.ndim == 3:  # the ascent's stacks, not objective()'s lone matrices below
+            seen.extend(zip(entries.copy(), trial.value.tolist()))
         return trial
 
     monkeypatch.setattr(opnorm, "_evaluate", recording)
     rng = np.random.default_rng(6)
     grid = EvalPlan(24, 16)
     for e in (COLUMN_EQUALITY, SUP_OVER_L1, INTERIOR):
-        start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        _ascend(start, e, grid, SearchConfig(max_iters=3))
+        starts = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        _ascend(starts, e, grid, SearchConfig(max_iters=3))
         ascent = list(seen)
         for entries, value in ascent:
             A = CoefficientMatrix(3, 2, entries)
             assert objective(A, e, grid).hex() == value.hex()
             assert (lrs_norm(eval_sum(A, grid), e) / lpq_norm(A, e)).hex() == value.hex()
-        assert len(ascent) >= 3  # the start and at least two steps
+        assert len(ascent) >= 6  # each start and at least two steps of it
         seen.clear()
 
 
@@ -183,9 +184,9 @@ def from_scratch_gradient(entries, samples, e):
     """The pulled-back L^{r,s} gradient, every reduction redone from |samples|."""
     a = np.abs(samples)
     inner_values = norms._reduce(a, e.gamma, True)
-    value = norms._reduce(inner_values, e.delta, True)
+    value = norms._reduce(inner_values, e.delta, True, -1)
     weights = norms._reduce_gradient(a, inner_values, e.gamma, True) * norms._reduce_gradient(
-        inner_values, value, e.delta, True)
+        inner_values, value, e.delta, True, -1)
     return synthesize_adjoint(weights * opnorm._phase(samples, a), *entries.shape)
 
 
@@ -296,9 +297,9 @@ def test_ascent_near_p_one_stays_finite(alpha):
     for M, N in [(2, 3), (4, 4), (8, 5)]:
         for beta, gamma, delta in rng.uniform(0.0, 1.0, (3, 3)):
             e = MixedExponents(alpha, float(beta), float(gamma), float(delta))
-            for start in opnorm._start_matrices(M, N, SearchConfig(restarts=2, seed=int(M))):
-                value, history = _ascend(start, e, default_grid(M, N, floor=16), SearchConfig())
-                assert math.isfinite(value) and history == sorted(history)
+            starts = np.stack(list(opnorm._start_matrices(M, N, SearchConfig(restarts=2, seed=int(M)))))
+            for history in _ascend(starts, e, default_grid(M, N, floor=16), SearchConfig()):
+                assert math.isfinite(history[-1]) and history == sorted(history)
 
 
 def test_ascent_leaves_the_unit_saddle():
@@ -307,31 +308,39 @@ def test_ascent_leaves_the_unit_saddle():
     start = build(UnitE(), 4, 4).entries
     grid = default_grid(4, 4, floor=16)
     assert np.array_equal(_dual_map(adjoint_gradient(start, INTERIOR, grid), INTERIOR), start)
-    value, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=5))
-    assert history[0] == 1.0 and value > 1.01
+    [history] = _ascend(start[None], INTERIOR, grid, SearchConfig(max_iters=5))
+    assert history[0] == 1.0 and history[-1] > 1.01
+
+
+def stack_rows(arg):
+    """The matrices that a call's first argument holds: the rows of a stack, 1 for a lone matrix."""
+    return int(np.prod(np.shape(getattr(arg, "entries", arg))[:-2]))
+
+
+def count_rows(monkeypatch, names):
+    """Count, per name, the stack rows that opnorm hands each of these functions."""
+    counts = Counter()
+    for name in names:
+        original = getattr(opnorm, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += stack_rows(args[0])
+            return _original(*args)
+
+        monkeypatch.setattr(opnorm, name, counting)
+    return counts
 
 
 def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
-    counts = Counter()
-
-    def count(name):
-        original = getattr(opnorm, name)
-
-        def counting(*args, **kwargs):
-            counts[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(opnorm, name, counting)
-
-    for name in ("eval_sum", "synthesize", "synthesize_adjoint", "_evaluate", "_adjoint_gradient", "_dual_map"):
-        count(name)
+    counts = count_rows(monkeypatch, ("eval_sum", "synthesize", "synthesize_adjoint", "_evaluate",
+                                      "_adjoint_gradient", "_dual_map"))
     rng = np.random.default_rng(5)
     start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    value, history = _ascend(start, INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
+    [history] = _ascend(start[None], INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
     # Objective evaluations (the start and 10 steps, none of them retried), gradients and the result.
     assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (11, 10, 11)
-    assert value.hex() == "0x1.4710afd43f611p+0"
-    assert counts["eval_sum"] == 1  # the start, checked once
+    assert history[-1].hex() == "0x1.4710afd43f611p+0"
+    assert counts["eval_sum"] == 0  # the stack's starts are synthesized together, on a plan checked once
     assert counts["eval_sum"] + counts["synthesize"] == counts["_evaluate"]
     assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"] == counts["_dual_map"]
 
@@ -384,11 +393,14 @@ def test_ascent_history_equals_the_top_down_search(name, M, monkeypatch):
     # some 1e-9 of its largest carry the FFT's roundoff at about 1e-7
     # relative, and D's power passes it on; whole histories drift apart
     # there, as leaving the saddle amplifies it.
+    # Each start ascends as a stack of one, so each step is checked against
+    # its own start; test_a_stack_ascends_each_start_as_a_stack_of_one_does
+    # ties a stack of starts to these.
     steps = []
     gradient, dual_map, evaluate = opnorm._adjoint_gradient, opnorm._dual_map, opnorm._evaluate
 
     def recording_gradient(trial):
-        steps.append([trial.entries])
+        steps.append([trial.entries[0]])
         return gradient(trial)
 
     def recording_dual_map(g, e):
@@ -398,7 +410,8 @@ def test_ascent_history_equals_the_top_down_search(name, M, monkeypatch):
     def recording_evaluate(entries, samples, e):
         trial = evaluate(entries, samples, e)
         if steps and len(steps[-1]) == 2 and entries is steps[-1][1]:
-            steps[-1].append(trial.value)
+            # A copy: a retry's rows are later written into this trial's arrays.
+            steps[-1][1:] = [entries[0].copy(), trial.value[0]]
         return trial
 
     monkeypatch.setattr(opnorm, "_adjoint_gradient", recording_gradient)
@@ -409,7 +422,7 @@ def test_ascent_history_equals_the_top_down_search(name, M, monkeypatch):
     grid = default_grid(M, M, floor=16)
     for start in opnorm._start_matrices(M, M, cfg):
         steps.clear()
-        _, history = _ascend(start, e, grid, cfg)
+        [history] = _ascend(start[None], e, grid, cfg)
         for before, after, value in steps:
             reference = top_down_step(before, e, grid)
             assert np.abs(after - reference).max() <= 1e-9 * np.abs(reference).max()
@@ -425,8 +438,18 @@ def test_one_by_one_ascent_stops_at_once(monkeypatch):
     rng = np.random.default_rng(10)
     for e in (E2222, SUP_OVER_L1, INTERIOR, MixedExponents(*rng.uniform(0.0, 1.0, size=4))):
         counts.clear()
-        assert _ascend(np.ones((1, 1)), e, EvalPlan(16, 16), SearchConfig()) == (1.0, [1.0])
+        assert _ascend(np.ones((1, 1, 1)), e, EvalPlan(16, 16), SearchConfig()) == [[1.0]]
         assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (4, 2)
+
+
+def benchmark_workloads(monkeypatch):
+    """perfbench's workloads module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def test_warm_starts_alone_meet_the_benchmark_floors(monkeypatch):
@@ -434,18 +457,15 @@ def test_warm_starts_alone_meet_the_benchmark_floors(monkeypatch):
     # own, so that every seed's report meets them; here, where the unit,
     # ones, column and row starts are fixed points of the step, the nudged
     # retries carry them.
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up there
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads(monkeypatch)
     cfg = SearchConfig(restarts=1, max_iters=10)
     for M in workloads.SEARCH_SIZES:
         grid = default_grid(M, M, floor=16)
+        warm = np.stack([build(kind(), M, M).entries for kind in KINDS])
         for name, e in workloads.SEARCH_TUPLES:
             upper = upper_bound_magnitude(M, M, e)
             target = upper / (1.0 + 3.0 * opnorm.GRID_TOL)
-            best = max(_ascend(build(kind(), M, M).entries, e, grid, cfg, target)[0] for kind in KINDS)
+            best = max(history[-1] for history in _ascend(warm, e, grid, cfg, target))
             floor = workloads.SEARCH_FLOOR[name][M]
             assert best / upper >= floor * (1.0 - workloads.SEARCH_MARGIN), (name, M, best / upper, floor)
 
@@ -453,10 +473,87 @@ def test_warm_starts_alone_meet_the_benchmark_floors(monkeypatch):
 def test_ascent_history_is_monotone():
     rng = np.random.default_rng(3)
     start = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    value, history = _ascend(start, SUP_OVER_L1, EvalPlan(24, 24), SearchConfig(max_iters=10))
+    [history] = _ascend(start[None], SUP_OVER_L1, EvalPlan(24, 24), SearchConfig(max_iters=10))
     assert all(later > earlier for earlier, later in zip(history, history[1:]))  # strictly
-    assert value == history[-1]
-    assert value <= upper_bound_magnitude(3, 3, SUP_OVER_L1) * (1 + 3e-4)
+    assert history[-1] <= upper_bound_magnitude(3, 3, SUP_OVER_L1) * (1 + 3e-4)
+
+
+def one_by_one(starts, e, grid, cfg, target=math.inf):
+    """The starts ascended in order as stacks of one, up to the first that reaches `target`: the reference."""
+    histories = []
+    for start in starts:
+        histories += _ascend(start[None], e, grid, cfg, target)
+        if histories[-1][-1] >= target:
+            break
+    return histories
+
+
+def hexes(histories):
+    return [[value.hex() for value in history] for history in histories]
+
+
+@pytest.mark.parametrize("e", [
+    MixedExponents(0.0, 0.6, 0.3, 0.7),  # p = inf
+    MixedExponents(1.0, 0.4, 0.6, 0.5),  # p = 1
+    MixedExponents(0.3, 0.7, 0.0, 0.0),  # r = s = inf
+    INTERIOR,
+], ids=["alpha-0", "alpha-1", "gamma-delta-0", "interior"])
+@pytest.mark.parametrize("M,N", [(1, 1), (4, 1), (1, 3), (3, 2), (4, 4)])
+def test_a_stack_ascends_each_start_as_a_stack_of_one_does(e, M, N):
+    # Every value of every history, bit for bit: the stack's reductions,
+    # transforms and retries act on each start as they act on it alone.
+    cfg = SearchConfig(restarts=3, max_iters=6, seed=M + 10 * N)
+    starts = np.stack(list(opnorm._start_matrices(M, N, cfg)))
+    grid = default_grid(M, N, floor=16)
+    histories = _ascend(starts, e, grid, cfg)
+    assert len(histories) == len(starts)
+    assert hexes(histories) == hexes(one_by_one(starts, e, grid, cfg))
+
+
+def test_a_stack_retries_its_stuck_starts_as_stacks_of_one_do(monkeypatch):
+    # At 4 x 4 on the interior tuple the unit start is a fixed point of the
+    # step: its first step fails and is retried from the nudged unit while
+    # the other starts climb on.
+    counts = count_search_calls(monkeypatch)
+    cfg = SearchConfig(restarts=3, max_iters=10, seed=0)
+    starts = np.stack(list(opnorm._start_matrices(4, 4, cfg)))
+    grid = default_grid(4, 4, floor=16)
+    histories = _ascend(starts, INTERIOR, grid, cfg)
+    assert counts["_evaluate"] > sum(len(history) for history in histories)  # some step failed
+    assert histories[0][0] == 1.0 and histories[0][-1] > 1.01
+    assert hexes(histories) == hexes(one_by_one(starts, INTERIOR, grid, cfg))
+
+
+def test_the_first_start_in_order_to_reach_the_target_closes_the_stack():
+    # A target that start k reaches at step t, above every earlier start's
+    # final value: k stops there, the starts before it run on to their own
+    # stop, and the starts after it, some of which climb higher, are dropped.
+    cfg = SearchConfig(restarts=3, max_iters=10, seed=0)
+    starts = np.stack(list(opnorm._start_matrices(4, 4, cfg)))
+    grid = default_grid(4, 4, floor=16)
+    free = _ascend(starts, INTERIOR, grid, cfg)
+    k = 4
+    before = max(history[-1] for history in free[:k])
+    t = next(step for step, value in enumerate(free[k]) if value > before)
+    target = free[k][t]
+    assert 0 < t < min(len(history) for history in free[:k]) - 1  # the earlier starts still climb
+    assert max(history[-1] for history in free[k + 1:]) > target  # a dropped start would have won
+    stopped = _ascend(starts, INTERIOR, grid, cfg, target)
+    assert hexes(stopped) == hexes([*free[:k], free[k][:t + 1]])
+    assert hexes(stopped) == hexes(one_by_one(starts, INTERIOR, grid, cfg, target))
+
+
+def test_searched_equals_the_one_by_one_search_on_the_benchmark_jobs(monkeypatch):
+    # estimate's chunked lockstep search against the starts taken one after
+    # another, each as a stack of one, on the benchmark's search jobs.
+    workloads = benchmark_workloads(monkeypatch)
+    for seed in (1, 5, 701):
+        for job in workloads.search(seed, Path()).jobs:
+            M, e, cfg = job.run.args
+            target = upper_bound_magnitude(M, M, e) / (1.0 + 3.0 * opnorm.GRID_TOL)
+            reference = one_by_one(list(opnorm._start_matrices(M, M, cfg)), e, default_grid(M, M, floor=16),
+                                   cfg, target)
+            assert job.run().searched.hex() == max(history[-1] for history in reference).hex(), (seed, job.label)
 
 
 # `searched` of estimate(M, M, e, SearchConfig(restarts=2, max_iters=10,
@@ -483,31 +580,23 @@ def test_searched_is_pinned_bit_for_bit(name, M):
 
 
 def count_search_calls(monkeypatch):
-    counts = Counter()
-    for name in ("_evaluate", "_adjoint_gradient"):
-        original = getattr(opnorm, name)
-
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(opnorm, name, counting)
-    return counts
+    return count_rows(monkeypatch, ("_evaluate", "_adjoint_gradient"))
 
 
 def test_search_stops_once_the_bracket_closes(monkeypatch):
     # ||S||_inf <= ||A||_1 holds with equality at the unit start, the first
-    # one visited: one evaluation and no gradient.
+    # one visited: the first stack's one evaluation and no gradient.  That
+    # stack holds two starts of a 64^2 grid, and all eight of a 16^2 one.
     counts = count_search_calls(monkeypatch)
     report = estimate(8, 8, SUP_OVER_L1, SearchConfig(restarts=2, max_iters=10, seed=7))
-    assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 0)
+    assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (2, 0)
     assert report.searched == report.upper == 1.0
     rng = np.random.default_rng(8)
     random_tuples = [MixedExponents(*rng.uniform(0.0, 1.0, size=4)) for _ in range(4)]
     for e in (E2222, SUP_OVER_L1, INTERIOR, *random_tuples):
         counts.clear()
         report = estimate(1, 1, e, SearchConfig(restarts=3, max_iters=5))
-        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (1, 0)
+        assert (counts["_evaluate"], counts["_adjoint_gradient"]) == (len(KINDS) + 3, 0)
         assert report.searched == report.upper == 1.0
 
 
@@ -516,13 +605,11 @@ def test_ascent_stops_before_the_gradient_at_the_target(monkeypatch):
     rng = np.random.default_rng(5)
     start = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     grid = default_grid(3, 2, floor=16)
-    _, history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=10))
+    [history] = _ascend(start[None], INTERIOR, grid, SearchConfig(max_iters=10))
     # A target between two accepted values stops the ascent at the first one that reaches it.
     counts.clear()
     target = (history[3] + history[4]) / 2.0
-    stopped, stopped_history = _ascend(start, INTERIOR, grid, SearchConfig(max_iters=10), target)
-    assert stopped_history == history[:5]
-    assert stopped == history[4]
+    assert _ascend(start[None], INTERIOR, grid, SearchConfig(max_iters=10), target) == [history[:5]]
     assert counts["_adjoint_gradient"] == 4
 
 
@@ -609,15 +696,29 @@ def test_estimate_builds_its_plan_once_whatever_the_number_of_starts(monkeypatch
         built.append((Kx, Ky))
         return new(cls, Kx, Ky)
 
-    def counting_ascend(start, e, plan, cfg, target):
-        starts.append(plan)
-        return ascend(start, e, plan, cfg, target)
+    def counting_ascend(stack, e, plan, cfg, target):
+        starts.extend([plan] * len(stack))
+        return ascend(stack, e, plan, cfg, target)
 
     monkeypatch.setattr(EvalPlan, "__new__", counting_new)
     monkeypatch.setattr(opnorm, "_ascend", counting_ascend)
     report = estimate(3, 2, INTERIOR, SearchConfig(restarts=3, max_iters=2))
     assert built == [(24, 16)] and len(starts) == len(KINDS) + 3
     assert all(plan is starts[0] for plan in starts) and report.grid is starts[0]
+
+
+@pytest.mark.parametrize("M, stacks", [(1, [7]), (4, [7]), (8, [2, 2, 2, 1]), (16, [1] * 7)])
+def test_estimate_stacks_at_most_its_sample_budget_of_starts(M, stacks, monkeypatch):
+    # 2^13 grid samples: every start of the 16^2 and 32^2 grids, two of 64^2, one from 128^2 up.
+    sizes, ascend = [], opnorm._ascend
+
+    def recording_ascend(stack, e, plan, cfg, target):
+        sizes.append(len(stack))
+        return ascend(stack, e, plan, cfg, target)
+
+    monkeypatch.setattr(opnorm, "_ascend", recording_ascend)
+    estimate(M, M, INTERIOR, SearchConfig(restarts=2, max_iters=1))
+    assert sizes == stacks
 
 
 def test_search_config_validation():

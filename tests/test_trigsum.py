@@ -77,6 +77,28 @@ def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
     assert np.array_equal(synthesize_adjoint(samples, M, N), np.fft.fft2(samples)[:M, :N])
 
 
+@pytest.mark.parametrize("M,N,Kx,Ky", [(1, 1, 16, 16), (5, 3, 12, 7), (4, 4, 32, 32), (4, 4, 513, 512),
+                                       (1, 7, 1024, 512)],
+                         ids=["one-by-one", "non-square", "square", "panels", "one-row-matrix-on-panels"])
+def test_a_stack_transforms_each_matrix_as_it_is_transformed_alone(M, N, Kx, Ky):
+    # Leading axes are a stack, each member's samples and adjoint bit for
+    # bit those of the member alone, on the panelled second pass too.
+    rng = np.random.default_rng([M, N, Kx, Ky, 3])
+    entries = rng.standard_normal((2, M, N)) + 1j * rng.standard_normal((2, M, N))
+    samples = synthesize(entries, Kx, Ky)
+    adjoint = synthesize_adjoint(samples, M, N)
+    assert samples.shape == (2, Kx, Ky) and adjoint.shape == (2, M, N)
+    for index in range(2):
+        assert np.array_equal(samples[index], synthesize(entries[index], Kx, Ky))
+        assert np.array_equal(adjoint[index], synthesize_adjoint(samples[index], M, N))
+    if Kx * Ky <= 1024:  # two leading axes
+        small = rng.standard_normal((2, 3, M, N)) + 1j * rng.standard_normal((2, 3, M, N))
+        grids = synthesize(small, Kx, Ky)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(grids[index], synthesize(small[index], Kx, Ky))
+            assert np.array_equal(synthesize_adjoint(grids, M, N)[index], synthesize_adjoint(grids[index], M, N))
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0 * np.pi])
 def test_direct_sum_on_a_square_grid_computes_one_exponential_table_with_the_same_bits(scale):
     # `_direct` reuses its x table for y when `ys is xs` and N == M; a copy
