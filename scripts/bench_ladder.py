@@ -1,6 +1,7 @@
 """Time mnlab's layers on the size ladder M = N, on the default 8x grid.
 
-    python3 scripts/bench_ladder.py [--sizes 4,8,16,32,64,256] [--repeats 5] [--out FILE --label NAME]
+    python3 scripts/bench_ladder.py [--sizes 4,8,16,32,64,256] [--repeats 5]
+        [--parent DIR] [--label NAME] [--out FILE]
 
 Run from the root of a source checkout; mnlab is imported from its ``src/``.
 At each M it times, at the exponent tuple (p, q, r, s) = (4, 2, 4/3, 2),
@@ -32,24 +33,36 @@ the smaller rows' grids, which fit in cache, hide.
   (p, q, r, s) = (1, 1, inf, inf), whose bound 1.0 the unit start attains,
   so the bracket closes at the first start.
 
-Each figure is the median over ``--repeats`` samples of the mean time per
-call, a sample lasting at least 0.2 s (``timeit``'s autorange) or one call,
-with the garbage collector on as in a CLI run: ``timeit`` turns it off, which
-hides the collections that a Python object per number sets off.
-The document records the machine (cores, CPU, Python, numpy) and the git
-commit of the checkout.  Without ``--out`` it is printed; with it, it is
-stored under ``--label`` in the JSON object in FILE, which keeps its other
-labels, so runs of two checkouts on one host land side by side.  A stored
-run must name its commit: with ``--out``, a checkout that git cannot read
-(a ``git archive`` export, say) exits 1 before timing anything, so measure
-the parent in a ``git clone`` or a ``git worktree``.  Timings are not
-gated: only the exit code says whether the run worked.
+Each sample is the mean time per call over a run of at least 0.2 s
+(``timeit``'s autorange) or one call, with the garbage collector on as in a
+CLI run: ``timeit`` turns it off, which hides the collections that a Python
+object per number sets off.  An entry keeps its ``--repeats`` samples in
+``samples_us``, in the order taken, and their median in ``median_us``.
+
+``--parent DIR`` times a second source checkout in the same process: each
+tree's mnlab is imported under a package name of its own, and the two trees
+take turns, layer by layer and repeat by repeat, the first turn going to
+each in alternation.  Drift of the host then lands on both sides alike,
+where runs made one after the other put it between them.  Both trees are
+timed with this script's layer list, so the parent must have every name it
+calls.  The parent's run is labelled ``parent`` and this checkout's
+``--label`` (default ``change``).
+
+Each run records the machine (cores, CPU, Python, numpy) and the git commit
+of its checkout.  Without ``--out`` the runs are printed as one JSON object
+keyed by label; with it, they are stored under their labels in the JSON
+object in FILE, which keeps its other labels.  A stored run must name its
+commit: with ``--out``, a checkout that git cannot read (a ``git archive``
+export, say) exits 1 before timing anything, so measure the parent in a
+``git clone`` or a ``git worktree``.  Timings are not gated: only the exit
+code says whether the run worked.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -60,74 +73,92 @@ import tempfile
 import timeit
 import tracemalloc
 from pathlib import Path
+from types import ModuleType, SimpleNamespace
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from mnlab import opnorm  # noqa: E402
-from mnlab.exponents import MixedExponents  # noqa: E402
-from mnlab.norms import CoefficientMatrix, load_grid, lpq_norm, lrs_norm, save_grid  # noqa: E402
-from mnlab.opnorm import SearchConfig, estimate, objective  # noqa: E402
-from mnlab.trigsum import EvalPlan, default_grid, eval_sum  # noqa: E402
-
-EXPONENTS = MixedExponents(0.25, 0.5, 0.75, 0.5)
-CLOSED_EXPONENTS = MixedExponents(1.0, 1.0, 0.0, 0.0)
-ESTIMATE_CONFIG = SearchConfig(restarts=2, max_iters=10, seed=7)
+EXPONENTS = (0.25, 0.5, 0.75, 0.5)
+CLOSED_EXPONENTS = (1.0, 1.0, 0.0, 0.0)
+ESTIMATE = {"restarts": 2, "max_iters": 10, "seed": 7}
 DEFAULT_SIZES = (4, 8, 16, 32, 64, 256)
 SEARCH_MAX_M = 64
 PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "load_grid", "objective")
+
+
+def _import_tree(root: Path, name: str) -> SimpleNamespace:
+    """The mnlab modules of the checkout at `root`, its package imported under the name `name`."""
+    init = root / "src" / "mnlab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package: ModuleType = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    modules = {module: importlib.import_module(f"{name}.{module}") for module in ("norms", "opnorm", "trigsum")}
+    exponents = importlib.import_module(f"{name}.exponents")
+    return SimpleNamespace(root=root, **modules, exponents=exponents.MixedExponents(*EXPONENTS),
+                           closed=exponents.MixedExponents(*CLOSED_EXPONENTS))
 
 
 def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
     return rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
 
 
-def _gradient_call(entries: np.ndarray, plan: EvalPlan):
+def _gradient_call(tree: SimpleNamespace, entries: np.ndarray, plan):
     """One pulled-back gradient and its dual map at `entries`, handed the step record the ascent keeps."""
-    samples = eval_sum(CoefficientMatrix(*entries.shape, entries), plan).samples
-    trial = opnorm._evaluate(entries, samples, EXPONENTS)
-    return lambda: opnorm._dual_map(opnorm._adjoint_gradient(trial), EXPONENTS)
+    opnorm = tree.opnorm
+    samples = tree.trigsum.eval_sum(tree.norms.CoefficientMatrix(*entries.shape, entries), plan).samples
+    trial = opnorm._evaluate(entries, samples, tree.exponents)
+    return lambda: opnorm._dual_map(opnorm._adjoint_gradient(trial), tree.exponents)
 
 
-def _layer_calls(M: int, workdir: Path) -> dict:
+def _layer_calls(tree: SimpleNamespace, M: int, workdir: Path) -> dict:
+    norms, opnorm, trigsum, e = tree.norms, tree.opnorm, tree.trigsum, tree.exponents
     rng = np.random.default_rng([M, 7])
     entries = _random_entries(rng, M)
     entries /= np.linalg.norm(entries)
-    A = CoefficientMatrix(M, M, entries)
-    plan = default_grid(M, M)
-    f = eval_sum(A, plan)
+    A = norms.CoefficientMatrix(M, M, entries)
+    plan = trigsum.default_grid(M, M)
+    f = trigsum.eval_sum(A, plan)
     grid_calls = {
-        "eval_sum": functools.partial(eval_sum, A, plan),
-        "lrs_norm": functools.partial(lrs_norm, f, EXPONENTS),
-        "lpq_norm": functools.partial(lpq_norm, A, EXPONENTS),
+        "eval_sum": lambda: trigsum.eval_sum(A, plan),
+        "lrs_norm": lambda: norms.lrs_norm(f, e),
+        "lpq_norm": lambda: norms.lpq_norm(A, e),
     }
     if M > SEARCH_MAX_M:
         return grid_calls
     grid_path = workdir / f"grid_{M}.json"
-    save_grid(grid_path, f)
-    start = _random_entries(rng, M)
+    norms.save_grid(grid_path, f)
+    start = _random_entries(rng, M)[None]
+    config = opnorm.SearchConfig(**ESTIMATE)
     return {
         **grid_calls,
-        "load_grid": functools.partial(load_grid, grid_path),
-        "objective": functools.partial(objective, A, EXPONENTS, plan),
-        "gradient": _gradient_call(entries, plan),
-        "ascent_step": functools.partial(opnorm._ascend, start[None], EXPONENTS, plan, SearchConfig(max_iters=1)),
-        "ascent": functools.partial(opnorm._ascend, start[None], EXPONENTS, plan, SearchConfig(max_iters=10)),
-        "estimate": functools.partial(estimate, M, M, EXPONENTS, ESTIMATE_CONFIG),
-        "estimate_closed": functools.partial(estimate, M, M, CLOSED_EXPONENTS, ESTIMATE_CONFIG),
+        "load_grid": lambda: norms.load_grid(grid_path),
+        "objective": lambda: opnorm.objective(A, e, plan),
+        "gradient": _gradient_call(tree, entries, plan),
+        "ascent_step": lambda: opnorm._ascend(start, e, plan, opnorm.SearchConfig(max_iters=1)),
+        "ascent": lambda: opnorm._ascend(start, e, plan, opnorm.SearchConfig(max_iters=10)),
+        "estimate": lambda: opnorm.estimate(M, M, e, config),
+        "estimate_closed": lambda: opnorm.estimate(M, M, tree.closed, config),
     }
 
 
-def _median_us(call, repeats: int) -> dict:
-    timer = timeit.Timer(call, setup="gc.enable()")
-    number, _ = timer.autorange()
-    samples = timer.repeat(repeat=repeats, number=number)
-    return {"median_us": statistics.median(samples) / number * 1e6, "calls_per_sample": number}
+def _timed_samples(calls: list, repeats: int) -> list[dict]:
+    """Per call, `repeats` samples of its mean time per call, the calls taking turns sample by sample.
+
+    Each repeat starts with the next call in turn, so no call always runs first.
+    """
+    timers = [timeit.Timer(call, setup="gc.enable()") for call in calls]
+    numbers = [timer.autorange()[0] for timer in timers]
+    samples: list[list[float]] = [[] for _ in calls]
+    for repeat in range(repeats):
+        for turn in range(len(calls)):
+            index = (repeat + turn) % len(calls)
+            samples[index].append(timers[index].timeit(numbers[index]) / numbers[index] * 1e6)
+    return [{"median_us": statistics.median(taken), "samples_us": taken, "calls_per_sample": number}
+            for taken, number in zip(samples, numbers)]
 
 
-def _evaluations(call) -> int:
+def _evaluations(opnorm: ModuleType, call) -> int:
     """The objective evaluations (``opnorm._evaluate`` calls) that one call of `call` makes."""
     evaluate, count = opnorm._evaluate, 0
 
@@ -154,11 +185,11 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def _git_commit() -> dict:
+def _git_commit(root: Path) -> dict:
     def git(*args: str) -> "str | None":
         try:
-            done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
-                                  env={**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)})
+            done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                                  env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
         except OSError:
             return None
         return done.stdout.strip() if done.returncode == 0 else None
@@ -204,46 +235,60 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=_sizes, default=list(DEFAULT_SIZES), help="M = N values, e.g. 4,8,16")
     parser.add_argument("--repeats", type=_positive, default=5, help="timed samples per layer and size")
-    parser.add_argument("--out", type=Path, help="JSON file to store the run in, under --label")
-    parser.add_argument("--label", help="key of this run in --out, e.g. parent or change")
+    parser.add_argument("--parent", type=Path, help="a second source checkout, timed alternately with this one")
+    parser.add_argument("--label", default="change", help="key of this checkout's run (default: change)")
+    parser.add_argument("--out", type=Path, help="JSON file to store the runs in, under their labels")
     args = parser.parse_args(argv)
-    if (args.out is None) != (args.label is None):
-        parser.error("give --out and --label together, or neither")
-    commit = _git_commit()
-    if args.out is not None and commit["commit"] is None:
-        print(f"error: {ROOT} is not a git checkout, so --out could not record its commit; "
-              "run from a git clone or worktree", file=sys.stderr)
-        return 1
+    roots = {args.label: ROOT}
+    if args.parent is not None:
+        if args.label == "parent":
+            parser.error("--label parent is the --parent checkout's label; name this checkout otherwise")
+        roots = {"parent": args.parent.resolve(), **roots}
+    commits = {label: _git_commit(root) for label, root in roots.items()}
+    for label, root in roots.items():
+        if not (root / "src" / "mnlab" / "__init__.py").is_file():
+            print(f"error: {root} has no src/mnlab package", file=sys.stderr)
+            return 1
+        if args.out is not None and commits[label]["commit"] is None:
+            print(f"error: {root} is not a git checkout, so --out could not record its commit; "
+                  "run from a git clone or worktree", file=sys.stderr)
+            return 1
+    trees = {label: _import_tree(root, "mnlab" if root == ROOT else f"mnlab_{label}")
+             for label, root in roots.items()}
 
-    layers: dict[str, dict] = {}
+    layers: dict[str, dict] = {label: {} for label in trees}
     with tempfile.TemporaryDirectory() as workdir:
+        workdirs = {label: Path(workdir) / label for label in trees}
+        for path in workdirs.values():
+            path.mkdir()
         for M in args.sizes:
-            for name, call in _layer_calls(M, Path(workdir)).items():
-                layers.setdefault(name, {})[str(M)] = _median_us(call, args.repeats)
-                if name == "ascent":
-                    layers[name][str(M)]["evaluations"] = _evaluations(call)
-                if name in PEAK_LAYERS:
-                    layers[name][str(M)]["peak_bytes"] = _peak_bytes(call)
-    run = {
-        **commit,
-        "machine": _machine(),
-        "config": {
-            "sizes": args.sizes,
-            "repeats": args.repeats,
-            "grid": "default_grid(M, M): 8M x 8M",
-            "search_max_m": SEARCH_MAX_M,
-            "exponents": list(EXPONENTS.as_tuple()),
-            "estimate_closed_exponents": list(CLOSED_EXPONENTS.as_tuple()),
-            "estimate": {"restarts": ESTIMATE_CONFIG.restarts, "max_iters": ESTIMATE_CONFIG.max_iters,
-                         "seed": ESTIMATE_CONFIG.seed},
-        },
-        "layers": layers,
+            calls = {label: _layer_calls(tree, M, workdirs[label]) for label, tree in trees.items()}
+            for name in next(iter(calls.values())):
+                timed = _timed_samples([calls[label][name] for label in trees], args.repeats)
+                for label, entry in zip(trees, timed):
+                    if name == "ascent":
+                        entry["evaluations"] = _evaluations(trees[label].opnorm, calls[label][name])
+                    if name in PEAK_LAYERS:
+                        entry["peak_bytes"] = _peak_bytes(calls[label][name])
+                    layers[label].setdefault(name, {})[str(M)] = entry
+            del calls
+    config = {
+        "sizes": args.sizes,
+        "repeats": args.repeats,
+        "grid": "default_grid(M, M): 8M x 8M",
+        "search_max_m": SEARCH_MAX_M,
+        "exponents": list(EXPONENTS),
+        "estimate_closed_exponents": list(CLOSED_EXPONENTS),
+        "estimate": ESTIMATE,
+        "timed_together": list(trees),
     }
+    runs = {label: {**commits[label], "machine": _machine(), "config": config, "layers": layers[label]}
+            for label in trees}
     if args.out is None:
-        print(json.dumps(run, indent=1))
+        print(json.dumps(runs, indent=1))
         return 0
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc[args.label] = run
+    doc.update(runs)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -21,9 +21,8 @@ scalars and arrays alike.
 
 `lrs_norm` never builds the modulus of the whole grid.  Its inner norm runs
 down each column on its own, so it walks the samples in blocks of columns
-of about CACHE_SAMPLES samples (`_column_blocks`, the column rule that
-`trigsum.synthesize` also cuts its panels by), whose modulus and quotient
-stay in cache, and joins the blocks' inner values for the outer norm.
+of about CACHE_SAMPLES samples (`_column_blocks`), whose modulus and
+quotient stay in cache, and joins the blocks' inner values for the outer norm.
 Every block takes the same reduction as the whole grid would, column by
 column, so the value keeps its bits: numpy sums a block of two or more
 columns row after row, as it sums the whole grid, but sums a lone column
@@ -71,8 +70,11 @@ def _check_array(obj, size_keys: tuple[str, str], data_key: str) -> None:
     arr = np.asarray(getattr(obj, data_key), dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"{data_key} shape {arr.shape} does not match ({', '.join(size_keys)})={shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{data_key} must all be finite")
+    # An inf or nan makes the sum inf or nan, so a finite sum clears every
+    # value in one pass without a mask; only a sum that is not finite needs it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (np.isfinite(arr.sum()) or np.isfinite(arr).all()):
+            raise ValueError(f"{data_key} must all be finite")
     for key, value in zip((*size_keys, data_key), (*shape, arr)):
         object.__setattr__(obj, key, value)
 
@@ -157,9 +159,8 @@ def lrs_norm(f: GridFunction, e: MixedExponents, spec: QuadratureSpec = Quadratu
     return value
 
 
-# About the float64 samples a 2 MiB cache holds.  lrs_norm's column blocks
-# hold this many samples; trigsum.synthesize takes column panels of a
-# quarter of it on grids of more than this many.
+# About the float64 samples a 2 MiB cache holds: lrs_norm's column blocks
+# hold this many samples.
 CACHE_SAMPLES = 2**18
 
 

@@ -4,43 +4,27 @@ S_{M,N}(x, y) = sum_{n=1}^{N} sum_{m=1}^{M} a_{mn} e^{2 pi i ((m-1)x + (n-1)y)}
 
 is a trigonometric polynomial with nonnegative frequencies, so it is
 sampled on the unit-periodic Kx x Ky grid by the inverse FFT of the
-coefficient matrix zero-padded to Kx x Ky.  `synthesize` prunes that
-transform: its first pass runs over the M nonzero rows only.
-`synthesize_adjoint` is the forward FFT cropped to the first M x N
-frequencies, pruned the same way.  Both take the same 1-D passes in the
-same order as ifft2 / fft2 of the padded grid, so their output is
-bit-for-bit that of the unpruned transforms.  Both take a stack: leading
-axes hold independent matrices or grids, and the transforms run over the
-last two axes.  numpy's FFT takes each 1-D transform on its own, so every
-matrix of a stack gets the samples it gets alone, bit for bit; the search
-(`opnorm`) steps all its starts through one call this way.  `eval_sum` is
-the checked synthesis.  The direct double sum (two small matrix products)
-is the independent oracle: `eval_sum_at` evaluates S by it at any point,
-and the tests pin the transform convention against it.
-
-Every pass of `synthesize` runs in place (`out=`, numpy >= 2.0) on a
-buffer that already holds its zero padding: the first pass on the output
-grid's first M rows, the second on the whole grid or on one column panel
-padded to Kx.  numpy's own padding path, ifft(..., n=), costs more than
-the transform it pads for: a 32-column panel of a 2048^2 grid took ~1.0 ms
-through it and ~0.63 ms pre-padded (2-vCPU x86-64 host, numpy 2.4.6).  The
-adjoint's second pass runs in place on a contiguous copy of the cropped
-first pass.
-
-The second pass of `synthesize` transforms down the columns of a row-major
-grid.  pocketfft gathers each column into a buffer and scatters the result
-back with a stride of one row (32 KiB at Ky = 2048), so on grids beyond the
-cache each scattered sample lands on a cache line of its own.  Grids of
-more than norms.CACHE_SAMPLES samples therefore run that pass over column
-panels of a quarter of that (32 columns at Kx = 2048, cut by the column
-rule lrs_norm walks its blocks by): each panel's columns are copied, as
-rows, into one reused zero-padded buffer, transformed along its contiguous
-last axis, and scaled back into the same columns of the grid as one small
-transpose that stays in cache.  Each column still takes the same 1-D
-transform and the same scaling, so the samples keep their bits.  A stack of
-grids takes the same panels, each holding that column range of every grid.
-Smaller grids, and grids too narrow for two panels, take the pass as one
-call: there the panels' extra calls and copy cost more than the scatter.
+coefficient matrix zero-padded to Kx x Ky, unscaled (numpy's
+norm="forward"): the transform is the sum itself, so no pass scales the
+grid.  `synthesize` prunes that transform.  Its first pass runs down the
+columns, and only the N nonzero ones; its second runs along every row,
+contiguous in a row-major grid.  Both run in place (`out=`, numpy >= 2.0)
+on the output grid, which already holds the zero padding, so the grid is
+the one grid-sized array the synthesis allocates.  Its output is bit for bit that of
+the unpruned transforms in that order,
+ifft(ifft(P, axis=0, norm="forward"), axis=1, norm="forward") of the padded
+matrix P; it agrees with ifft2(P) * (Kx * Ky), which takes the rows first,
+to rounding.  `synthesize_adjoint` is the forward FFT cropped to the first
+M x N frequencies, pruned the same way: its first pass runs along the rows,
+its second down the N kept columns of a contiguous copy of the crop, and
+its output is bit for bit fft2's.  Both take a stack: leading axes hold
+independent matrices or grids, and the transforms run over the last two
+axes.  numpy's FFT takes each 1-D transform on its own, so every matrix of
+a stack gets the samples it gets alone, bit for bit; the search (`opnorm`)
+steps all its starts through one call this way.  `eval_sum` is the checked
+synthesis.  The direct double sum (two small matrix products) is the
+independent oracle: `eval_sum_at` evaluates S by it at any point, and the
+tests pin the transform convention against it.
 
 The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
@@ -58,7 +42,7 @@ from collections import namedtuple
 import numpy as np
 
 from .exponents import check_dimensions
-from .norms import CACHE_SAMPLES, CoefficientMatrix, GridFunction, _column_blocks
+from .norms import CoefficientMatrix, GridFunction
 
 
 # Samples per frequency along each axis of every default grid.
@@ -123,38 +107,24 @@ def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) 
 def synthesize(entries: np.ndarray, Kx: int, Ky: int) -> np.ndarray:
     """The Kx x Ky samples of S for each M x N array in the last two axes of `entries`, unchecked.
 
-    Equal bit for bit to ifft2(P) * (Kx * Ky), where P is the array
-    embedded at the nonnegative frequencies (m-1, n-1) of a zero Kx x Ky
-    array; the caller guarantees Kx >= M and Ky >= N (a smaller grid would
-    crop).  Leading axes are a stack, each array transformed as it would be
-    alone.  Grids of more than CACHE_SAMPLES samples take the second pass
-    in column panels (see the module docstring).
+    The unscaled inverse FFT of the array embedded at the nonnegative
+    frequencies (m-1, n-1) of a zero Kx x Ky array P, down the columns
+    first: equal bit for bit to ifft(ifft(P, axis=0, norm="forward"),
+    axis=1, norm="forward"), and to ifft2(P) * (Kx * Ky) up to rounding.
+    The caller guarantees Kx >= M and Ky >= N (a smaller grid would crop).
+    Leading axes are a stack, each array transformed as it would be alone.
     """
     *stack, M, N = entries.shape
-    panels = _column_blocks(Kx, Ky, CACHE_SAMPLES // 4) if Kx * Ky > CACHE_SAMPLES else []
-    # The first pass runs in place on the first M rows of the output grid.
     grid = np.zeros((*stack, Kx, Ky), dtype=complex)
-    rows = grid[..., :M, :]
-    rows[..., :N] = entries
-    np.fft.ifft(rows, axis=-1, out=rows)
-    if len(panels) < 2:
-        np.fft.ifft(grid, axis=-2, out=grid)
-        grid *= Kx * Ky
-        return grid
-    # Each panel copies its columns of the first pass out before its scaled
-    # transform overwrites them in the grid.
-    buffer = np.zeros((*stack, max(hi - lo for lo, hi in panels), Kx), dtype=complex)
-    for lo, hi in panels:
-        panel = buffer[..., : hi - lo, :]
-        panel[..., :M] = rows[..., lo:hi].swapaxes(-1, -2)
-        panel[..., M:] = 0.0  # the previous panel's transform overwrote the padding
-        np.fft.ifft(panel, axis=-1, out=panel)
-        np.multiply(panel.swapaxes(-1, -2), Kx * Ky, out=grid[..., lo:hi])
-    return grid
+    # The first pass runs in place on the N nonzero columns; the second on every row.
+    cols = grid[..., :N]
+    cols[..., :M, :] = entries
+    np.fft.ifft(cols, axis=-2, out=cols, norm="forward")
+    return np.fft.ifft(grid, axis=-1, out=grid, norm="forward")
 
 
 def synthesize_adjoint(samples: np.ndarray, M: int, N: int) -> np.ndarray:
-    """The adjoint of `synthesize` up to the grid scale: fft2 over the last two axes, cropped to M x N, bit for bit."""
+    """The adjoint of `synthesize`: fft2 over the last two axes, cropped to M x N, bit for bit."""
     cropped = np.ascontiguousarray(np.fft.fft(samples, axis=-1)[..., :N])
     return np.fft.fft(cropped, axis=-2, out=cropped)[..., :M, :]
 

@@ -700,6 +700,29 @@ def test_construction_validation():
     assert REFINE_REL_TOL == 1e-6
 
 
+@pytest.mark.parametrize("bad", [{(17, 5): np.inf}, {(0, 63): -np.inf}, {(63, 0): np.nan},
+                                 {(3, 3): complex(0.0, np.inf)}, {(0, 0): np.inf, (1, 1): -np.inf}],
+                         ids=["inf", "minus-inf", "nan", "imaginary-inf", "inf-and-minus-inf"])
+def test_a_grid_with_a_value_that_is_not_finite_is_refused(bad):
+    samples = np.ones((64, 64), dtype=complex)
+    for index, value in bad.items():
+        samples[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the one line below, and no numpy warning
+        with pytest.raises(ValueError, match=r"^samples must all be finite$"):
+            GridFunction(64, 64, samples)
+
+
+def test_a_finite_grid_whose_sum_overflows_is_accepted():
+    # The check sums the samples first; a sum that is not finite falls back
+    # to the value-by-value test, which this grid passes.
+    samples = np.full((64, 64), 1e308 - 1e308j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = GridFunction(64, 64, samples)
+    assert np.array_equal(f.samples, samples)
+
+
 # ---------------------------------------------------------------------------
 # Working memory, traced by tracemalloc (numpy reports its buffers to it)
 # ---------------------------------------------------------------------------
@@ -762,13 +785,13 @@ def test_eval_sum_holds_about_one_grid(budget_matrix):
 
 
 def test_panelled_eval_sum_holds_about_one_grid():
-    # 1024^2 is above CACHE_SAMPLES, so synthesize takes its column panels;
-    # each holds 2^16 samples, 1/16 of this grid.  The first pass runs on
-    # the grid's own first M rows: at M = Kx a separate first-pass array
-    # took a second whole grid (2.08 grids).
+    # A grid beyond the cache.  Both passes of synthesize run in place on
+    # the output grid: the first on its N nonzero columns, which at N = Ky
+    # are all of them, and the second along its rows.  A separate
+    # first-pass array at M = Kx took a second whole grid (2.08 grids).
     Kx = Ky = 1024
     assert Kx * Ky > CACHE_SAMPLES
-    for M, N in [(Kx // 8, Ky // 8), (Kx, 8)]:
+    for M, N in [(Kx // 8, Ky // 8), (Kx, 8), (8, Ky)]:
         A = random_matrix(np.random.default_rng(19), M, N)
         assert traced_peak(lambda: eval_sum(A, EvalPlan(Kx=Kx, Ky=Ky))) <= 1.25 * Kx * Ky * 16, (M, N)
 

@@ -42,14 +42,17 @@ def test_direct_and_transform_paths_agree():
     assert np.max(np.abs(f_fft.samples - direct)) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("M,N,Kx,Ky", [
+# Square and non-square matrices and grids, grids of one matrix size, grids
+# beyond the cache (more than 2^18 samples), narrow and wide grids, a size
+# with a large prime factor (16411), and matrices of one row or column.
+# Some ids name a shape by the column panels that an earlier synthesis cut
+# it into; they are kept so that each case keeps its name.
+TRANSFORM_SHAPES = [
     (4, 4, 32, 32),
     (5, 3, 12, 7),
     (3, 5, 24, 40),
     (3, 5, 3, 40),
     (7, 9, 7, 9),
-    # Grids of more than CACHE_SAMPLES = 2^18 samples take the panelled
-    # second pass, in panels of about 2^16 samples, at least four columns.
     (4, 4, 512, 512),
     (4, 4, 513, 512),
     (6, 5, 600, 500),
@@ -62,19 +65,62 @@ def test_direct_and_transform_paths_agree():
     (1, 7, 1024, 512),
     (9, 1, 1024, 512),
     (6, 6, 1024, 1024),
-], ids=["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix",
-        "at-panel-threshold", "just-above-panel-threshold", "Ky-not-a-panel-multiple",
-        "four-column-panels-with-a-folded-tail", "one-panel-wide", "wide-and-short",
-        "Kx-with-a-large-prime-factor", "panels-with-no-zero-tail", "first-pass-with-no-padding",
-        "one-row-matrix-on-panels", "one-column-matrix-on-panels", "sixteen-panels"])
+]
+TRANSFORM_IDS = ["square", "non-square", "non-square-grid", "Kx-equals-M", "grid-equals-matrix",
+                 "at-panel-threshold", "just-above-panel-threshold", "Ky-not-a-panel-multiple",
+                 "four-column-panels-with-a-folded-tail", "one-panel-wide", "wide-and-short",
+                 "Kx-with-a-large-prime-factor", "panels-with-no-zero-tail", "first-pass-with-no-padding",
+                 "one-row-matrix-on-panels", "one-column-matrix-on-panels", "sixteen-panels"]
+
+
+def padded_matrix(entries, Kx, Ky):
+    padded = np.zeros((*entries.shape[:-2], Kx, Ky), dtype=complex)
+    padded[..., :entries.shape[-2], :entries.shape[-1]] = entries
+    return padded
+
+
+@pytest.mark.parametrize("M,N,Kx,Ky", TRANSFORM_SHAPES, ids=TRANSFORM_IDS)
 def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
+    # The unpruned transforms in the pruned ones' order: synthesis down the
+    # columns, then along the rows, unscaled; the adjoint is fft2's order.
     rng = np.random.default_rng([M, N, Kx, Ky])
     entries = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
-    padded = np.zeros((Kx, Ky), dtype=complex)
-    padded[:M, :N] = entries
-    assert np.array_equal(synthesize(entries, Kx, Ky), np.fft.ifft2(padded) * (Kx * Ky))
+    columns_first = np.fft.ifft(padded_matrix(entries, Kx, Ky), axis=0, norm="forward")
+    assert np.array_equal(synthesize(entries, Kx, Ky), np.fft.ifft(columns_first, axis=1, norm="forward"))
     samples = rng.standard_normal((Kx, Ky)) + 1j * rng.standard_normal((Kx, Ky))
     assert np.array_equal(synthesize_adjoint(samples, M, N), np.fft.fft2(samples)[:M, :N])
+
+
+@pytest.mark.parametrize("stack,M,N,Kx,Ky", [((), *shape) for shape in TRANSFORM_SHAPES] + [((2, 3), 5, 3, 12, 7)],
+                         ids=[*TRANSFORM_IDS, "stack"])
+def test_synthesis_agrees_with_ifft2_and_the_direct_sum(stack, M, N, Kx, Ky):
+    # Within the benchmark's DIRECT_RTOL of sum |a_mn|, which bounds |S|:
+    # against ifft2, which takes the rows first and scales, and against the
+    # direct double sum, the independent oracle.
+    rng = np.random.default_rng([M, N, Kx, Ky, 7])
+    entries = rng.standard_normal((*stack, M, N)) + 1j * rng.standard_normal((*stack, M, N))
+    samples = synthesize(entries, Kx, Ky)
+    nodes_x, nodes_y = np.arange(Kx) / Kx, np.arange(Ky) / Ky
+    reference = np.fft.ifft2(padded_matrix(entries, Kx, Ky)) * (Kx * Ky)
+    for index in np.ndindex(*stack):
+        tol = 1e-13 * np.sum(np.abs(entries[index]))
+        assert np.max(np.abs(samples[index] - reference[index])) <= tol
+        direct = _direct(CoefficientMatrix(M, N, entries[index]), nodes_x, nodes_y, 2.0 * np.pi)
+        assert np.max(np.abs(samples[index] - direct)) <= tol
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["alone", "stack"])
+@pytest.mark.parametrize("M,N,Kx,Ky", [(4, 4, 32, 32), (5, 3, 12, 7), (3, 5, 24, 40), (6, 6, 1024, 1024)],
+                         ids=["square", "non-square", "non-square-grid", "beyond-the-cache"])
+def test_synthesis_and_its_adjoint_are_adjoint(M, N, Kx, Ky, stack):
+    # <synthesize(a), g> = <a, synthesize_adjoint(g)>, <u, v> = sum u conj(v):
+    # the unscaled synthesis and the cropped fft2 are exactly adjoint.
+    rng = np.random.default_rng([M, N, Kx, Ky, 12])
+    a = rng.standard_normal((*stack, M, N)) + 1j * rng.standard_normal((*stack, M, N))
+    g = rng.standard_normal((*stack, Kx, Ky)) + 1j * rng.standard_normal((*stack, Kx, Ky))
+    lhs = np.sum(synthesize(a, Kx, Ky) * g.conj(), axis=(-2, -1))
+    rhs = np.sum(a * synthesize_adjoint(g, M, N).conj(), axis=(-2, -1))
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
 
 
 @pytest.mark.parametrize("M,N,Kx,Ky", [(1, 1, 16, 16), (5, 3, 12, 7), (4, 4, 32, 32), (4, 4, 513, 512),
@@ -82,7 +128,7 @@ def test_pruned_transforms_equal_the_padded_ones_bit_for_bit(M, N, Kx, Ky):
                          ids=["one-by-one", "non-square", "square", "panels", "one-row-matrix-on-panels"])
 def test_a_stack_transforms_each_matrix_as_it_is_transformed_alone(M, N, Kx, Ky):
     # Leading axes are a stack, each member's samples and adjoint bit for
-    # bit those of the member alone, on the panelled second pass too.
+    # bit those of the member alone, on grids beyond the cache too.
     rng = np.random.default_rng([M, N, Kx, Ky, 3])
     entries = rng.standard_normal((2, M, N)) + 1j * rng.standard_normal((2, M, N))
     samples = synthesize(entries, Kx, Ky)
