@@ -126,7 +126,7 @@ def _layer_calls(tree: SimpleNamespace, M: int, workdir: Path) -> dict:
     }
     if M > SEARCH_MAX_M:
         return grid_calls
-    grid_path = workdir / f"grid_{M}.json"
+    grid_path = workdir / f"grid_{M}.npy"
     norms.save_grid(grid_path, f)
     start = _random_entries(rng, M)[None]
     config = opnorm.SearchConfig(**ESTIMATE)

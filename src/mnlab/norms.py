@@ -1,4 +1,4 @@
-"""Discrete l^{p,q} and grid L^{r,s} mixed norms, plus the shared JSON formats.
+"""Discrete l^{p,q} and grid L^{r,s} mixed norms, plus their array files and JSON formats.
 
 The discrete norm applies the p-norm down each column (row index m is the
 inner index), then the q-norm across columns.  The grid norm applies the
@@ -31,13 +31,12 @@ pairwise, so no block is one column wide unless the grid is.
 
 from __future__ import annotations
 
+import io
 import json
-import os
-import re
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import BinaryIO, NamedTuple, TextIO
 
 import numpy as np
 
@@ -285,13 +284,13 @@ class MixedNorm(NamedTuple):
 
 
 # ----------------------------------------------------------------------------
-# Shared JSON formats.  Matrices: {"M", "N", "entries": [[re, im], ...]} in
-# row-major order (column index n fastest).  Grids: the analogous
-# {"Kx", "Ky", "samples"} document.  Floats survive the round trip bit-exactly.
-# The loaders parse the savers' bytes without json.loads, in chunks of about
-# 2^18 bytes, so they hold the loaded array and about a chunk of text
-# (_canonical_array); any other text goes through json.loads.
-# Reports: one key per dataclass field (see JsonReport).
+# Array files and JSON documents.  Every matrix or grid file mnlab writes is
+# .npy (np.save of the complex array), whatever the file's name; the loaders
+# read .npy by its magic bytes and any other file as a JSON document: matrices
+# {"M", "N", "entries": [[re, im], ...]} in row-major order (column index n
+# fastest), grids the analogous {"Kx", "Ky", "samples"} document, which is
+# what `eval` prints without --out.  Floats survive either round trip
+# bit-exactly.  Reports: one key per dataclass field (see JsonReport).
 # ----------------------------------------------------------------------------
 
 
@@ -345,16 +344,50 @@ def _document_array(doc, size_keys: tuple[str, str], data_key: str, what: str):
 def _load_array(path: str | Path, size_keys: tuple[str, str], data_key: str, what: str):
     """(rows, cols, complex array) of the matrix or grid file at `path`; a malformed one raises ValueError.
 
-    The exact layout that the savers write is parsed without a Python float
-    per number (_canonical_array); any other text goes through json.loads
-    and _document_array.  Text that is not JSON, or not UTF-8, is named as
-    the `what` document, as _document_array names its own refusals.
+    A file that starts with numpy's magic string is read as .npy (_npy_array),
+    any other as a JSON document, through json.loads and _document_array.
+    The format is decided from the file's first bytes without losing them, so
+    a pipe, read once, loads in either.  Text that is not JSON, or not UTF-8,
+    is named as the `what` document, as _document_array names its own refusals.
     """
-    canonical = _canonical_array(path, size_keys, data_key)
+    with open(path, "rb") as handle:
+        if not handle.seekable():
+            handle = io.BytesIO(handle.read())
+        if handle.read(len(np.lib.format.MAGIC_PREFIX)) == np.lib.format.MAGIC_PREFIX:
+            return _npy_array(handle, size_keys, what)
+        handle.seek(0)
+        # Decoded as Path.read_text decodes, so a JSON error names the same position.
+        with io.TextIOWrapper(handle) as text:
+            try:
+                return _document_array(json.loads(text.read()), size_keys, data_key, what)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ValueError(f"{what} JSON: {exc}") from exc
+
+
+def _npy_array(handle: BinaryIO, size_keys: tuple[str, str], what: str):
+    """(rows, cols, array) of the .npy file in `handle`, read up to its magic prefix; a malformed one raises ValueError.
+
+    The header is checked before the body is read: an array that is not 2-D,
+    a dtype that is not numeric (bool, str, structured, or object, whose body
+    np.load would unpickle), or a header calling for more bytes than the file
+    holds is refused, so no header sizes an allocation beyond the file.  The
+    body is then read by np.load without pickles.
+    """
     try:
-        return canonical or _document_array(json.loads(Path(path).read_text()), size_keys, data_key, what)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{what} JSON: {exc}") from exc
+        version = tuple(handle.read(2))  # the format version: the two bytes after the magic prefix
+        header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        shape, _, dtype = header(handle)
+        if len(shape) != 2 or dtype.kind not in "iufc":
+            raise ValueError(f"expected a 2-D array of numbers, got shape {shape} of dtype {dtype}")
+        rows, cols = check_dimensions(*shape, names=size_keys)
+        header_end, needed = handle.tell(), rows * cols * dtype.itemsize
+        held = handle.seek(0, io.SEEK_END) - header_end
+        if held < needed:
+            raise ValueError(f"the header calls for {needed} bytes of data, the file holds {held}")
+        handle.seek(0)
+        return rows, cols, np.load(handle, allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{what} .npy: {exc}") from exc
 
 
 def matrix_from_json(doc: dict) -> CoefficientMatrix:
@@ -376,9 +409,9 @@ def grid_from_json(doc: dict) -> GridFunction:
 
 
 def save_matrix(path: str | Path, A: CoefficientMatrix) -> None:
-    """Write the matrix's JSON document to the file at `path`, one row at a time (see _write_array)."""
-    with Path(path).open("w") as out:
-        _write_array(out, {"M": A.M, "N": A.N, "entries": []}, A.entries)
+    """Write the matrix's entries to the file at `path` as .npy, whatever its suffix."""
+    with Path(path).open("wb") as out:
+        np.save(out, A.entries, allow_pickle=False)
 
 
 def load_matrix(path: str | Path) -> CoefficientMatrix:
@@ -386,114 +419,26 @@ def load_matrix(path: str | Path) -> CoefficientMatrix:
     return CoefficientMatrix(*_load_array(path, ("M", "N"), "entries", "matrix"))
 
 
-# np.fromstring parses by strtod, looser than JSON.  With "[" a space and "]",
-# "}" and "\n" tabs, no number runs into the next and a space precedes each: -?,
-# 0 or [1-9][0-9]*, and a fraction or exponent with a digit or sign after its
-# "." or "e".  So +1, .5, 5., 01, 1.e5, "[, ]" (strtod reads -1.0) and integers
-# (json.loads reads -0 as +0) take the general path.  A literal start scans fast.
-_NOT_A_FLOAT = re.compile(rb" (?! |-?(?:0|[1-9][0-9]*)[.eE][0-9+-])")
-_NUMBER_GAPS = bytes.maketrans(b"[]}\n", b" \t\t\t")
-# The canonical reader takes the body in reads of _CHUNK_BYTES, which stay in
-# cache; a read allocates its whole size even at the end of a small file.
-_CHUNK_BYTES = 2**18
-_HEAD_BYTES = 128  # more than a header with two 18-digit sizes
-# More than the longest canonical run without a pair separator, ' [[' re
-# ', ' im ']]}\n' with reprs of at most 24 characters: 57 bytes.
-_PAIR_BYTES = 64
+def write_grid(out: TextIO, f: GridFunction) -> None:
+    """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time.
 
-
-def _canonical_array(path: str | Path, size_keys: tuple[str, str], data_key: str):
-    """(rows, cols, complex array) of a file in the savers' exact layout, else None: the general path decides.
-
-    The body ' [[re, im], [re, im], ..., [re, im]]}\n' is read in chunks,
-    each cut after the "]" of its last "], [" and the rest carried to the
-    next, so that each piece holds whole pairs (_piece_values).  Their
-    numbers fill one array, sized once the file is seen to be large enough.
+    Only one row's floats exist as Python objects at once.  Each row is one
+    `%r` template: json writes a finite float as float.__repr__, and grids are
+    finite.
     """
-    path = Path(path)
-    if not path.is_file():  # a pipe is read once, by the general path
-        return None
-    size = "([1-9][0-9]{0,17})"  # int() takes at most 4300 digits
-    with path.open("rb") as handle:
-        head = re.match(rf'\{{"{size_keys[0]}": {size}, "{size_keys[1]}": {size}, "{data_key}":'.encode(),
-                        handle.read(_HEAD_BYTES))
-        if head is None:
-            return None
-        rows, cols = int(head[1]), int(head[2])
-        # Each pair takes 6 bytes of layout and two numbers of 3 or more, so
-        # nothing is sized from the header before the file is.
-        if os.fstat(handle.fileno()).st_size - head.end() < 12 * rows * cols + 3:
-            return None
-        handle.seek(head.end())
-        values = np.empty(2 * rows * cols)
-        filled, lead, carry = 0, b" [", b""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            while True:
-                chunk = handle.read(_CHUNK_BYTES)
-                text = carry + chunk
-                cut = text.rfind(b"], [") + 1 if chunk else len(text)
-                if chunk and not cut:
-                    if len(text) > _PAIR_BYTES:  # no canonical pair is this long: do not gather the file
-                        return None
-                    carry = text
-                    continue
-                parsed = _piece_values(text[:cut], lead, b"" if chunk else b"]}\n")
-                if parsed is None or filled + parsed.size > values.size:
-                    return None
-                values[filled:filled + parsed.size] = parsed
-                filled += parsed.size
-                if not chunk:
-                    break
-                carry, lead = text[cut + 1:], b" "  # the "," of the separator dropped
-    return (rows, cols, values.view(np.complex128).reshape(rows, cols)) if filled == values.size else None
-
-
-def _piece_values(piece: bytes, lead: bytes, tail: bytes) -> "np.ndarray | None":
-    """The numbers of a piece of whole pairs, else None.
-
-    Between its numbers the piece must read `lead` (' [' for the first piece,
-    ' ' for the others), '[, ]', ', [, ]' for each further pair, then `tail`
-    (']}\n' for the last piece).  Parses under warnings raised as errors.
-    """
-    layout = piece.translate(None, b"0123456789.eE+-")
-    pairs = (len(layout) - len(lead) - len(tail) + 2) // 6
-    if layout != lead + b"[, ]" + b", [, ]" * (pairs - 1) + tail:
-        return None
-    numbers = piece.translate(_NUMBER_GAPS)  # '   re, im\t,  re, im\t'
-    if _NOT_A_FLOAT.search(numbers):
-        return None
-    try:
-        parsed = np.fromstring(numbers, sep=",")
-    except (ValueError, Warning):
-        return None
-    return parsed if parsed.size == 2 * pairs else None
-
-
-def _write_array(out: TextIO, header: dict, array: np.ndarray) -> None:
-    """Write json.dumps(header) + "\\n" to `out`, its empty list filled with the [re, im] pairs of `array`.
-
-    Row by row, so only one row's floats exist as Python objects at once.  Each row is one `%r`
-    template: json writes a finite float as float.__repr__, and matrices and grids are finite.
-    """
-    out.write(json.dumps(header)[:-2])  # up to and including "["
-    template = ", ".join(["[%r, %r]"] * array.shape[1])
-    for j, row in enumerate(array):
+    out.write(json.dumps({"Kx": f.Kx, "Ky": f.Ky, "samples": []})[:-2])  # up to and including "["
+    template = ", ".join(["[%r, %r]"] * f.Ky)
+    for j, row in enumerate(f.samples):
         if j:
             out.write(", ")
         out.write(template % tuple(np.ascontiguousarray(row).view(np.float64).tolist()))
     out.write("]}\n")
 
 
-def write_grid(out: TextIO, f: GridFunction) -> None:
-    """Write json.dumps(grid_to_json(f)) + "\\n" to `out`, byte for byte, one grid row at a time."""
-    _write_array(out, {"Kx": f.Kx, "Ky": f.Ky, "samples": []}, f.samples)
-
-
 def save_grid(path: str | Path, f: GridFunction) -> None:
-    """Write the grid's JSON document (see write_grid) to the file at `path`."""
-    with Path(path).open("w") as out:
-        write_grid(out, f)
+    """Write the grid's samples to the file at `path` as .npy, whatever its suffix."""
+    with Path(path).open("wb") as out:
+        np.save(out, f.samples, allow_pickle=False)
 
 
 def load_grid(path: str | Path) -> GridFunction:

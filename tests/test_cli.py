@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -22,8 +23,10 @@ from mnlab.norms import (
     CoefficientMatrix,
     GridFunction,
     QuadratureWarning,
+    grid_from_json,
     grid_to_json,
     load_grid,
+    load_matrix,
     save_grid,
     save_matrix,
 )
@@ -61,9 +64,11 @@ def test_every_readme_example_runs(tmp_path, monkeypatch, capsys):
     examples = readme_examples()
     assert len(examples) == 9
     monkeypatch.chdir(tmp_path)
-    rng = np.random.default_rng(3)
-    save_matrix("A.json", CoefficientMatrix(4, 3, rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))))
-    for argv in examples:  # in order: `norm` reads the S.json that `eval` writes
+    # The matrix file the examples name, hand-written as JSON.
+    matrix_name = next(argv[argv.index("--matrix") + 1] for argv in examples if "--matrix" in argv)
+    entries = np.random.default_rng(3).standard_normal((12, 2)).tolist()
+    Path(matrix_name).write_text(json.dumps({"M": 4, "N": 3, "entries": entries}))
+    for argv in examples:  # in order: `norm` reads the S.npy that `eval` writes
         assert main(argv) == 0, argv
     capsys.readouterr()
 
@@ -187,17 +192,23 @@ def test_eval_determinism_is_byte_for_byte(tmp_path, matrix_file):
 
 
 def test_eval_out_writes_the_printed_document(tmp_path, matrix_file, capsys):
+    # --out writes the .npy of the samples that eval prints as JSON without it.
     path, A = matrix_file
     out = tmp_path / "grid.json"
     assert main(["eval", "--matrix", str(path), "--out", str(out)]) == 0
     assert main(["eval", "--matrix", str(path)]) == 0
     printed = capsys.readouterr().out
-    # The document as the whole-grid, per-element serializer wrote it.
     samples = eval_sum(A, EvalPlan(Kx=32, Ky=24)).samples
+    npy = io.BytesIO()
+    np.save(npy, samples, allow_pickle=False)
+    assert out.read_bytes() == npy.getvalue()
+    # The printed document as the whole-grid, per-element serializer wrote it.
     pairs = [[float(z.real), float(z.imag)] for z in samples.ravel()]
-    expected = json.dumps({"Kx": 32, "Ky": 24, "samples": pairs}) + "\n"
-    assert out.read_text() == printed == expected
-    # Span tracers rebind these two names on cli to time the JSON layer.
+    assert printed == json.dumps({"Kx": 32, "Ky": 24, "samples": pairs}) + "\n"
+    (tmp_path / "printed.json").write_text(printed)
+    assert load_grid(out).samples.tobytes() == load_grid(tmp_path / "printed.json").samples.tobytes() \
+        == grid_from_json(json.loads(printed)).samples.tobytes() == samples.tobytes()
+    # Span tracers rebind these two names on cli to time the array-file layer.
     assert cli.save_grid is norms.save_grid and cli.grid_to_json is norms.grid_to_json
 
 
@@ -698,7 +709,7 @@ def test_file_smaller_than_its_header_claims_fails_with_the_shape_message(tmp_pa
 
 
 def test_grid_file_in_any_json_layout_loads_through_a_pipe(tmp_path, capsys):
-    # A pipe is read once, so a file outside the layout save_grid writes still loads.
+    # A pretty-printed JSON grid loads from a file and through a pipe, which is read once, alike.
     f = eval_sum(CoefficientMatrix(2, 2, np.eye(2)), EvalPlan(4, 4))
     pretty = json.dumps(grid_to_json(f), indent=2)
     path = tmp_path / "grid.json"
@@ -708,6 +719,57 @@ def test_grid_file_in_any_json_layout_loads_through_a_pipe(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "mnlab.cli", "norm", "--grid", "/dev/stdin"],
                           input=pretty, env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_npy_and_json_grids_load_through_a_pipe(tmp_path, capsys):
+    # A pipe is read once, and its format decided from the bytes read.
+    f = eval_sum(CoefficientMatrix(2, 3, np.arange(6.0).reshape(2, 3) - 1j), EvalPlan(8, 8))
+    npy, text = tmp_path / "grid.npy", tmp_path / "grid.json"
+    save_grid(npy, f)
+    text.write_text(json.dumps(grid_to_json(f)))
+    env = {**os.environ, "PYTHONPATH": str(Path(mnlab.__file__).parent.parent)}
+    for path in (npy, text):
+        assert main(["norm", "--grid", str(path), "--gamma", "0.25"]) == 0
+        done = subprocess.run([sys.executable, "-m", "mnlab.cli", "norm", "--grid", "/dev/stdin", "--gamma", "0.25"],
+                              input=path.read_bytes(), env=env, capture_output=True)
+        assert (done.returncode, done.stdout.decode(), done.stderr) == (0, capsys.readouterr().out, b""), path.name
+
+
+def test_a_hand_written_json_matrix_loads_to_its_bits(tmp_path):
+    # json.loads's floats, exactly as the JSON reader has always read them.
+    path = tmp_path / "A.json"
+    path.write_text('{\n  "N": 2, "M": 2,\n  "entries": [[0.1, -0], [1e-320, 3], [-2.5E+3, 1.7976931348623157e308],'
+                    ' [-0.0, 7]]\n}\n')
+    expected = np.array([[0.1, 0.0, 1e-320, 3.0], [-2500.0, 1.7976931348623157e308, -0.0, 7.0]])
+    assert load_matrix(path).entries.tobytes() == expected.tobytes()
+
+
+def _npy_header_only(shape):
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(out, {"descr": "<c16", "fortran_order": False, "shape": shape})
+    return out.getvalue()
+
+
+def _npy_of(array):
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=True)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("flag, what", [("--matrix", "matrix"), ("--grid", "grid")])
+@pytest.mark.parametrize("content, reason", [
+    (_npy_of(np.zeros(3)), "expected a 2-D array of numbers, got shape (3,) of dtype float64"),
+    (_npy_of(np.zeros((2, 2), dtype=bool)), "expected a 2-D array of numbers, got shape (2, 2) of dtype bool"),
+    (_npy_of(np.array([[None]])), "expected a 2-D array of numbers, got shape (1, 1) of dtype object"),
+    (_npy_header_only((100000, 100000)) + bytes(16),
+     "the header calls for 160000000000 bytes of data, the file holds 16"),
+    (_npy_of(np.ones((2, 3), dtype=complex))[:-1], "the header calls for 96 bytes of data, the file holds 95"),
+], ids=["1-D", "bool", "object", "header-beyond-file", "truncated"])
+def test_a_bad_npy_file_fails_with_one_line(tmp_path, flag, what, content, reason, capsys):
+    path = tmp_path / "bad.npy"
+    path.write_bytes(content)
+    assert main(["norm", flag, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {what} .npy: {reason}\n")
 
 
 def test_extremal_takes_no_value_flag(capsys):

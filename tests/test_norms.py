@@ -1,8 +1,9 @@
-"""Tests for discrete/grid mixed norms, chain inequalities, and JSON round trips."""
+"""Tests for discrete/grid mixed norms, chain inequalities, and array-file and JSON round trips."""
 
 import io
 import json
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -374,23 +375,28 @@ def test_small_blocked_norms_equal_the_whole_grid_ones_bit_for_bit(Kx, Ky, block
 
 
 # ---------------------------------------------------------------------------
-# JSON formats
+# Array files and JSON documents
 # ---------------------------------------------------------------------------
 
 
-def saved_matrix_document(tmp_path, A):
-    """The JSON document save_matrix writes for A, as json.loads reads it."""
-    save_matrix(tmp_path / "matrix.json", A)
-    return json.loads((tmp_path / "matrix.json").read_text())
+def npy_bytes(array):
+    """The bytes np.save writes for `array`: what save_matrix and save_grid write."""
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=False)
+    return out.getvalue()
 
 
 def test_matrix_json_round_trip_is_bit_exact(tmp_path):
+    # The saved file is .npy under any name; the JSON document reads to the same bits.
     rng = np.random.default_rng(10)
     A = random_matrix(rng, 3, 5)
-    doc = saved_matrix_document(tmp_path, A)
-    back = matrix_from_json(doc)
+    save_matrix(tmp_path / "matrix.json", A)
+    back = load_matrix(tmp_path / "matrix.json")
     assert back.M == 3 and back.N == 5
-    assert np.array_equal(back.entries, A.entries)
+    assert back.entries.tobytes() == A.entries.tobytes()
+    pairs = A.entries.view(np.float64).reshape(-1, 2).tolist()
+    assert matrix_from_json(json.loads(json.dumps({"M": 3, "N": 5, "entries": pairs}))).entries.tobytes() \
+        == A.entries.tobytes()
 
 
 def test_grid_json_round_trip_is_bit_exact():
@@ -430,13 +436,12 @@ def test_write_grid_writes_the_document_to_a_text_handle(name):
 
 @pytest.mark.parametrize("name", list(_grid_cases()))
 def test_save_matrix_writes_the_document_bytes(tmp_path, name):
+    # The document is the .npy of the entries, whatever the file's suffix.
     entries = _grid_cases()[name]
     A = CoefficientMatrix(*entries.shape, entries)
-    pairs = [[float(z.real), float(z.imag)] for z in entries.ravel(order="C")]
     save_matrix(tmp_path / "matrix.json", A)
-    expected = json.dumps({"M": A.M, "N": A.N, "entries": pairs}) + "\n"
-    assert (tmp_path / "matrix.json").read_bytes() == expected.encode()
-    assert load_matrix(tmp_path / "matrix.json").entries.tobytes() == np.ascontiguousarray(entries).tobytes()
+    assert (tmp_path / "matrix.json").read_bytes() == npy_bytes(entries)
+    assert load_matrix(tmp_path / "matrix.json").entries.tobytes() == entries.tobytes()
 
 
 @pytest.mark.parametrize("name", list(_grid_cases()))
@@ -445,10 +450,9 @@ def test_save_grid_writes_the_document_bytes(tmp_path, name):
     f = GridFunction(*samples.shape, samples)
     path = tmp_path / "grid.json"
     save_grid(path, f)
-    expected = grid_document_reference(f)
-    assert json.dumps(grid_to_json(f)) + "\n" == expected
-    assert path.read_bytes() == expected.encode()
-    assert load_grid(path).samples.tobytes() == np.ascontiguousarray(samples).tobytes()
+    assert json.dumps(grid_to_json(f)) + "\n" == grid_document_reference(f)
+    assert path.read_bytes() == npy_bytes(samples)
+    assert load_grid(path).samples.tobytes() == samples.tobytes()
 
 
 def test_matrix_json_rejects_wrong_entry_count():
@@ -486,16 +490,23 @@ def test_json_loaders_reject_malformed_documents(doc):
 
 
 def test_json_round_trip_keeps_signed_zeros(tmp_path):
+    # Through the saved .npy file and through a hand-written JSON file alike.
     entries = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-1.5, -0.0), 2.0]])
-    back = matrix_from_json(saved_matrix_document(tmp_path, CoefficientMatrix(2, 2, entries)))
-    assert back.entries.tobytes() == entries.tobytes()
+    save_matrix(tmp_path / "matrix.npy", CoefficientMatrix(2, 2, entries))
+    (tmp_path / "matrix.json").write_text(
+        '{"M": 2, "N": 2, "entries": [[-0.0, 0.0], [0.0, -0.0], [-1.5, -0.0], [2.0, 0.0]]}')
+    for name in ("matrix.npy", "matrix.json"):
+        assert load_matrix(tmp_path / name).entries.tobytes() == entries.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
-# The file loaders: the canonical reader against the general path as oracle
+# The file loaders.  A JSON file, hand-written or the document `eval` prints
+# (the canonical layout below), loads as the general path reads its text:
+# json.loads, then grid_from_json or matrix_from_json.  A .npy file, the
+# canonical path, is what the savers write.
 # ---------------------------------------------------------------------------
 
-# kind: (file loader, general path from the document, writer, size keys, data key)
+# kind: (file loader, general path from the document, saver, size keys, data key)
 LOADERS = {
     "grid": (load_grid, grid_from_json, lambda path, z: save_grid(path, GridFunction(*z.shape, z)),
              ("Kx", "Ky"), "samples"),
@@ -514,40 +525,28 @@ def loaded(call):
     return array.shape, array.tobytes()
 
 
-# The canonical reader's read sizes: reads of 1 byte put a chunk boundary at
-# every offset inside a pair, reads of 7 cut pair separators at varied
-# offsets and leave a carry after them, and the default reads a small file
-# whole.
-CHUNK_SIZES = (1, 7, norms._CHUNK_BYTES)
-
-
-def loaded_in_chunks(load, path):
-    """loaded(load(path)) at each of CHUNK_SIZES, which must all agree."""
-    results = []
-    for chunk_bytes in CHUNK_SIZES:
-        with mock.patch.object(norms, "_CHUNK_BYTES", chunk_bytes):
-            results.append(loaded(lambda: load(path)))
-    assert all(result == results[0] for result in results), CHUNK_SIZES
-    return results[0]
-
-
 def assert_loads_as_the_general_path(path, kind):
     load, from_json = LOADERS[kind][:2]
     expected = loaded(lambda: from_json(json.loads(path.read_text())))
     if expected[0] is json.JSONDecodeError:  # the loaders name the document that does not parse
         expected = (ValueError, f"{kind} JSON: {expected[1]}")
-    assert loaded_in_chunks(load, path) == expected
+    assert loaded(lambda: load(path)) == expected
 
 
 def canonical_text(kind, shape, tokens):
-    """The document of `shape` with these number tokens, two a sample, in the layout the savers write."""
+    """The document of `shape` with these number tokens, two a sample, in the layout `eval` prints."""
     (rows_key, cols_key), data_key = LOADERS[kind][3:]
     pairs = ", ".join(f"[{real}, {imag}]" for real, imag in zip(tokens[::2], tokens[1::2]))
     return f'{{"{rows_key}": {shape[0]}, "{cols_key}": {shape[1]}, "{data_key}": [{pairs}]}}\n'
 
 
-# Each a token that strtod (np.fromstring) and JSON (json.loads) read
-# differently, or that one of them refuses.
+def json_text(kind, z):
+    """The JSON document of the complex array `z` in the layout `eval` prints, json.dumps's float reprs."""
+    return canonical_text(kind, z.shape, [repr(value) for value in z.view(np.float64).ravel().tolist()])
+
+
+# Each a token that strtod and JSON (json.loads) read differently, or that
+# one of them refuses.
 TRAP_TOKENS = ["-0", "1" + "0" * 29, "9007199254740993", "18446744073709551616", "+1", "+1.5", ".5", ".5e1",
                "5.", "-.5", "01", "-01", "01.5", "-00.5", "1.e5", "1e", "1e+", "1.5e", "e5", "-", "--1.5", "1.5-",
                "1.5.5", "1e5e5", "NaN", "-Infinity", "1e999", "1e-400", "0e5", "-0e5", "1E+5", "1e-05", "-0.0"]
@@ -625,32 +624,23 @@ EXTREME_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.lists(float_bits, min_size=2, max_size=24).map(lambda v: v[:len(v) // 2 * 2]))
 def test_saved_files_load_bit_for_bit_on_the_canonical_path(tmp_path, kind, values):
+    # The saved .npy file loads without json.loads; the JSON document of the
+    # same samples loads to the same bits through it.
     load, _, save = LOADERS[kind][:3]
     for samples in (np.array(values).view(np.complex128), np.array(EXTREME_FLOATS).view(np.complex128)):
         samples = samples.reshape(1, -1) if len(samples) % 2 else samples.reshape(2, -1)
         path = tmp_path / "doc.json"
         save(path, samples)
-        tokens = [repr(value) for value in samples.view(float).ravel().tolist()]
-        assert path.read_text() == canonical_text(kind, samples.shape, tokens)
         with mock.patch.object(norms.json, "loads", side_effect=AssertionError("general path taken")):
-            assert loaded_in_chunks(load, path) == (samples.shape, samples.tobytes())
-
-
-def test_a_multi_chunk_grid_file_loads_on_the_canonical_path(tmp_path, budget_grid):
-    path = tmp_path / "grid.json"
-    save_grid(path, budget_grid)
-    assert path.stat().st_size > 40 * norms._CHUNK_BYTES
-    with mock.patch.object(norms.json, "loads", side_effect=AssertionError("general path taken")):
-        assert load_grid(path).samples.tobytes() == budget_grid.samples.tobytes()
+            assert loaded(lambda: load(path)) == (samples.shape, samples.tobytes())
+        path.write_text(json_text(kind, samples))
+        assert loaded(lambda: load(path)) == (samples.shape, samples.tobytes())
 
 
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_files_cut_short_or_closed_otherwise_load_as_the_general_path_reads_them(tmp_path, kind):
-    save = LOADERS[kind][2]
     z = np.random.default_rng(20).standard_normal((4, 6)).view(np.complex128)
-    whole = tmp_path / "whole.json"
-    save(whole, z)
-    data = whole.read_bytes()
+    data = json_text(kind, z).encode()
     middle = data.index(b"], [", len(data) // 2)
     path = tmp_path / "cut.json"
     # Every cut inside one pair and its separators, and cuts in the closing "]]}\n".
@@ -672,11 +662,91 @@ def test_sizes_that_disagree_with_the_pairs_load_as_the_general_path_reads_them(
     assert_loads_as_the_general_path(path, kind)
 
 
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("array", [
+    np.arange(6.0).reshape(2, 3),
+    np.arange(6).reshape(3, 2),
+    np.arange(6, dtype=np.uint8).reshape(6, 1),
+    np.arange(6, dtype=np.float32).reshape(1, 6) - 2.5,
+    (np.arange(6) - 1.5j).astype(">c16").reshape(2, 3),
+    np.asfortranarray((np.arange(12) + 0.5j).reshape(3, 4)),
+], ids=["float64", "int64", "uint8", "float32", "big-endian-complex", "F-ordered"])
+def test_an_npy_file_of_any_numeric_dtype_loads_as_complex(tmp_path, kind, array):
+    path = tmp_path / "doc.npy"
+    path.write_bytes(npy_bytes(array))
+    assert loaded(lambda: LOADERS[kind][0](path)) == (array.shape, array.astype(np.complex128).tobytes())
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+@pytest.mark.parametrize("array", [
+    np.zeros(4), np.zeros((2, 2, 2)), np.zeros(()), np.zeros((2, 2), dtype=bool), np.array([["1.0"]]),
+    np.zeros((2, 2), dtype=[("re", "f8"), ("im", "f8")]), np.zeros((1, 1), dtype="datetime64[s]"),
+], ids=["1-D", "3-D", "0-D", "bool", "str", "structured", "datetime"])
+def test_an_npy_file_that_is_not_a_2d_array_of_numbers_is_refused(tmp_path, kind, array):
+    path = tmp_path / "doc.npy"
+    path.write_bytes(npy_bytes(array))
+    with pytest.raises(ValueError, match=rf"^{kind} \.npy: expected a 2-D array of numbers, got shape "):
+        LOADERS[kind][0](path)
+
+
+class _Marker:
+    """Unpickling it creates the file at `path`: a payload that must never run."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_a_pickled_npy_file_never_runs_its_payload(tmp_path, kind):
+    marker = tmp_path / "marker"
+    out = io.BytesIO()
+    np.save(out, np.array([[_Marker(marker)]], dtype=object), allow_pickle=True)
+    # The object array as np.save writes it, and the bare pickle of the same payload.
+    for name, data in [("object.npy", out.getvalue()), ("pickle.npy", pickle.dumps(_Marker(marker)))]:
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{kind} (\.npy: expected a 2-D array of numbers|JSON: )"):
+            LOADERS[kind][0](tmp_path / name)
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_an_npy_header_beyond_the_file_is_refused_without_allocating(tmp_path, kind):
+    # A 4096 x 4096 complex header over one sample: loading it would take 256 MiB.
+    path = tmp_path / "doc.npy"
+    with path.open("wb") as out:
+        np.lib.format.write_array_header_1_0(out, {"descr": "<c16", "fortran_order": False, "shape": (4096, 4096)})
+        out.write(bytes(16))
+    message = rf"^{kind} \.npy: the header calls for 268435456 bytes of data, the file holds 16$"
+    with pytest.raises(ValueError, match=message):
+        LOADERS[kind][0](path)
+    assert traced_peak(lambda: loaded(lambda: LOADERS[kind][0](path))) < 64 * 1024
+
+
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_a_truncated_npy_file_is_refused(tmp_path, kind):
+    load, _, save = LOADERS[kind][:3]
+    whole = tmp_path / "whole.npy"
+    save(whole, np.random.default_rng(23).standard_normal((3, 8)).view(np.complex128))
+    data = whole.read_bytes()
+    path = tmp_path / "cut.npy"
+    for end in range(len(np.lib.format.MAGIC_PREFIX), len(data)):  # inside the header and inside the body
+        path.write_bytes(data[:end])
+        with pytest.raises(ValueError, match=rf"^{kind} \.npy: "):
+            load(path)
+
+
 def test_row_major_entry_order(tmp_path):
-    # Column index n varies fastest in the flat entry list.
+    # Column index n varies fastest in the saved file's data and in a JSON document's entry list.
     A = CoefficientMatrix(2, 2, np.array([[1, 2], [3, 4]], dtype=complex))
-    doc = saved_matrix_document(tmp_path, A)
-    assert [pair[0] for pair in doc["entries"]] == [1.0, 2.0, 3.0, 4.0]
+    save_matrix(tmp_path / "matrix.npy", A)
+    data = (tmp_path / "matrix.npy").read_bytes()
+    assert b"'fortran_order': False" in data
+    assert np.frombuffer(data[-4 * 16:], dtype=np.complex128).tolist() == [1, 2, 3, 4]
+    doc = {"M": 2, "N": 2, "entries": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]]}
+    assert matrix_from_json(doc).entries.tobytes() == A.entries.tobytes()
 
 
 def test_numpy_integer_sizes_are_stored_as_python_ints(tmp_path):
@@ -797,19 +867,17 @@ def test_panelled_eval_sum_holds_about_one_grid():
 
 
 def test_load_grid_parses_without_a_python_float_per_number(tmp_path, budget_grid):
-    # The file is 2.7 grids of bytes.  The reader holds the loaded grid and
-    # a few copies of one 256 KiB chunk of the file: 1.32 grids at its peak.
-    # Reading the whole file, it held two copies of it (5.6 grids), and
-    # json.loads, a Python float per number, peaked at 12.0.
-    path = tmp_path / "grid.json"
+    # np.load reads the .npy body straight into the loaded grid: 1.002 grids
+    # at its peak.  The chunked JSON reader peaked at 1.32 grids here, and
+    # json.loads, a Python float per number, at 12.0.
+    path = tmp_path / "grid.npy"
     save_grid(path, budget_grid)
-    assert traced_peak(lambda: load_grid(path)) <= 1.5 * GRID_BYTES
+    assert traced_peak(lambda: load_grid(path)) <= 1.05 * GRID_BYTES
 
 
 @pytest.mark.parametrize("kind", list(LOADERS))
 def test_sizes_beyond_the_file_take_the_general_path_without_allocating(tmp_path, kind):
-    # A 4096 x 4096 header over one pair: the canonical reader would need
-    # 256 MiB for the values, and checks the file's size before it sizes them.
+    # A 4096 x 4096 JSON header over one pair: nothing is sized from it.
     path = tmp_path / "doc.json"
     path.write_text(canonical_text(kind, (4096, 4096), ["0.5", "-1.25"]))
     with pytest.raises(ValueError, match=r"expected 16777216 \[re, im\] pairs for 4096 x 4096"):
@@ -819,29 +887,17 @@ def test_sizes_beyond_the_file_take_the_general_path_without_allocating(tmp_path
     assert peak < 64 * 1024
 
 
-def test_a_body_without_pair_separators_is_refused_within_a_chunk(tmp_path):
-    # No canonical pair runs 64 bytes without a "], [".  Gathering this 2 MB
-    # body until one came would copy it once a read: quadratic time.
-    path = tmp_path / "grid.json"
-    path.write_text('{"Kx": 1, "Ky": 1, "samples": [[' + "0.5, " * 400_000 + "0.5]]}\n")
-    result = []
-    peak = traced_peak(lambda: result.append(norms._canonical_array(path, ("Kx", "Ky"), "samples")))
-    assert result == [None] and peak < 3 * norms._CHUNK_BYTES
-
-
 def test_save_grid_streams_below_one_grid(tmp_path, budget_grid):
-    # A 128 x 128 corner of the grid: traced, the writer's per-float Python
-    # objects take 3 s at 512 x 512.  Building the whole document took 22
-    # grids of memory at this size; one row at a time takes a fifth of one.
-    corner = GridFunction(128, 128, budget_grid.samples[:128, :128].copy())
-    assert traced_peak(lambda: save_grid(tmp_path / "grid.json", corner)) < 128 * 128 * 16
+    # np.save writes the grid's buffer as it is: 0.0013 grids, its header.
+    # Writing the JSON document row by row took a fifth of a grid of Python
+    # floats at 128 x 128, and the whole document at once 22 grids.
+    assert traced_peak(lambda: save_grid(tmp_path / "grid.npy", budget_grid)) < 0.01 * GRID_BYTES
 
 
 def test_save_matrix_streams_below_half_a_matrix(tmp_path):
-    # Traced, this takes about 3 s.  Building the whole document took 13.4
-    # matrices of bytes here; one row at a time takes 0.016.  The bytes are
-    # checked against json.dumps on the small shapes above.
+    # As save_grid: the JSON writer took 0.016 matrices row by row, and the
+    # whole document 13.4.
     rng = np.random.default_rng(22)
     entries = rng.standard_normal((BUDGET_GRID, 2 * BUDGET_GRID)).view(np.complex128)
     A = CoefficientMatrix(BUDGET_GRID, BUDGET_GRID, entries)
-    assert traced_peak(lambda: save_matrix(tmp_path / "matrix.json", A)) <= 0.5 * GRID_BYTES
+    assert traced_peak(lambda: save_matrix(tmp_path / "matrix.npy", A)) < 0.01 * GRID_BYTES
