@@ -31,7 +31,11 @@ the smaller rows' grids, which fit in cache, hide.
 * ``estimate`` at SearchConfig(restarts=2, max_iters=10, seed=7);
 * ``estimate_closed``: ``estimate`` at the same config on l^1 -> L^inf,
   (p, q, r, s) = (1, 1, inf, inf), whose bound 1.0 the unit start attains,
-  so the bracket closes at the first start.
+  so the bracket closes at the first start;
+* ``nonortho_check``: the CLI's ``nonortho-check --sizes M --trials 50``
+  through ``cli.main``, its output captured: 50 random draws, each one's
+  grid L^{2,2} norm of the unit-frequency sum on the max(8M, 64)^2 grid over
+  its l^{2,2} norm; its entry also gives ``peak_bytes``.
 
 Each sample is the mean time per call over a run of at least 0.2 s
 (``timeit``'s autorange) or one call, with the garbage collector on as in a
@@ -61,8 +65,10 @@ code says whether the run worked.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -83,7 +89,7 @@ CLOSED_EXPONENTS = (1.0, 1.0, 0.0, 0.0)
 ESTIMATE = {"restarts": 2, "max_iters": 10, "seed": 7}
 DEFAULT_SIZES = (4, 8, 16, 32, 64, 256)
 SEARCH_MAX_M = 64
-PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "load_grid", "objective")
+PEAK_LAYERS = ("eval_sum", "lrs_norm", "lpq_norm", "load_grid", "objective", "nonortho_check")
 
 
 def _import_tree(root: Path, name: str) -> SimpleNamespace:
@@ -93,7 +99,7 @@ def _import_tree(root: Path, name: str) -> SimpleNamespace:
     package: ModuleType = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    modules = {module: importlib.import_module(f"{name}.{module}") for module in ("norms", "opnorm", "trigsum")}
+    modules = {module: importlib.import_module(f"{name}.{module}") for module in ("cli", "norms", "opnorm", "trigsum")}
     exponents = importlib.import_module(f"{name}.exponents")
     return SimpleNamespace(root=root, **modules, exponents=exponents.MixedExponents(*EXPONENTS),
                            closed=exponents.MixedExponents(*CLOSED_EXPONENTS))
@@ -101,6 +107,13 @@ def _import_tree(root: Path, name: str) -> SimpleNamespace:
 
 def _random_entries(rng: np.random.Generator, M: int) -> np.ndarray:
     return rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+
+
+def _nonortho_check(cli: ModuleType, M: int) -> None:
+    """`mnlab nonortho-check --sizes M --trials 50`, its printed lines and JSON captured and dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(["nonortho-check", "--sizes", str(M), "--trials", "50"]) != 0:
+            raise RuntimeError(f"nonortho-check at M={M} failed")
 
 
 def _gradient_call(tree: SimpleNamespace, entries: np.ndarray, plan):
@@ -139,6 +152,7 @@ def _layer_calls(tree: SimpleNamespace, M: int, workdir: Path) -> dict:
         "ascent": lambda: opnorm._ascend(start, e, plan, opnorm.SearchConfig(max_iters=10)),
         "estimate": lambda: opnorm.estimate(M, M, e, config),
         "estimate_closed": lambda: opnorm.estimate(M, M, tree.closed, config),
+        "nonortho_check": lambda: _nonortho_check(tree.cli, M),
     }
 
 

@@ -30,7 +30,15 @@ The non-orthogonal variant V_{M,N} replaces the frequency scale 2 pi by 1:
 V(x, y) = sum a_{mn} e^{i((m-1)x + (n-1)y)}.  Its frequencies are not
 commensurate with the unit-periodic grid — V is 2 pi -periodic, not
 1-periodic — so `eval_nonortho` uses the direct sum and no periodicity in
-the unit cell may be assumed.  `default_grid` is the one grid-size rule:
+the unit cell may be assumed.  On the plan's nodes V = E_x A E_y^T, with
+the table E_x[j, m] = e^{i m j/Kx}, so the grid mean of |V|^2 is the
+quadratic form Re sum conj(A) * (G_x A conj(G_y)) of the K-point Gram
+matrices G_x = E_x^H E_x / Kx and G_y, both M x M or N x N: exact, with no
+grid.  `nonortho_l2_norm` takes it through the R factors of the scaled
+tables, E_x / sqrt(Kx) = Q_x R_x, so G_x = R_x^H R_x and the grid L^{2,2}
+norm is the l^{2,2} norm of R_x A R_y^T.  That form is never negative;
+the Gram form itself, summed in floating point, can be, on a matrix near
+the Gram's null space.  `default_grid` is the one grid-size rule:
 OVERSAMPLE = 8 samples per frequency along each axis, raised to a floor
 that each caller fixes.
 """
@@ -42,7 +50,7 @@ from collections import namedtuple
 import numpy as np
 
 from .exponents import check_dimensions
-from .norms import CoefficientMatrix, GridFunction
+from .norms import CoefficientMatrix, GridFunction, MixedNorm
 
 
 # Samples per frequency along each axis of every default grid.
@@ -93,14 +101,19 @@ def default_grid(M: int, N: int, *, floor: int = 1) -> EvalPlan:
     return EvalPlan(max(OVERSAMPLE * M, floor), max(OVERSAMPLE * N, floor))
 
 
+def _table(points: np.ndarray, size: int, scale: float) -> np.ndarray:
+    """The exponential table e^{i scale m t} at each point t (rows) and frequency m < size (columns)."""
+    return np.exp(1j * scale * np.outer(points, np.arange(size)))
+
+
 def _direct(A: CoefficientMatrix, xs: np.ndarray, ys: np.ndarray, scale: float) -> np.ndarray:
     """The literal double sum at the points xs x ys, with frequencies scaled by `scale`.
 
     When `ys is xs` and N == M the two exponential tables are one (same
     expression, same bits), computed once.
     """
-    ex = np.exp(1j * scale * np.outer(xs, np.arange(A.M)))
-    ey = ex if ys is xs and A.N == A.M else np.exp(1j * scale * np.outer(ys, np.arange(A.N)))
+    ex = _table(xs, A.M, scale)
+    ey = ex if ys is xs and A.N == A.M else _table(ys, A.N, scale)
     return ex @ A.entries @ ey.T
 
 
@@ -149,3 +162,22 @@ def eval_nonortho(A: CoefficientMatrix, plan: EvalPlan) -> GridFunction:
     x = np.arange(plan.Kx) / plan.Kx
     y = x if plan.Ky == plan.Kx else np.arange(plan.Ky) / plan.Ky
     return GridFunction(Kx=plan.Kx, Ky=plan.Ky, samples=_direct(A, x, y, 1.0))
+
+
+def _gram_factor(K: int, size: int) -> np.ndarray:
+    """R of the QR factors of E / sqrt(K), E[j, m] = e^{i m j/K} (m < size): R^H R is the K-point Gram matrix."""
+    return np.linalg.qr(_table(np.arange(K) / K, size, 1.0) / np.sqrt(K), mode="r")
+
+
+def nonortho_l2_norm(entries: np.ndarray, plan: EvalPlan) -> np.ndarray:
+    """The grid L^{2,2} norm of V_{M,N} on the plan, for each M x N array in the last two axes of `entries`.
+
+    lrs_norm(eval_nonortho(A, plan), L^{2,2}) up to rounding, without the
+    grid: the Gram identity of the module docstring, through the R factors
+    of the tables.  Leading axes are a stack, each matrix getting the value
+    it gets alone, bit for bit; a 2-D `entries` gives a numpy float.
+    """
+    *_, M, N = entries.shape
+    rx = _gram_factor(plan.Kx, M)
+    ry = rx if (plan.Ky, N) == (plan.Kx, M) else _gram_factor(plan.Ky, N)
+    return MixedNorm.of(np.abs(rx @ entries @ ry.T), 0.5, 0.5, mean=False).value

@@ -27,11 +27,13 @@ from mnlab.norms import (
     grid_to_json,
     load_grid,
     load_matrix,
+    lpq_norm,
+    lrs_norm,
     save_grid,
     save_matrix,
 )
 from mnlab.opnorm import SearchConfig, estimate
-from mnlab.trigsum import OVERSAMPLE, EvalPlan, eval_nonortho, eval_sum
+from mnlab.trigsum import OVERSAMPLE, EvalPlan, default_grid, eval_nonortho, eval_sum
 
 
 @pytest.fixture
@@ -337,12 +339,87 @@ def test_sweep_prints_the_reports_it_writes(tmp_path, capsys):
     assert printed == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
+def nonortho_by_grids(sizes, trials, seed):
+    """The stdout lines and max ratios of nonortho-check as one grid per draw gives them.
+
+    Each draw is sampled by eval_nonortho and its grid reduced by lrs_norm,
+    the draws taken one at a time from the seeded stream.
+    """
+    e22 = MixedExponents(0.5, 0.5, 0.5, 0.5)
+    rng = np.random.default_rng(seed)
+    lines, max_ratios = [], []
+    for size in sizes:
+        plan = default_grid(size, size, floor=64)
+        worst = 0.0
+        for _ in range(trials):
+            A = CoefficientMatrix(size, size, rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+            worst = max(worst, lrs_norm(eval_nonortho(A, plan), e22) / lpq_norm(A, e22))
+        max_ratios.append(worst)
+        lines.append(f"M=N={size:>3d}  max ratio over {trials} draws: {worst:.6f}")
+    return lines, max_ratios
+
+
+def nonortho_output(capsys):
+    """The lines nonortho-check prints before its JSON document, and the document."""
+    out = capsys.readouterr().out
+    head = out[:out.index("{")]
+    return head.splitlines(), json.loads(out[len(head):])
+
+
 def test_nonortho_check_reports_ratios(capsys):
     assert main(["nonortho-check", "--sizes", "2,4", "--trials", "3"]) == 0
-    doc = last_json(capsys.readouterr().out)
-    assert len(doc["max_ratios"]) == 2
-    assert doc["empirical_constant"] >= 1.0
-    assert "top_growth" in doc
+    lines, doc = nonortho_output(capsys)
+    expected_lines, expected = nonortho_by_grids([2, 4], 3, 0)
+    assert lines == expected_lines
+    assert doc["max_ratios"] == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert doc["empirical_constant"] == max(doc["max_ratios"]) >= 1.0
+    assert doc["top_growth"] == doc["max_ratios"][1] / doc["max_ratios"][0] - 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 109])
+def test_nonortho_check_matches_one_grid_per_draw(seed, capsys):
+    # Criterion 9's sizes and draws: the lines print the same bytes, the ratios agree to rounding.
+    sizes = [2, 4, 8, 16, 32]
+    assert main(["nonortho-check", "--sizes", "2,4,8,16,32", "--trials", "50", "--seed", str(seed)]) == 0
+    lines, doc = nonortho_output(capsys)
+    expected_lines, expected = nonortho_by_grids(sizes, 50, seed)
+    assert lines == expected_lines
+    assert doc["max_ratios"] == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert (doc["sizes"], doc["trials"], doc["empirical_constant"]) == (sizes, 50, max(doc["max_ratios"]))
+
+
+def test_nonortho_check_stacks_the_draws_of_one_at_a_time(monkeypatch, capsys):
+    # 40 draws at M = 32 take several stacks; together they hold every draw's bits, in order.
+    stacks, original = [], cli.nonortho_l2_norm
+
+    def recording(entries, plan):
+        stacks.append(entries.copy())
+        return original(entries, plan)
+
+    monkeypatch.setattr(cli, "nonortho_l2_norm", recording)
+    assert main(["nonortho-check", "--sizes", "3,32", "--trials", "40", "--seed", "5"]) == 0
+    capsys.readouterr()
+    assert len(stacks) > 2
+    rng = np.random.default_rng(5)
+    one_at_a_time = [rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                     for size in (3, 32) for _ in range(40)]
+    drawn = [entries for stack in stacks for entries in stack]
+    assert len(drawn) == len(one_at_a_time)
+    for got, expected in zip(drawn, one_at_a_time):
+        assert got.view(np.float64).tobytes() == expected.view(np.float64).tobytes()
+
+
+def test_nonortho_check_holds_less_than_a_grid(capsys):
+    # One draw's grid at M = 32 is 256^2 complex samples (1 MiB), and the
+    # grid path held about two of them; a stack's arrays hold less than one.
+    tracemalloc.start()
+    try:
+        assert main(["nonortho-check", "--sizes", "32", "--trials", "200"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 256 * 256 * 16 * 1.25
 
 
 # ----------------------------------------------------------------------------

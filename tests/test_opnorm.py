@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from mnlab import norms, opnorm
 from mnlab.exponents import MixedExponents, phi, theta, upper_bound_magnitude
@@ -37,6 +38,12 @@ INTERIOR = MixedExponents(0.25, 0.5, 0.75, 0.5)
 COLUMN_EQUALITY = MixedExponents(0.5, 0.75, 0.25, 0.5)
 # The benchmark's search tuples.
 SEARCH_TUPLES = {"column-equality": COLUMN_EQUALITY, "sup-l1": SUP_OVER_L1, "interior": INTERIOR}
+# Whether numpy dispatches AVX-512 here.  There its SIMD `power` (the array
+# `**` of the norm reductions) differs from libm's pow in the last bit on
+# some draws, so a float.hex golden that such a draw reaches has one value
+# per dispatch.  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+# selects the other on an AVX-512 host.
+AVX512 = __cpu_features__["AVX512_SKX"]
 
 
 def random_matrix(rng, M, N):
@@ -339,7 +346,7 @@ def test_one_synthesis_per_trial_and_one_adjoint_per_gradient(monkeypatch):
     [history] = _ascend(start[None], INTERIOR, default_grid(3, 2, floor=16), SearchConfig(max_iters=10))
     # Objective evaluations (the start and 10 steps, none of them retried), gradients and the result.
     assert (counts["_evaluate"], counts["_adjoint_gradient"], len(history)) == (11, 10, 11)
-    assert history[-1].hex() == "0x1.4710afd43f612p+0"
+    assert history[-1].hex() == ("0x1.4710afd43f612p+0" if AVX512 else "0x1.4710afd43f611p+0")
     assert counts["eval_sum"] == 0  # the stack's starts are synthesized together, on a plan checked once
     assert counts["eval_sum"] + counts["synthesize"] == counts["_evaluate"]
     assert counts["synthesize_adjoint"] == counts["_adjoint_gradient"] == counts["_dual_map"]
@@ -558,7 +565,8 @@ def test_searched_equals_the_one_by_one_search_on_the_benchmark_jobs(monkeypatch
 
 # `searched` of estimate(M, M, e, SearchConfig(restarts=2, max_iters=10,
 # seed=7)) on the benchmark's search tuples, recorded as float.hex before the
-# search kernel was pruned; a kernel change that moves one bit fails here.
+# search kernel was pruned, under each dispatch where the two differ (see
+# AVX512); a kernel change that moves one bit fails here.
 # The sup-l1 bracket closes at the unit start, whose value is exactly the
 # bound 1.0, so the search stops there.
 GOLDEN_SEARCHED = {
@@ -566,7 +574,7 @@ GOLDEN_SEARCHED = {
     ("column-equality", 4): "0x1.4b6a277d79ec2p+0",
     ("sup-l1", 2): "0x1.0000000000000p+0",
     ("sup-l1", 4): "0x1.0000000000000p+0",
-    ("interior", 2): "0x1.284f9f9547e96p+0",
+    ("interior", 2): "0x1.284f9f9547e96p+0" if AVX512 else "0x1.284f9f954d414p+0",
     ("interior", 4): "0x1.63c1aa00589ccp+0",
 }
 

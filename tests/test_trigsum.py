@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mnlab.exponents import MixedExponents
-from mnlab.norms import CoefficientMatrix, GridFunction, load_grid, lpq_norm, save_grid
+from mnlab.norms import CoefficientMatrix, GridFunction, load_grid, lpq_norm, lrs_norm, save_grid
 from mnlab.trigsum import (
     MAX_GRID_BYTES,
     OVERSAMPLE,
@@ -17,9 +17,13 @@ from mnlab.trigsum import (
     eval_nonortho,
     eval_sum,
     eval_sum_at,
+    nonortho_l2_norm,
     synthesize,
     synthesize_adjoint,
 )
+
+
+E2222 = MixedExponents(0.5, 0.5, 0.5, 0.5)
 
 
 def random_matrix(rng, M, N):
@@ -273,6 +277,57 @@ def test_nonortho_value_and_trivial_cases():
     for j in range(4):
         for k in range(4):
             assert h.samples[j, k] == pytest.approx(unit_frequency_sum(B, j / 4, k / 4), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("M,N,Kx,Ky", [(1, 1, 64, 64), (3, 3, 24, 24), (4, 7, 40, 72), (9, 2, 80, 16),
+                                       (32, 32, 256, 256), (6, 5, 3, 2)],
+                         ids=["1x1", "square", "wide-Kx-ne-Ky", "tall-Kx-ne-Ky", "criterion-9-top", "grid-below-matrix"])
+def test_nonortho_l2_norm_is_the_grid_norm_of_eval_nonortho(M, N, Kx, Ky):
+    # The grid path samples V and reduces the grid; the Gram path never builds it.
+    rng = np.random.default_rng(M * 100 + N)
+    plan = EvalPlan(Kx, Ky)
+    for _ in range(5):
+        A = random_matrix(rng, M, N)
+        expected = lrs_norm(eval_nonortho(A, plan), E2222)
+        assert nonortho_l2_norm(A.entries, plan) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_nonortho_l2_norm_of_a_stack_is_each_matrix_alone():
+    rng = np.random.default_rng(12)
+    for shape, plan in (((7, 4, 5), EvalPlan(40, 48)), ((2, 3, 6, 6), EvalPlan(64, 64)), ((5, 1, 1), EvalPlan(8, 3))):
+        entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        values = nonortho_l2_norm(entries, plan)
+        assert values.shape == shape[:-2]
+        for index in np.ndindex(*shape[:-2]):
+            alone = nonortho_l2_norm(entries[index], plan)
+            assert isinstance(alone, np.float64)
+            assert values[index] == alone, index
+
+
+def test_nonortho_l2_norm_of_a_unit_entry_is_one():
+    # |V| = 1 at every node, so every grid mean of |V|^2 is 1.
+    for M, N, row, col, plan in ((3, 3, 2, 1, EvalPlan(16, 16)), (8, 5, 7, 4, EvalPlan(64, 40)),
+                                 (32, 32, 31, 0, EvalPlan(256, 256))):
+        entries = np.zeros((M, N), dtype=complex)
+        entries[row, col] = 1.0
+        assert nonortho_l2_norm(entries, plan) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+
+def test_nonortho_l2_norm_stays_with_the_grid_at_the_gram_null_space():
+    # The Gram matrix of V's table is nearly singular from M = 16 on: its
+    # least eigenvalue sits below rounding.  On the outer product of that
+    # eigenvector the quadratic form Re sum conj(A) (G_x A conj(G_y)),
+    # summed in floats, can be negative (at M = 32 it is, and its square
+    # root NaN); the R factors keep the value non-negative and within
+    # rounding of the grid path.
+    for M in (8, 16, 32):
+        plan = default_grid(M, M, floor=64)
+        table = np.exp(1j * np.outer(np.arange(plan.Kx) / plan.Kx, np.arange(M)))  # E_x[j, m] = e^{i m j/Kx}
+        least = np.linalg.eigh(table.conj().T @ table / plan.Kx)[1][:, 0]
+        A = CoefficientMatrix(M, M, np.outer(least, least))
+        value = nonortho_l2_norm(A.entries, plan)
+        assert value >= 0.0
+        assert abs(value - lrs_norm(eval_nonortho(A, plan), E2222)) <= 1e-14 * lpq_norm(A, E2222)
 
 
 def test_plan_validation():
